@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+import reprlib
+
 
 class GaussCisError(Exception):
     """Base class for all library errors."""
@@ -59,3 +61,12 @@ class WindowTooLargeError(GaussCisError):
 
 class ComplexInputError(GaussCisError):
     """Real-valued input required."""
+
+
+def coerce(kind, value, what: str):
+    """``kind(value)`` for a value read from a config; a value of the wrong
+    type or form raises ConfigInvalidError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalidError(f"{what}: cannot read {reprlib.repr(value)} ({exc})") from exc

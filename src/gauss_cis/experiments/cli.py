@@ -26,7 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="thread count, validated and echoed in report.json; scenarios run serially",
+    )
     return parser
 
 

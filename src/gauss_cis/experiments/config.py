@@ -4,19 +4,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import ConfigInvalidError
+from ..errors import ConfigInvalidError, coerce
+from .scenarios import SCENARIOS
 
-SCENARIO_NAMES = (
-    "classify",
-    "framebound-sweep",
-    "critical-half",
-    "kadets-sweep",
-    "density-demo",
-    "kernel-asymptotic",
-    "g0-estimate",
-    "fock-consistency",
-    "sign-retrieval",
-)
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 @dataclass
@@ -24,7 +15,8 @@ class ScenarioConfig:
     """Validated scenario configuration.
 
     ``seed`` is mandatory so that every run is reproducible; scenario
-    specific knobs live in ``options``.
+    specific knobs live in ``options``.  Fields of the wrong type or form
+    raise ConfigInvalidError.
     """
 
     scenario: str
@@ -43,36 +35,32 @@ class ScenarioConfig:
             raise ConfigInvalidError(f"unknown scenario {self.scenario!r}")
         if self.seed is None:
             raise ConfigInvalidError("a seed is required")
-        self.seed = int(self.seed)
+        self.seed = coerce(int, self.seed, "seed")
         if self.seed < 0:
             raise ConfigInvalidError("seed must be non-negative")
+        self.a = coerce(float, self.a, "a")
+        self.b = coerce(float, self.b, "b")
         if not self.a > 0.0:
             raise ConfigInvalidError("a must be > 0")
-        self.sizes = tuple(int(m) for m in self.sizes)
+        self.sizes = coerce(lambda ms: tuple(int(m) for m in ms), self.sizes, "sizes")
         if any(y <= x for x, y in zip(self.sizes, self.sizes[1:])):
             raise ConfigInvalidError("sizes must be increasing")
+        self.tolerances = coerce(dict, self.tolerances, "tolerances")
         for key, val in self.tolerances.items():
-            if not val > 0.0:
+            if not coerce(float, val, f"tolerance {key!r}") > 0.0:
                 raise ConfigInvalidError(f"tolerance {key!r} must be > 0")
+        self.options = coerce(dict, self.options, "options")
+        self.threads = coerce(int, self.threads, "threads")
         if self.threads < 1:
             raise ConfigInvalidError("threads must be >= 1")
-        self.out_dir = Path(self.out_dir)
+        self.out_dir = coerce(Path, self.out_dir, "out")
 
     def tolerance(self, key: str, default: float) -> float:
         return float(self.tolerances.get(key, default))
 
     def echo(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "a": self.a,
-            "b": self.b,
-            "sequence": self.sequence,
-            "sizes": list(self.sizes),
-            "tolerances": dict(self.tolerances),
-            "options": self.options,
-            "threads": self.threads,
-        }
+        """Every field but the output directory, as report.json records it."""
+        return {k: v for k, v in vars(self).items() if k != "out_dir"}
 
 
 def load_config(
@@ -103,12 +91,12 @@ def load_config(
     return ScenarioConfig(
         scenario=scenario,
         seed=seed if seed is not None else raw.get("seed"),
-        out_dir=Path(out_dir) if out_dir is not None else Path(raw.get("out", "out")),
-        a=float(raw.get("a", 1.0)),
-        b=float(raw.get("b", 0.0)),
+        out_dir=out_dir if out_dir is not None else raw.get("out", "out"),
+        a=raw.get("a", 1.0),
+        b=raw.get("b", 0.0),
         sequence=raw.get("sequence"),
-        sizes=tuple(raw.get("sizes", ())),
-        tolerances=dict(raw.get("tolerances", {})),
-        options=dict(raw.get("options", {})),
-        threads=int(threads if threads is not None else raw.get("threads", 1)),
+        sizes=raw.get("sizes", ()),
+        tolerances=raw.get("tolerances", {}),
+        options=raw.get("options", {}),
+        threads=threads if threads is not None else raw.get("threads", 1),
     )

@@ -1,18 +1,22 @@
 """Scenario content: each function turns a config into records and tables.
 
 Scenario functions are pure apart from RNG seeded from the config; the
-runner handles serialization, timing, and exit status.  Grid points within
-a scenario are independent and may be evaluated by a thread pool; results
-are reduced in a fixed order so reports are deterministic.
+runner handles serialization, timing, and exit status.  Grid points are
+evaluated serially in a fixed order, so reports are deterministic; the
+config's ``threads`` is accepted and echoed but does not change the run.
+Options are read through :func:`_option`, so a value of the wrong type or
+form raises ConfigInvalidError.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from __future__ import annotations
+
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import fock, gauss_space
-from ..errors import ConfigInvalidError
+from ..errors import ConfigInvalidError, coerce
 from ..gauss_space import CoefficientVector
 from ..lattice import (
     AffineGrid,
@@ -21,8 +25,10 @@ from ..lattice import (
     avdonin_verdict,
     build_sequence,
 )
-from .config import ScenarioConfig
 from .sign_retrieval import half_grid, sign_retrieval_check
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 __all__ = ["ScenarioOutcome", "SCENARIOS"]
 
@@ -35,11 +41,26 @@ class ScenarioOutcome:
     plots: dict = field(default_factory=dict)    # plotdata name -> (header, rows)
 
 
-def _map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _option(config: ScenarioConfig, key: str, default, kind=float):
+    """Option ``key`` read as ``kind``, or ``default`` when it is absent."""
+    return coerce(kind, config.options.get(key, default), f"option {key!r}")
+
+
+def _floats(values) -> list:
+    return [float(x) for x in values]
+
+
+def _pair(values, kind=float) -> tuple:
+    lo, hi = values
+    return kind(lo), kind(hi)
+
+
+def _in_bracket(config: ScenarioConfig, ratios) -> bool:
+    """True unless a ``bracket`` option is set and some ratio leaves it."""
+    if config.options.get("bracket") is None:
+        return True
+    lo, hi = _option(config, "bracket", None, _pair)
+    return bool(ratios.min() >= lo and ratios.max() <= hi)
 
 
 def _require_sequence(config: ScenarioConfig):
@@ -68,13 +89,12 @@ def _stability_pct(report) -> float:
 
 def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
     seq = _require_sequence(config)
-    opts = config.options
     verdict = avdonin_verdict(
         seq,
-        n_max=int(opts.get("n_max", 8)),
-        margin=float(opts.get("margin", 1e-9)),
+        n_max=_option(config, "n_max", 8, int),
+        margin=_option(config, "margin", 1e-9),
     )
-    expect = opts.get("expect_pass")
+    expect = config.options.get("expect_pass")
     passed = True if expect is None else (verdict.passes == bool(expect))
     v = verdict.to_json()
     rows = [(
@@ -99,76 +119,59 @@ def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
     )
 
 
-def scenario_framebound_sweep(config: ScenarioConfig) -> ScenarioOutcome:
-    seq = _require_sequence(config)
-    opts = config.options
-    sizes = config.sizes or (16, 32, 64)
-    report = _sweep(
-        config, seq, sizes,
-        float(opts.get("interior_fraction", 2.0 / 3.0)),
-        float(opts.get("edge_margin", 0.0)),
-        opts.get("orientation", "interior_rows"),
+def _frame_sweep(config: ScenarioConfig, seq, frac: float, margin: float):
+    """Frame bounds at the config's sizes; ``frac`` and ``margin`` are the
+    defaults of the interior_fraction and edge_margin options."""
+    return _sweep(
+        config, seq, config.sizes or (16, 32, 64),
+        _option(config, "interior_fraction", frac),
+        _option(config, "edge_margin", margin),
+        config.options.get("orientation", "interior_rows"),
     )
-    header = ("size", "n_rows", "n_cols", "sigma_min", "sigma_max")
+
+
+def _frame_outcome(passed: bool, summary: dict, report) -> ScenarioOutcome:
+    """Outcome holding one sweep's frame-bound table and sigma_min plot."""
     rows = [(e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries]
-    stability = opts.get("stability_pct")
-    passed = True if stability is None else _stability_pct(report) <= float(stability)
     return ScenarioOutcome(
         passed=passed,
-        summary={"report": report.to_json(), "stability_pct": _stability_pct(report)},
-        tables={"frame_bounds": (header, rows)},
+        summary={"report": report.to_json(), **summary},
+        tables={"frame_bounds": (("size", "n_rows", "n_cols", "sigma_min", "sigma_max"), rows)},
         plots={"sigma_min": (("size", "sigma_min"), [(e.size, e.sigma_min) for e in report.entries])},
     )
+
+
+def scenario_framebound_sweep(config: ScenarioConfig) -> ScenarioOutcome:
+    report = _frame_sweep(config, _require_sequence(config), 2.0 / 3.0, 0.0)
+    pct = _stability_pct(report)
+    passed = pct <= _option(config, "stability_pct", float("inf"))
+    return _frame_outcome(passed, {"stability_pct": pct}, report)
 
 
 def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
-    opts = config.options
     seq = build_sequence(config.sequence) if config.sequence else PeriodicPerturbation((0.5,))
-    sizes = config.sizes or (16, 32, 64)
-    report = _sweep(
-        config, seq, sizes,
-        float(opts.get("interior_fraction", 1.0)),
-        float(opts.get("edge_margin", 3.0)),
-        opts.get("orientation", "interior_rows"),
-    )
-    max_ratio = float(opts.get("max_ratio", 0.5))
+    report = _frame_sweep(config, seq, 1.0, 3.0)
+    max_ratio = _option(config, "max_ratio", 0.5)
     ratios = report.sigma_min_ratios()
-    passed = all(r <= max_ratio for _, _, r in ratios)
-    header = ("size", "n_rows", "n_cols", "sigma_min", "sigma_max")
-    rows = [(e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries]
-    return ScenarioOutcome(
-        passed=passed,
-        summary={
-            "report": report.to_json(),
-            "max_ratio_allowed": max_ratio,
-            "ratios": [{"from": x, "to": y, "ratio": r} for x, y, r in ratios],
-        },
-        tables={"frame_bounds": (header, rows)},
-        plots={"sigma_min": (("size", "sigma_min"), [(e.size, e.sigma_min) for e in report.entries])},
-    )
+    summary = {
+        "max_ratio_allowed": max_ratio,
+        "ratios": [{"from": x, "to": y, "ratio": r} for x, y, r in ratios],
+    }
+    return _frame_outcome(all(r <= max_ratio for _, _, r in ratios), summary, report)
 
 
 def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
-    opts = config.options
-    deltas = [float(d) for d in opts.get("deltas", (0.1, 0.3, 0.45))]
-    critical = [float(d) for d in opts.get("critical_deltas", (0.5,))]
+    deltas = _option(config, "deltas", (0.1, 0.3, 0.45), _floats)
+    critical = _option(config, "critical_deltas", (0.5,), _floats)
     sizes = config.sizes or (16, 32, 64)
-    frac = float(opts.get("interior_fraction", 1.0))
-    margin = float(opts.get("edge_margin", 3.0))
-    stability = float(opts.get("stability_pct", 10.0))
-    max_ratio = float(opts.get("max_ratio", 0.5))
-
-    def run(d):
-        return d, _sweep(
-            config, PeriodicPerturbation((d,)), sizes, frac, margin, "interior_rows"
-        )
-
-    results = _map(run, sorted(deltas) + sorted(critical), config.threads)
-    rows = []
-    checks = []
-    for d, report in results:
-        for e in report.entries:
-            rows.append((d, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max))
+    frac = _option(config, "interior_fraction", 1.0)
+    margin = _option(config, "edge_margin", 3.0)
+    stability = _option(config, "stability_pct", 10.0)
+    max_ratio = _option(config, "max_ratio", 0.5)
+    rows, checks = [], []
+    for d in sorted(deltas) + sorted(critical):
+        report = _sweep(config, PeriodicPerturbation((d,)), sizes, frac, margin, "interior_rows")
+        rows += [(d, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries]
         if d in critical:
             ratios = [r for _, _, r in report.sigma_min_ratios()]
             ok = all(r <= max_ratio for r in ratios)
@@ -177,37 +180,29 @@ def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
             pct = _stability_pct(report)
             ok = pct <= stability
             checks.append({"delta": d, "kind": "stable", "stability_pct": pct, "ok": ok})
-    passed = all(ch["ok"] for ch in checks)
     header = ("delta", "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
-    plot = [(d, e.size, e.sigma_min) for d, rep in results for e in rep.entries]
     return ScenarioOutcome(
-        passed=passed,
+        passed=all(ch["ok"] for ch in checks),
         summary={"checks": checks, "stability_pct": stability, "max_ratio": max_ratio},
         tables={"kadets": (header, rows)},
-        plots={"sigma_min": (("delta", "size", "sigma_min"), plot)},
+        plots={"sigma_min": (("delta", "size", "sigma_min"), [(r[0], r[1], r[4]) for r in rows])},
     )
 
 
 def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
-    opts = config.options
-    alphas = [float(x) for x in opts.get("alphas", (0.9, 1.1))]
+    alphas = _option(config, "alphas", (0.9, 1.1), _floats)
     sizes = config.sizes or (16, 32, 64)
-    frac = float(opts.get("interior_fraction", 2.0 / 3.0))
-    margin = float(opts.get("edge_margin", 0.0))
-    stability = float(opts.get("stability_pct", 10.0))
-
-    def run(alpha):
+    frac = _option(config, "interior_fraction", 2.0 / 3.0)
+    margin = _option(config, "edge_margin", 0.0)
+    stability = _option(config, "stability_pct", 10.0)
+    rows, checks = [], []
+    for alpha in sorted(alphas):
         # oversampled grids measure the sampling-side bound (interior
         # coefficients); undersampled ones the interpolation-side bound
         orientation = "interior_cols" if alpha < 1.0 else "interior_rows"
         report = _sweep(config, AffineGrid(alpha), sizes, frac, margin, orientation)
-        return alpha, orientation, report
-
-    results = _map(run, sorted(alphas), config.threads)
-    rows, checks = [], []
-    for alpha, orientation, report in results:
-        for e in report.entries:
-            rows.append((alpha, orientation, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max))
+        rows += [(alpha, orientation, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max)
+                 for e in report.entries]
         pct = _stability_pct(report)
         checks.append({
             "alpha": alpha,
@@ -220,32 +215,23 @@ def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
         passed=all(ch["ok"] for ch in checks),
         summary={"checks": checks, "stability_pct": stability},
         tables={"density": (header, rows)},
-        plots={"sigma_min": (("alpha", "size", "sigma_min"),
-                             [(a, e.size, e.sigma_min) for a, _, rep in results for e in rep.entries])},
+        plots={"sigma_min": (("alpha", "size", "sigma_min"), [(r[0], r[2], r[5]) for r in rows])},
     )
 
 
 def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
-    opts = config.options
-    lo = float(opts.get("log_modulus_lo", -10.0))
-    hi = float(opts.get("log_modulus_hi", 10.0))
-    step = float(opts.get("step", 0.25))
-    max_spread = float(opts.get("max_spread", 10.0))
-    bracket = opts.get("bracket")
-    ts = np.arange(lo, hi + 1e-12, step)
-
-    def run(t):
-        _, ratio = fock.kernel_norm(config.a, fock.LogPolarPoint(float(t), 0.0))
-        return float(t), ratio
-
-    rows = _map(run, ts, config.threads)
+    lo = _option(config, "log_modulus_lo", -10.0)
+    hi = _option(config, "log_modulus_hi", 10.0)
+    step = _option(config, "step", 0.25)
+    max_spread = _option(config, "max_spread", 10.0)
+    bracket = config.options.get("bracket")
+    rows = [
+        (float(t), fock.kernel_norm(config.a, fock.LogPolarPoint(float(t), 0.0))[1])
+        for t in np.arange(lo, hi + 1e-12, step)
+    ]
     ratios = np.array([r for _, r in rows])
     spread = float(ratios.max() / ratios.min())
-    passed = spread <= max_spread
-    if bracket is not None:
-        passed = passed and bool(
-            ratios.min() >= float(bracket[0]) and ratios.max() <= float(bracket[1])
-        )
+    passed = spread <= max_spread and _in_bracket(config, ratios)
     return ScenarioOutcome(
         passed=passed,
         summary={
@@ -261,14 +247,13 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
-    opts = config.options
     a = config.a
-    lo = float(opts.get("log_modulus_lo", a))
-    hi = float(opts.get("log_modulus_hi", 21.0 * a))
-    step = float(opts.get("step", 0.1))
-    n_angles = int(opts.get("n_angles", 8))
-    exclusion = float(opts.get("exclusion", 0.1))
-    bracket = opts.get("bracket")
+    lo = _option(config, "log_modulus_lo", a)
+    hi = _option(config, "log_modulus_hi", 21.0 * a)
+    step = _option(config, "step", 0.1)
+    n_angles = _option(config, "n_angles", 8, int)
+    exclusion = _option(config, "exclusion", 0.1)
+    bracket = config.options.get("bracket")
 
     zeros = fock.GeneratingProduct.unperturbed(a, int(np.ceil((hi + 40) / (2 * a))))
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
@@ -280,10 +265,7 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
             if rel >= np.log(exclusion):
                 points.append(p)
 
-    def run(p):
-        return p.log_modulus, p.argument, fock.g0_estimate_ratio(a, p)
-
-    rows = _map(run, points, config.threads)
+    rows = [(p.log_modulus, p.argument, fock.g0_estimate_ratio(a, p)) for p in points]
     ratios = np.array([r for _, _, r in rows])
     summary = {
         "ratio_min": float(ratios.min()),
@@ -291,13 +273,8 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
         "n_points": len(rows),
         "bracket": bracket,
     }
-    passed = True
-    if bracket is not None:
-        passed = bool(
-            ratios.min() >= float(bracket[0]) and ratios.max() <= float(bracket[1])
-        )
     return ScenarioOutcome(
-        passed=passed,
+        passed=_in_bracket(config, ratios),
         summary=summary,
         tables={"g0_ratio": (("log_modulus", "argument", "ratio"), rows)},
         plots={"g0_ratio": (("log_modulus", "argument", "ratio"), rows)},
@@ -305,11 +282,10 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
-    opts = config.options
-    n_seeds = int(opts.get("n_seeds", 5))
-    lambdas = [float(x) for x in opts.get("lambdas", np.linspace(-5.0, 5.0, 11))]
-    b_values = [float(x) for x in opts.get("b_values", (0.0, 2.0))]
-    n_lo, n_hi = (int(x) for x in opts.get("coeff_range", (1, 16)))
+    n_seeds = _option(config, "n_seeds", 5, int)
+    lambdas = _option(config, "lambdas", np.linspace(-5.0, 5.0, 11), _floats)
+    b_values = _option(config, "b_values", (0.0, 2.0), _floats)
+    n_lo, n_hi = _option(config, "coeff_range", (1, 16), lambda v: _pair(v, int))
     tol = config.tolerance("gap", 1e-9)
 
     tasks = []
@@ -327,7 +303,7 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
         _, _, gap = fock.consistency_identity(GaussianParam(config.a, b), coeffs, lam)
         return i, b, lam, gap
 
-    rows = _map(run, tasks, config.threads)
+    rows = [run(task) for task in tasks]
     worst = max(r[3] for r in rows)
     return ScenarioOutcome(
         passed=worst < tol,
@@ -338,13 +314,12 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
-    opts = config.options
-    trials = int(opts.get("trials", 50))
-    window = int(opts.get("window", 12))
-    coeff_start = int(opts.get("coeff_start", 0))
-    coeff_count = int(opts.get("coeff_count", 5))
-    amplitude = float(opts.get("delta_amplitude", 0.2))
-    node_start = int(opts.get("node_start", -1))
+    trials = _option(config, "trials", 50, int)
+    window = _option(config, "window", 12, int)
+    coeff_start = _option(config, "coeff_start", 0, int)
+    coeff_count = _option(config, "coeff_count", 5, int)
+    amplitude = _option(config, "delta_amplitude", 0.2)
+    node_start = _option(config, "node_start", -1, int)
     residual_tol = config.tolerance("residual", 1e-8)
     match_tol = config.tolerance("match", 1e-8)
 
@@ -365,7 +340,7 @@ def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
             res.dilated_delta_star, res.dilated_condition_ok,
         )
 
-    rows = _map(run, range(trials), config.threads)
+    rows = [run(t) for t in range(trials)]
     n_pass = sum(1 for r in rows if r[1])
     header = (
         "trial", "passes", "n_survivors", "max_survivor_residual",

@@ -21,7 +21,7 @@ from .errors import (
     TooFewTermsError,
     UnsortedInputError,
 )
-from .lattice import GaussianParam
+from .lattice import GaussianParam, best_window_average
 from .logdomain import (
     log_abs_diff_exp,
     log_abs_one_minus_exp,
@@ -413,22 +413,28 @@ class GeneratingProduct:
 
 
 def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli) -> float:
-    """log of the complex distance from w to the nearest zero."""
+    """log of the complex distance from w to the nearest zero.
+
+    The zeros x_m = e^{z_m} lie on the positive real axis, and |w - x|^2 is
+    convex in real x with its minimum at x = Re w.  So the nearest zero is
+    one of the two either side of Re w, found by bisection on
+    log Re w = log|w| + log cos(arg w), or the first zero when Re w <= 0.
+    """
     u = p.log_modulus + 1j * p.argument
     z = np.asarray(zero_log_moduli, dtype=float)
-    # only zeros within a wide log-window can be nearest
-    near = z[np.abs(z - p.log_modulus) < 60.0]
-    cands = [log_abs_diff_exp(u, s) for s in near]
-    if len(near) < len(z):
-        # all remaining zeros are at least a factor e^60 away in modulus
-        far = z[np.abs(z - p.log_modulus) >= 60.0]
-        cands.append(float(np.min(np.maximum(far, p.log_modulus))))
-    return float(min(cands))
+    cos = np.cos(p.argument)
+    i = int(np.searchsorted(z, p.log_modulus + np.log(cos))) if cos > 0.0 else 0
+    return float(min(log_abs_diff_exp(u, s) for s in z[max(i - 1, 0) : i + 1]))
+
+
+def _certified_zero_count(a: float, p: LogPolarPoint) -> int:
+    """Zeros e^{2am} of G0 needed to certify the product tail at p."""
+    return int(np.ceil((p.log_modulus + 38.0) / (2.0 * a))) + 1
 
 
 def generating_product_G0(a: float, p: LogPolarPoint, m_terms: Optional[int] = None):
     """(log|G0(w)|, phase) for the unperturbed geometric zero set e^{2am}."""
-    auto = int(np.ceil((p.log_modulus + 38.0) / (2.0 * a))) + 1
+    auto = _certified_zero_count(a, p)
     if m_terms is not None and m_terms < auto:
         raise BadParameterError(
             f"m_terms={m_terms} below the certified count {auto} at this modulus"
@@ -445,8 +451,7 @@ def g0_estimate_ratio(a: float, p: LogPolarPoint) -> float:
     Bounded above and below on grids that avoid the zeros; the bracket is
     empirical.
     """
-    auto = int(np.ceil((p.log_modulus + 38.0) / (2.0 * a))) + 1
-    prod = GeneratingProduct.unperturbed(a, auto)
+    prod = GeneratingProduct.unperturbed(a, _certified_zero_count(a, p))
     log_abs, _ = prod.evaluate(p)
     log_dist = log_distance_to_zeros(p, prod.zero_log_moduli)
     log_ratio = (
@@ -527,13 +532,7 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     gamma = float(np.min(-np.expm1(-gaps)))
     separated = gamma > 0.0
     deltas = lms - 2.0 * a * np.arange(1, len(lms) + 1)
-    from .lattice import window_average_sup
-
-    best_n, best = 1, np.inf
-    for n in range(1, min(n_max, len(deltas)) + 1):
-        sup = window_average_sup(deltas, n)
-        if sup < best - 1e-15:
-            best_n, best = n, sup
+    best_n, best = best_window_average(deltas, n_max)
     passes = separated and best < a - margin
     return FockCisVerdict(
         gamma, separated, float(np.max(np.abs(deltas))), best_n, best, a, passes

@@ -8,7 +8,7 @@ series side (module ``fock``).
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
 # numerical rank cutoff: sigma_min below this multiple of sigma_max is
 # treated as rank deficiency rather than ill conditioning
 _RANK_RTOL = 1e-13
+# e^{-x} underflows to 0 in double precision for x above this
+_UNDERFLOW = 746.0
 
 
 @dataclass(frozen=True)
@@ -95,19 +97,17 @@ class CoefficientVector:
         }
 
 
-def _gaussian_tail_sq(a: float, r: float) -> float:
-    """sum over integer distances d >= r (both signs) of e^{-2a d^2}."""
-    if r <= 0.0:
-        r = 0.0
-    total = 0.0
-    d = np.ceil(r) if r > 0 else 1.0
-    while True:
-        t = np.exp(-2.0 * a * d * d)
-        total += 2.0 * t
-        if t < 1e-300 or t < total * 1e-18:
-            break
-        d += 1.0
-    return total
+def _gaussian_tail_terms(a: float, d0) -> np.ndarray:
+    """Terms e^{-2a d^2} at d = d0, d0 + 1, ... (negative d counts as 0).
+
+    The terms run along a new last axis, one row per start distance in
+    ``d0``, far enough that every row ends in terms that underflow to 0;
+    summing a row gives that start's Gaussian tail.
+    """
+    d0 = np.asarray(d0, dtype=float)
+    n_terms = int(np.ceil(np.sqrt(_UNDERFLOW / (2.0 * a)) - np.min(d0))) + 1
+    d = np.maximum(d0[..., None] + np.arange(max(n_terms, 1)), 0.0)
+    return np.exp(-2.0 * a * d * d)
 
 
 def evaluate(c: GaussianParam, coeffs: CoefficientVector, x: float, tol: float = 1e-12):
@@ -122,9 +122,10 @@ def evaluate(c: GaussianParam, coeffs: CoefficientVector, x: float, tol: float =
         raise BadParameterError("tol must be > 0")
     if len(coeffs) == 0:
         return 0.0 + 0.0j, 0.0
-    r = 1.0
-    while np.sqrt(_gaussian_tail_sq(c.a, r)) > tol:
-        r += 1.0
+    # smallest radius r >= 1 whose two-sided tail sum_{|d| >= r} e^{-2a d^2}
+    # is at most tol^2; the last tail, past underflow, is 0
+    tails = 2.0 * np.cumsum(_gaussian_tail_terms(c.a, 1.0)[::-1])[::-1]
+    r = 1.0 + float(np.argmax(np.sqrt(tails) <= tol))
     n = coeffs.indices
     d = x - n
     near = np.abs(d) <= r
@@ -186,15 +187,8 @@ def collocation_matrix(
     entries = np.exp(-c.c * (lam[:, None] - cols[None, :]) ** 2)
 
     # Frobenius bound on the dropped columns, summed per row until underflow
-    tail_sq = 0.0
-    for d0 in np.concatenate([lam - (col_lo - 1), (col_hi + 1) - lam]):
-        k = 0.0
-        while True:
-            t = np.exp(-2.0 * c.a * (d0 + k) ** 2)
-            tail_sq += t
-            if t < 1e-300:
-                break
-            k += 1.0
+    dropped = np.concatenate([lam - (col_lo - 1), (col_hi + 1) - lam])
+    tail_sq = np.sum(_gaussian_tail_terms(c.a, dropped))
     return CollocationMatrix(
         param=c,
         row_start=int(node_range[0]),
@@ -283,16 +277,7 @@ class FrameBoundReport:
             "orientation": self.orientation,
             "interior_fraction": self.interior_fraction,
             "edge_margin": self.edge_margin,
-            "entries": [
-                {
-                    "size": e.size,
-                    "n_rows": e.n_rows,
-                    "n_cols": e.n_cols,
-                    "sigma_min": e.sigma_min,
-                    "sigma_max": e.sigma_max,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
             "sigma_min_ratios": [
                 {"from": a, "to": b, "ratio": r} for a, b, r in self.sigma_min_ratios()
             ],
@@ -388,16 +373,10 @@ def compact_block_hsnorm(c: GaussianParam, seq: NodeSequence, window: int):
 
     sup_delta = float(np.max(np.abs(lam - np.arange(-w, 0))))
     # pairs outside the window have |m| + n >= w + 2; at most u - 1 pairs
-    # share a given u = |m| + n
-    tail = 0.0
-    u = float(w + 2)
-    while True:
-        d = max(u - sup_delta, 0.0)
-        t = (u - 1.0) * np.exp(-2.0 * c.a * d * d)
-        tail += t
-        if t < 1e-300 or (tail > 0 and t < tail * 1e-18):
-            break
-        u += 1.0
+    # share a given u = |m| + n, each at distance >= u - sup|delta|
+    terms = _gaussian_tail_terms(c.a, w + 2 - sup_delta)
+    u = w + 2 + np.arange(len(terms))
+    tail = float(np.sum((u - 1.0) * terms))
     return float(np.sqrt(hs_sq)), tail
 
 

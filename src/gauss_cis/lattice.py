@@ -21,9 +21,11 @@ import numpy as np
 
 from .errors import (
     BadParameterError,
+    ConfigInvalidError,
     EmptyWindowError,
     NonIncreasingError,
     WindowTooSmallError,
+    coerce,
 )
 
 __all__ = [
@@ -196,8 +198,15 @@ def build_sequence(spec: dict) -> NodeSequence:
         {"kind": "explicit", "nodes": [...], "index_range": [lo, hi]}
 
     ``period`` is optional and must match ``len(offsets)`` when given;
-    ``index_range`` is optional (defaults to starting at 0).
+    ``index_range`` is optional (defaults to starting at 0).  A spec or
+    field of the wrong type or form raises ConfigInvalidError.
     """
+    if not isinstance(spec, dict):
+        raise ConfigInvalidError(f"sequence must be a JSON object, not {type(spec).__name__}")
+    return coerce(_sequence_from_spec, spec, "sequence")
+
+
+def _sequence_from_spec(spec: dict) -> NodeSequence:
     kind = spec.get("kind")
     if kind == "affine":
         return AffineGrid(float(spec.get("alpha", 1.0)), float(spec.get("beta", 0.0)))
@@ -246,10 +255,7 @@ def check_separation(seq: NodeSequence, window=None):
     if isinstance(seq, AffineGrid):
         return float(seq.alpha), True
     if isinstance(seq, PeriodicPerturbation):
-        p = seq.period
-        lam = np.arange(p + 1) + np.array(seq.offsets + (seq.offsets[0],))
-        gap = float(np.min(np.diff(lam)))
-        return gap, gap > 0.0
+        window = (0, seq.period)  # one period and the step across its end
     lam = seq.positions(window)
     if len(lam) < 2:
         raise EmptyWindowError("separation needs at least two nodes")
@@ -276,23 +282,32 @@ class Enumeration:
 
 
 def _best_offset(indices, lam, k_range):
-    """Offset k minimizing sup |lam - (indices + k)|; ties prefer small |k|."""
-    best = None
-    for k in sorted(k_range, key=lambda k: (abs(k), k)):
-        sup = float(np.max(np.abs(lam - (indices + k))))
-        if best is None or sup < best[1] - 1e-15:
-            best = (k, sup)
-    return best
+    """Offset k in ``k_range`` minimizing sup |lam - (indices + k)|.
+
+    The sup is convex in k, smallest at the mid-range of lam - indices, so
+    the floor of the mid-range and the next integer (clipped to the range)
+    are the only candidates; ties prefer small |k| within 1e-15.
+    """
+    r = lam - indices
+    mid = int(np.floor((np.max(r) + np.min(r)) / 2.0))
+    clipped = np.clip([mid, mid + 1], k_range[0], k_range[-1]).tolist()
+    first, second = sorted(clipped, key=lambda k: (abs(k), k))
+    sup_first = float(np.max(np.abs(lam - (indices + first))))
+    sup_second = float(np.max(np.abs(lam - (indices + second))))
+    if sup_second < sup_first - 1e-15:
+        return second, sup_second
+    return first, sup_first
 
 
 def canonical_enumeration(seq: NodeSequence, bound: float, window=None) -> Optional[Enumeration]:
-    """Search for an enumeration lambda_n = n + delta_n with sup|delta| <= bound.
+    """Find an enumeration lambda_n = n + delta_n with sup|delta| <= bound.
 
-    Integer re-indexings with |k| up to half the data span are tried and the
-    one minimizing sup|delta_n| over the window is returned, or None when no
-    re-indexing meets the bound.  Periodic and affine (alpha = 1) models are
-    resolved exactly.  Re-running on an already canonical window returns
-    offset 0 and identical deltas.
+    The integer re-indexing k (|k| up to half the data span) minimizing
+    sup|delta_n| over the window is returned, or None when it misses the
+    bound.  k is closed form, the rounded mid-range of lambda_n - n, so the
+    cost is O(n).  Periodic and affine (alpha = 1) models are resolved
+    exactly.  Re-running on an already canonical window returns offset 0 and
+    identical deltas.
     """
     if bound <= 0.0:
         raise BadParameterError("bound must be > 0")
@@ -461,6 +476,17 @@ def window_average_sup(deltas: np.ndarray, n: int) -> float:
     return float(np.max(np.abs(sums))) / n
 
 
+def best_window_average(deltas: np.ndarray, n_max: int):
+    """(N, sup) minimizing window_average_sup over N <= n_max; a longer
+    window wins only when better by more than 1e-15."""
+    best_n, best = 1, np.inf
+    for n in range(1, min(n_max, len(deltas)) + 1):
+        sup = window_average_sup(deltas, n)
+        if sup < best - 1e-15:
+            best_n, best = n, sup
+    return best_n, best
+
+
 def avdonin_verdict(
     seq: NodeSequence,
     n_max: int = 8,
@@ -515,11 +541,7 @@ def avdonin_verdict(
             separated, min_gap, False, np.nan, 0,
             np.nan, False, "finite_window_heuristic", margin,
         )
-    best_n, best = 1, np.inf
-    for n in range(1, min(n_max, len(enum.deltas)) + 1):
-        sup = window_average_sup(enum.deltas, n)
-        if sup < best - 1e-15:
-            best_n, best = n, sup
+    best_n, best = best_window_average(enum.deltas, n_max)
     passes = separated and best < 0.5 - margin
     return AvdoninVerdict(
         separated, min_gap, True, enum.sup, best_n, best, passes,

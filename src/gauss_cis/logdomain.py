@@ -6,7 +6,6 @@ phases are tracked separately.
 """
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "wrap_angle",
@@ -97,3 +96,20 @@ def log_abs_diff_exp(u, s):
     if ad == 0.0:
         return -np.inf
     return big + float(np.log(ad))
+
+
+def logsumexp(x) -> float:
+    """log(sum(exp(x))) for a real 1-d array, without overflow.
+
+    The m maximal entries are kept out of the shifted sum s, giving
+    log1p(s / m) + log(m) + max, as scipy.special.logsumexp does (bit for
+    bit); empty or all -inf input gives -inf.
+    """
+    x = np.asarray(x, dtype=float)
+    top = np.max(x, initial=-np.inf)
+    if top == -np.inf:
+        return -np.inf
+    is_top = x == top
+    m = float(np.count_nonzero(is_top))
+    s = np.sum(np.exp(np.where(is_top, -np.inf, x) - top))
+    return float(np.log1p(s / m) + np.log(m) + top)

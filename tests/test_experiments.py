@@ -190,3 +190,25 @@ class TestSignRetrieval:
             res = sign_retrieval_check(1.0, CoefficientVector(0, vals.astype(complex)), seq)
             assert res.passes, f"trial {t} failed"
             assert res.dilated_condition_ok
+
+
+@pytest.mark.parametrize(
+    "scenario, config",
+    [
+        ("framebound-sweep", {"sizes": ["x"], "sequence": {"kind": "periodic", "offsets": [0.1]}}),
+        ("classify", {"a": "one", "sequence": {"kind": "periodic", "offsets": [0.1]}}),
+        ("classify", {"sequence": [1, 2]}),
+        ("sign-retrieval", {"options": {"trials": "many"}}),
+        ("classify", {"sequence": {"kind": "explicit", "nodes": ["x", 1.0]}}),
+        ("kadets-sweep", {"options": {"deltas": 0.3}}),
+        ("g0-estimate", {"options": {"bracket": [1.0]}}),
+    ],
+)
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, **config}))
+    code = cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

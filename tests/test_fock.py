@@ -31,7 +31,7 @@ from gauss_cis.fock import (
 )
 from gauss_cis.gauss_space import CoefficientVector, evaluate
 from gauss_cis.lattice import GaussianParam, PeriodicPerturbation
-from gauss_cis.logdomain import log_abs_one_minus_exp
+from gauss_cis.logdomain import log_abs_diff_exp, log_abs_one_minus_exp
 
 
 def monomial(n: int) -> FockSeries:
@@ -389,3 +389,38 @@ class TestScaling:
             assert fock_cis_verdict(a, good).delta_star == pytest.approx(
                 fock_delta_from_lattice(a, 0.49), rel=1e-12
             )
+
+
+# -- the two-zero distance against the windowed scan it replaced -------------
+
+def _windowed_log_distance(p, zero_log_moduli):
+    """Reference: every zero within 60 log-units, the rest approximated."""
+    u = p.log_modulus + 1j * p.argument
+    z = np.asarray(zero_log_moduli, dtype=float)
+    near = z[np.abs(z - p.log_modulus) < 60.0]
+    cands = [log_abs_diff_exp(u, s) for s in near]
+    if len(near) < len(z):
+        far = z[np.abs(z - p.log_modulus) >= 60.0]
+        cands.append(float(np.min(np.maximum(far, p.log_modulus))))
+    return float(min(cands))
+
+
+class TestDistanceOracle:
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])
+    def test_bit_identical_on_grid_and_random_angles(self, a):
+        rng = np.random.default_rng(int(4 * a))
+        # 24 zeros: |w| runs past the last zero (at 48a) and below the first
+        zero_sets = (
+            GeneratingProduct.unperturbed(a, 24).zero_log_moduli,
+            GeneratingProduct.from_deltas(a, rng.uniform(-0.45, 0.45, 24)).zero_log_moduli,
+        )
+        angles = np.concatenate([
+            np.linspace(-np.pi, np.pi, 17),  # includes +-pi/2 and arg in (pi/2, pi]
+            rng.uniform(-np.pi, np.pi, 8),
+        ])
+        lms = np.concatenate([np.linspace(-50.0, 200.0, 51), zero_sets[1][::3] + 1e-9])
+        for zeros in zero_sets:
+            for lm in lms:
+                for ang in angles:
+                    p = LogPolarPoint(float(lm), float(ang))
+                    assert log_distance_to_zeros(p, zeros) == _windowed_log_distance(p, zeros)

@@ -293,3 +293,102 @@ def test_interpolation_json():
     assert data["residual"] == 1e-12
     assert data["coefficients"]["start"] == -1
     assert data["coefficients"]["imag"] == [0.0, 1.0]
+
+
+# -- the vectorised Gaussian tail against the loops it replaced --------------
+
+def _loop_tail_sq(a, r):
+    """Reference: two-sided tail sum over integer d >= r of e^{-2a d^2}."""
+    if r <= 0.0:
+        r = 0.0
+    total = 0.0
+    d = np.ceil(r) if r > 0 else 1.0
+    while True:
+        t = np.exp(-2.0 * a * d * d)
+        total += 2.0 * t
+        if t < 1e-300 or t < total * 1e-18:
+            break
+        d += 1.0
+    return total
+
+
+def _loop_evaluate(c, coeffs, x, tol):
+    """Reference evaluate with the radius found by the loop."""
+    r = 1.0
+    while np.sqrt(_loop_tail_sq(c.a, r)) > tol:
+        r += 1.0
+    n = coeffs.indices
+    d = x - n
+    near = np.abs(d) <= r
+    value = complex(np.sum(coeffs.values[near] * np.exp(-c.c * d[near] ** 2)))
+    tail = float(np.sum(np.abs(coeffs.values[~near]) * np.exp(-c.a * d[~near] ** 2)))
+    return value, tail
+
+
+def _loop_collocation_tail(a, mat):
+    """Reference: Frobenius bound on the dropped columns, row by row."""
+    col_lo, col_hi = mat.col_range
+    lam = mat.node_positions
+    tail_sq = 0.0
+    for d0 in np.concatenate([lam - (col_lo - 1), (col_hi + 1) - lam]):
+        k = 0.0
+        while True:
+            t = np.exp(-2.0 * a * (d0 + k) ** 2)
+            tail_sq += t
+            if t < 1e-300:
+                break
+            k += 1.0
+    return float(np.sqrt(tail_sq))
+
+
+def _loop_hs_tail(a, seq, w):
+    """Reference: tail of the cross block's squared HS norm, u by u."""
+    lam = seq.positions((-w, -1))
+    sup_delta = float(np.max(np.abs(lam - np.arange(-w, 0))))
+    tail = 0.0
+    u = float(w + 2)
+    while True:
+        d = max(u - sup_delta, 0.0)
+        t = (u - 1.0) * np.exp(-2.0 * a * d * d)
+        tail += t
+        if t < 1e-300 or (tail > 0 and t < tail * 1e-18):
+            break
+        u += 1.0
+    return tail
+
+
+TAIL_SEQUENCES = (
+    AffineGrid(1.0),
+    AffineGrid(1.0, 0.4),
+    AffineGrid(0.9),
+    AffineGrid(2.0),  # sup|delta| grows with the window
+    PeriodicPerturbation((0.5,)),
+    PeriodicPerturbation((0.7, -0.1, -0.7, 0.1)),
+)
+
+
+class TestTailOracles:
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_evaluate_radius_unchanged(self, a):
+        rng = np.random.default_rng(int(100 * a))
+        coeffs = CoefficientVector(-120, rng.standard_normal(241) + 1j * rng.standard_normal(241))
+        c = GaussianParam(a, 0.7)
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15):
+            x = float(rng.uniform(-3.0, 3.0))
+            assert evaluate(c, coeffs, x, tol) == _loop_evaluate(c, coeffs, x, tol)
+
+    @pytest.mark.parametrize("seq", TAIL_SEQUENCES, ids=repr)
+    def test_collocation_tail_certificate_not_smaller(self, seq):
+        for a in (0.25, 1.0, 4.0):
+            for tol in (1e-6, 1e-12, 1e-14):
+                mat = collocation_matrix(GaussianParam(a), seq, (-24, 24), tol)
+                old = _loop_collocation_tail(a, mat)
+                assert old * (1.0 - 1e-15) <= mat.tail_bound <= old * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("seq", TAIL_SEQUENCES, ids=repr)
+    def test_cross_block_tail_certificate_not_smaller(self, seq):
+        for a in (0.25, 0.5, 1.0, 2.0):
+            for w in (1, 2, 6, 12, 20):
+                _, tail = compact_block_hsnorm(GaussianParam(a), seq, w)
+                old = _loop_hs_tail(a, seq, w)
+                assert old * (1.0 - 1e-15) <= tail <= old * (1.0 + 1e-12)

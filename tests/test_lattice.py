@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from gauss_cis.lattice import (
     sequence_to_json,
     window_average_sup,
 )
+from gauss_cis.lattice import _best_offset
 
 
 class TestGaussianParam:
@@ -267,3 +270,79 @@ def test_window_average_sup_against_loops():
             abs(sum(deltas[i : i + n]) / n) for i in range(len(deltas) - n + 1)
         )
         assert window_average_sup(deltas, n) == pytest.approx(expected, abs=1e-15)
+
+
+# -- the closed-form offset against the scan it replaced ---------------------
+
+def _scan_best_offset(indices, lam, k_range):
+    """Reference: try every offset, ties preferring small |k|."""
+    best = None
+    for k in sorted(k_range, key=lambda k: (abs(k), k)):
+        sup = float(np.max(np.abs(lam - (indices + k))))
+        if best is None or sup < best[1] - 1e-15:
+            best = (k, sup)
+    return best
+
+
+def _random_residuals(rng, n):
+    """lambda_n - n with a shift that is sometimes far outside the searched
+    range, on a dyadic grid half the time so that mid-ranges tie exactly."""
+    shift = rng.choice([0.0, rng.uniform(-3, 3), rng.integers(-40, 40) / 2.0])
+    if rng.random() < 0.5:
+        return shift + rng.integers(-3, 4, n) / 8.0
+    return shift + rng.uniform(-0.45, 0.45, n)
+
+
+class TestClosedFormOffset:
+    def test_matches_scan_on_explicit_windows(self):
+        rng = np.random.default_rng(7)
+        for _ in range(1500):
+            n = int(rng.integers(1, 40))
+            start = int(rng.integers(-50, 50))
+            indices = np.arange(start, start + n, dtype=float)
+            stretch = 1.0 if rng.random() < 0.7 else 1.1
+            lam = stretch * indices + _random_residuals(rng, n)
+            seq = ExplicitWindow(tuple(lam), start)
+            span = max(lam[-1] - lam[0], 1.0)
+            half = int(np.ceil(span / 2.0))
+            k, sup = _scan_best_offset(indices, lam, range(-half, half + 1))
+            enum = canonical_enumeration(seq, 1e9)
+            assert enum.offset == k
+            assert enum.sup == sup
+            assert np.array_equal(enum.deltas, lam - (indices + k))
+
+    def test_matches_scan_on_ranges_with_ties_and_outside_optima(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4000):
+            n = int(rng.integers(1, 30))
+            indices = np.arange(n, dtype=float) + int(rng.integers(-20, 20))
+            lam = indices + _random_residuals(rng, n)
+            lo = int(rng.integers(-25, 25))
+            k_range = range(lo, lo + int(rng.integers(1, 12)))
+            assert _best_offset(indices, lam, k_range) == _scan_best_offset(
+                indices, lam, k_range
+            )
+
+    def test_matches_scan_on_periodic_offsets(self):
+        rng = np.random.default_rng(13)
+        for _ in range(1500):
+            offs = _random_residuals(rng, int(rng.integers(1, 9)))
+            seq = PeriodicPerturbation(tuple(offs))
+            offs = np.asarray(seq.offsets)
+            ks = range(int(np.floor(offs.min())) - 1, int(np.ceil(offs.max())) + 2)
+            k, sup = _scan_best_offset(np.zeros_like(offs), offs, ks)
+            enum = canonical_enumeration(seq, 1e9)
+            assert (enum.offset, float(np.max(np.abs(enum.deltas)))) == (k, sup)
+
+    def test_long_explicit_window_is_classified_in_linear_time(self):
+        rng = np.random.default_rng(4)
+        n = 16384
+        idx = np.arange(-(n // 2), n - n // 2)
+        seq = ExplicitWindow(tuple(idx + rng.uniform(-0.3, 0.3, n)), int(idx[0]))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            verdict = avdonin_verdict(seq)
+            times.append(time.perf_counter() - start)
+        assert verdict.passes
+        assert min(times) < 0.1

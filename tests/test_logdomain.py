@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
+import gauss_cis
 from gauss_cis.logdomain import (
     expm1_complex,
     log_abs_diff_exp,
     log_abs_one_minus_exp,
+    logsumexp,
     wrap_angle,
 )
 
@@ -98,3 +108,43 @@ class TestLogAbsDiffExp:
 
     def test_equal_points(self):
         assert log_abs_diff_exp(2.0 + 0.0j, 2.0) == -np.inf
+
+
+class TestLogSumExp:
+    """The numpy logsumexp against scipy.special.logsumexp, its reference."""
+
+    @staticmethod
+    def _same(x):
+        got = logsumexp(np.asarray(x, dtype=float))
+        want = float(scipy_logsumexp(np.asarray(x, dtype=float)))
+        return got == want or (np.isnan(got) and np.isnan(want))
+
+    def test_bitwise_on_seeded_arrays(self):
+        rng = np.random.default_rng(17)
+        for i in range(3000):
+            n = int(rng.integers(1, 40))
+            x = rng.normal(0.0, (1.0, 10.0, 1000.0)[i % 3], n)
+            if i % 4 == 1:
+                x = np.round(x)  # repeated maxima
+            if i % 4 == 2:
+                x[rng.random(n) < 0.3] = -np.inf
+            assert self._same(x)
+
+    @given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.just(-np.inf)), max_size=30))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bitwise_property(self, values):
+        assert self._same(values)
+
+    def test_edge_cases(self):
+        assert logsumexp(np.array([])) == -np.inf
+        assert logsumexp(np.full(3, -np.inf)) == -np.inf
+        assert logsumexp(np.array([2.0, 2.0])) == 2.0 + np.log(2.0)
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(gauss_cis.__file__).resolve().parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        code = "import sys, gauss_cis; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
