@@ -46,6 +46,14 @@ def _option(config: ScenarioConfig, key: str, default, kind=float):
     return coerce(kind, config.options.get(key, default), f"option {key!r}")
 
 
+def _positive(value) -> float:
+    """``value`` as a finite float > 0, such as a grid step."""
+    x = float(value)
+    if not (np.isfinite(x) and x > 0.0):
+        raise ValueError("must be finite and > 0")
+    return x
+
+
 def _floats(values) -> list:
     return [float(x) for x in values]
 
@@ -172,14 +180,17 @@ def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     for d in sorted(deltas) + sorted(critical):
         report = _sweep(config, PeriodicPerturbation((d,)), sizes, frac, margin, "interior_rows")
         rows += [(d, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries]
+        tail_bounds = [e.tail_bound for e in report.entries]
         if d in critical:
             ratios = [r for _, _, r in report.sigma_min_ratios()]
             ok = all(r <= max_ratio for r in ratios)
-            checks.append({"delta": d, "kind": "decay", "ratios": ratios, "ok": ok})
+            checks.append({"delta": d, "kind": "decay", "ratios": ratios,
+                           "tail_bounds": tail_bounds, "ok": ok})
         else:
             pct = _stability_pct(report)
             ok = pct <= stability
-            checks.append({"delta": d, "kind": "stable", "stability_pct": pct, "ok": ok})
+            checks.append({"delta": d, "kind": "stable", "stability_pct": pct,
+                           "tail_bounds": tail_bounds, "ok": ok})
     header = ("delta", "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
     return ScenarioOutcome(
         passed=all(ch["ok"] for ch in checks),
@@ -208,6 +219,7 @@ def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
             "alpha": alpha,
             "orientation": orientation,
             "stability_pct": pct,
+            "tail_bounds": [e.tail_bound for e in report.entries],
             "ok": pct <= stability,
         })
     header = ("alpha", "orientation", "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
@@ -222,7 +234,7 @@ def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
 def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
     lo = _option(config, "log_modulus_lo", -10.0)
     hi = _option(config, "log_modulus_hi", 10.0)
-    step = _option(config, "step", 0.25)
+    step = _option(config, "step", 0.25, _positive)
     max_spread = _option(config, "max_spread", 10.0)
     bracket = config.options.get("bracket")
     rows = [
@@ -250,7 +262,7 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     a = config.a
     lo = _option(config, "log_modulus_lo", a)
     hi = _option(config, "log_modulus_hi", 21.0 * a)
-    step = _option(config, "step", 0.1)
+    step = _option(config, "step", 0.1, _positive)
     n_angles = _option(config, "n_angles", 8, int)
     exclusion = _option(config, "exclusion", 0.1)
     bracket = config.options.get("bracket")

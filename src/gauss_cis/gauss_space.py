@@ -138,7 +138,8 @@ def evaluate(c: GaussianParam, coeffs: CoefficientVector, x: float, tol: float =
 class CollocationMatrix:
     """Finite section of the node-evaluation map.
 
-    Entry [i, j] equals e^{-c (lambda_{row_start+i} - (col_start+j))^2}.  The
+    Entry [i, j] equals e^{-c (lambda_{row_start+i} - (col_start+j))^2}; the
+    entries are real ``float64`` when b = 0 and ``complex128`` otherwise.  The
     coefficient range extends ``buffer`` indices beyond the node span so
     that the neglected columns are certified below ``tail_bound`` (an upper
     bound on the operator norm of the dropped block via its Frobenius norm).
@@ -184,7 +185,7 @@ def collocation_matrix(
     col_lo = int(np.floor(lam.min())) - buffer
     col_hi = int(np.ceil(lam.max())) + buffer
     cols = np.arange(col_lo, col_hi + 1, dtype=float)
-    entries = np.exp(-c.c * (lam[:, None] - cols[None, :]) ** 2)
+    entries = np.exp(-(c.c if c.b else c.a) * (lam[:, None] - cols[None, :]) ** 2)
 
     # Frobenius bound on the dropped columns, summed per row until underflow
     dropped = np.concatenate([lam - (col_lo - 1), (col_hi + 1) - lam])
@@ -246,6 +247,7 @@ class FrameBoundEntry:
     n_cols: int
     sigma_min: float
     sigma_max: float
+    tail_bound: float    # CollocationMatrix.tail_bound of the section's matrix
 
     def __post_init__(self):
         if self.sigma_min > self.sigma_max:
@@ -307,6 +309,11 @@ def frame_bounds(
 
     The trim keeps |position| <= interior_fraction * span - edge_margin,
     where span is the smaller of |lambda_{-M}|, |lambda_M|.
+
+    sigma_min and sigma_max come from a values-only dense SVD of the
+    section, which runs in real arithmetic when b = 0 (the entries are then
+    real).  Each entry also records the ``tail_bound`` of the section's
+    collocation matrix.
     """
     sizes = [int(m) for m in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -327,9 +334,9 @@ def frame_bounds(
         if min(sub.shape) == 0:
             raise EmptyWindowError(f"interior trim removed everything at size {m}")
         s = np.linalg.svd(sub, compute_uv=False)
-        entries.append(
-            FrameBoundEntry(m, sub.shape[0], sub.shape[1], float(s[-1]), float(s[0]))
-        )
+        entries.append(FrameBoundEntry(
+            m, sub.shape[0], sub.shape[1], float(s[-1]), float(s[0]), mat.tail_bound
+        ))
     return FrameBoundReport(
         orientation, interior_fraction, edge_margin, tuple(entries)
     )
@@ -397,7 +404,7 @@ _MAGIC = b"GCISMTX1"
 
 def save_matrix(mat: CollocationMatrix, path) -> None:
     """Write a matrix as little-endian binary: header, node positions, then
-    row-major complex-double entries."""
+    row-major complex-double entries (real entries are widened)."""
     rows, cols = mat.entries.shape
     header = _MAGIC + struct.pack(
         "<qqqqqddd",
@@ -417,6 +424,8 @@ def save_matrix(mat: CollocationMatrix, path) -> None:
 
 
 def load_matrix(path) -> CollocationMatrix:
+    """Read a matrix written by :func:`save_matrix`; entries are real when
+    the stored b is 0, as :func:`collocation_matrix` builds them."""
     head_len = len(_MAGIC) + struct.calcsize("<qqqqqddd")
     with open(path, "rb") as fh:
         head = fh.read(head_len)
@@ -430,6 +439,8 @@ def load_matrix(path) -> CollocationMatrix:
         lam = np.frombuffer(fh.read(rows * 8), dtype="<f8").astype(float)
         data = np.frombuffer(fh.read(rows * cols * 16), dtype="<c16")
     entries = data.reshape(rows, cols).astype(complex)
+    if b == 0.0:
+        entries = entries.real.copy()
     return CollocationMatrix(
         param=GaussianParam(a, b),
         row_start=int(row_lo),

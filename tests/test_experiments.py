@@ -84,6 +84,22 @@ class TestRunner:
         data = json.loads((tmp_path / "out" / "report.json").read_text())
         assert data["config"]["seed"] == 4
         assert data["passed"] is True
+        for entry in data["summary"]["report"]["entries"]:
+            assert 0.0 <= entry["tail_bound"] < 1e-14
+        header = (tmp_path / "out" / "frame_bounds.csv").read_text().splitlines()[0]
+        assert header == "size,n_rows,n_cols,sigma_min,sigma_max"
+
+    @pytest.mark.parametrize("scenario, table", [("kadets-sweep", "kadets"),
+                                                 ("density-demo", "density")])
+    def test_sweep_summaries_carry_tail_bounds(self, tmp_path, scenario, table):
+        cfg = ScenarioConfig(scenario=scenario, seed=4, out_dir=tmp_path / "out", sizes=(8, 16))
+        run_scenario(cfg)
+        data = json.loads((tmp_path / "out" / "report.json").read_text())
+        for check in data["summary"]["checks"]:
+            assert len(check["tail_bounds"]) == 2
+            assert all(0.0 <= t < 1e-14 for t in check["tail_bounds"])
+        header = (tmp_path / "out" / f"{table}.csv").read_text().splitlines()[0]
+        assert "tail_bound" not in header
 
     def test_sequence_required(self, tmp_path):
         cfg = ScenarioConfig(scenario="classify", seed=1, out_dir=tmp_path)
@@ -202,6 +218,11 @@ class TestSignRetrieval:
         ("classify", {"sequence": {"kind": "explicit", "nodes": ["x", 1.0]}}),
         ("kadets-sweep", {"options": {"deltas": 0.3}}),
         ("g0-estimate", {"options": {"bracket": [1.0]}}),
+        ("g0-estimate", {"options": {"step": 0}}),
+        ("g0-estimate", {"options": {"step": -0.1}}),
+        ("kernel-asymptotic", {"options": {"step": 0}}),
+        ("kernel-asymptotic", {"options": {"step": -0.1}}),
+        ("kernel-asymptotic", {"options": {"step": float("nan")}}),
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):

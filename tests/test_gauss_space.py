@@ -90,6 +90,7 @@ class TestCollocationMatrix:
         seq = PeriodicPerturbation((0.3, -0.1))
         m0 = collocation_matrix(GaussianParam(1.0, 0.0), seq, (-8, 8))
         m3 = collocation_matrix(GaussianParam(1.0, 3.0), seq, (-8, 8))
+        assert m0.entries.dtype == np.float64 and m3.entries.dtype == np.complex128
         assert np.allclose(np.abs(m3.entries), np.abs(m0.entries), rtol=1e-13, atol=0)
 
     def test_buffer_certificate(self):
@@ -104,16 +105,18 @@ class TestCollocationMatrix:
             collocation_matrix(A1, seq, (-5, 5))
 
     def test_binary_round_trip(self, tmp_path):
-        mat = collocation_matrix(GaussianParam(0.8, 1.5), PeriodicPerturbation((0.2,)), (-5, 5))
-        path = tmp_path / "mat.bin"
-        save_matrix(mat, path)
-        back = load_matrix(path)
-        assert back.row_range == mat.row_range
-        assert back.col_range == mat.col_range
-        assert back.buffer == mat.buffer
-        assert back.param == mat.param
-        assert np.array_equal(back.entries, mat.entries)
-        assert np.array_equal(back.node_positions, mat.node_positions)
+        for b in (1.5, 0.0):
+            mat = collocation_matrix(GaussianParam(0.8, b), PeriodicPerturbation((0.2,)), (-5, 5))
+            path = tmp_path / "mat.bin"
+            save_matrix(mat, path)
+            back = load_matrix(path)
+            assert back.row_range == mat.row_range
+            assert back.col_range == mat.col_range
+            assert back.buffer == mat.buffer
+            assert back.param == mat.param
+            assert back.entries.dtype == mat.entries.dtype
+            assert np.array_equal(back.entries, mat.entries)
+            assert np.array_equal(back.node_positions, mat.node_positions)
 
 
 class TestInterpolate:
@@ -197,6 +200,54 @@ class TestFrameBounds:
     def test_unknown_orientation(self):
         with pytest.raises(BadParameterError):
             frame_bounds(A1, AffineGrid(1.0), (16,), orientation="middle")
+
+
+def _section(c, seq, m, interior_fraction, edge_margin, orientation, tol=1e-14):
+    """The interior section frame_bounds takes singular values of."""
+    mat = collocation_matrix(c, seq, (-m, m), tol)
+    span = min(abs(mat.node_positions[0]), abs(mat.node_positions[-1]))
+    cutoff = interior_fraction * span - edge_margin
+    if orientation == "interior_rows":
+        return mat.entries[np.abs(mat.node_positions) <= cutoff, :]
+    return mat.entries[:, np.abs(mat.col_indices) <= cutoff]
+
+
+class TestFrameBoundSolver:
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("orientation", ["interior_rows", "interior_cols"])
+    @pytest.mark.parametrize("seq", [
+        PeriodicPerturbation((0.3,)),
+        PeriodicPerturbation((0.45, -0.35)),
+        AffineGrid(1.0),
+    ], ids=repr)
+    def test_matches_complex_svd(self, seq, orientation, b):
+        c = GaussianParam(1.0, b)
+        sizes = (16, 64, 256)
+        report = frame_bounds(c, seq, sizes, orientation=orientation)
+        for m, e in zip(sizes, report.entries):
+            sub = _section(c, seq, m, 2.0 / 3.0, 0.0, orientation)
+            s = np.linalg.svd(sub.astype(complex), compute_uv=False)
+            assert (e.n_rows < e.n_cols) == (orientation == "interior_rows")
+            assert e.sigma_min == pytest.approx(s[-1], rel=1e-9)
+            assert e.sigma_max == pytest.approx(s[0], rel=1e-9)
+
+    @pytest.mark.parametrize("m, sigma_min, sigma_max", [
+        # dense complex SVD of the same sections
+        (512, 0.0014568878348403661, 1.7722662798521855),
+        (1024, 0.0007264056551674061, 1.7722694475038014),
+    ])
+    def test_critical_shift_matches_dense_reference(self, m, sigma_min, sigma_max):
+        e, = frame_bounds(A1, PeriodicPerturbation((0.5,)), (m,),
+                          interior_fraction=1.0, edge_margin=3.0).entries
+        assert e.sigma_min == pytest.approx(sigma_min, rel=1e-8)
+        assert e.sigma_max == pytest.approx(sigma_max, rel=1e-8)
+
+    def test_entry_records_tail_bound(self):
+        seq = PeriodicPerturbation((0.3,))
+        report = frame_bounds(A1, seq, (16, 32))
+        for e, row in zip(report.entries, report.to_json()["entries"]):
+            assert e.tail_bound == collocation_matrix(A1, seq, (-e.size, e.size), 1e-14).tail_bound
+            assert row["tail_bound"] == e.tail_bound
 
 
 class TestSplitParts:
