@@ -2,9 +2,9 @@
 
 At half-integer node spacing with perturbations averaging below 1/4, the
 magnitudes |f(lambda_m)| determine a real coefficient vector up to one
-global sign.  The verification is exhaustive: all 2^W sign patterns are
-solved in the least-squares sense and only the two global-sign copies
-should survive.
+global sign.  The verification is an exact pruned search with the same
+survivors as solving all 2^W sign patterns in the least-squares sense, and
+only the two global-sign copies should survive.
 """
 
 import numpy as np

@@ -56,7 +56,7 @@ class ConfigInvalidError(GaussCisError):
 
 
 class WindowTooLargeError(GaussCisError):
-    """Brute-force window exceeds the enumeration limit."""
+    """Sign-retrieval window exceeds the search limit."""
 
 
 class ComplexInputError(GaussCisError):

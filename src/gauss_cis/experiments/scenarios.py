@@ -54,6 +54,30 @@ def _positive(value) -> float:
     return x
 
 
+def _nonnegative(value) -> float:
+    """``value`` as a finite float >= 0, such as an amplitude."""
+    x = float(value)
+    if not (np.isfinite(x) and x >= 0.0):
+        raise ValueError("must be finite and >= 0")
+    return x
+
+
+def _count(value) -> int:
+    """``value`` as an int >= 1, such as a trial count."""
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
+def _log_modulus_grid(lo: float, hi: float, step: float):
+    """lo, lo + step, ... up to hi; an empty grid is a config error."""
+    grid = np.arange(lo, hi + 1e-12, step)
+    if len(grid) == 0:
+        raise ConfigInvalidError(f"empty grid: log_modulus_lo {lo} > log_modulus_hi {hi}")
+    return grid
+
+
 def _floats(values) -> list:
     return [float(x) for x in values]
 
@@ -239,7 +263,7 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
     bracket = config.options.get("bracket")
     rows = [
         (float(t), fock.kernel_norm(config.a, fock.LogPolarPoint(float(t), 0.0))[1])
-        for t in np.arange(lo, hi + 1e-12, step)
+        for t in _log_modulus_grid(lo, hi, step)
     ]
     ratios = np.array([r for _, r in rows])
     spread = float(ratios.max() / ratios.min())
@@ -263,19 +287,21 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     lo = _option(config, "log_modulus_lo", a)
     hi = _option(config, "log_modulus_hi", 21.0 * a)
     step = _option(config, "step", 0.1, _positive)
-    n_angles = _option(config, "n_angles", 8, int)
-    exclusion = _option(config, "exclusion", 0.1)
+    n_angles = _option(config, "n_angles", 8, _count)
+    exclusion = _option(config, "exclusion", 0.1, _positive)
     bracket = config.options.get("bracket")
 
     zeros = fock.GeneratingProduct.unperturbed(a, int(np.ceil((hi + 40) / (2 * a))))
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = []
-    for lm in np.arange(lo, hi + 1e-12, step):
+    for lm in _log_modulus_grid(lo, hi, step):
         for ang in angles:
             p = fock.LogPolarPoint(float(lm), float(ang))
             rel = fock.log_distance_to_zeros(p, zeros.zero_log_moduli) - lm
             if rel >= np.log(exclusion):
                 points.append(p)
+    if not points:
+        raise ConfigInvalidError(f"exclusion {exclusion} removes every grid point")
 
     rows = [(p.log_modulus, p.argument, fock.g0_estimate_ratio(a, p)) for p in points]
     ratios = np.array([r for _, _, r in rows])
@@ -294,7 +320,7 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
-    n_seeds = _option(config, "n_seeds", 5, int)
+    n_seeds = _option(config, "n_seeds", 5, _count)
     lambdas = _option(config, "lambdas", np.linspace(-5.0, 5.0, 11), _floats)
     b_values = _option(config, "b_values", (0.0, 2.0), _floats)
     n_lo, n_hi = _option(config, "coeff_range", (1, 16), lambda v: _pair(v, int))
@@ -326,11 +352,11 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
-    trials = _option(config, "trials", 50, int)
-    window = _option(config, "window", 12, int)
+    trials = _option(config, "trials", 50, _count)
+    window = _option(config, "window", 12, _count)
     coeff_start = _option(config, "coeff_start", 0, int)
-    coeff_count = _option(config, "coeff_count", 5, int)
-    amplitude = _option(config, "delta_amplitude", 0.2)
+    coeff_count = _option(config, "coeff_count", 5, _count)
+    amplitude = _option(config, "delta_amplitude", 0.2, _nonnegative)
     node_start = _option(config, "node_start", -1, int)
     residual_tol = config.tolerance("residual", 1e-8)
     match_tol = config.tolerance("match", 1e-8)
@@ -340,19 +366,20 @@ def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
         vals = rng.standard_normal(coeff_count)
         deltas = rng.uniform(-amplitude, amplitude, window)
         seq = half_grid(deltas, node_start)
-        res = sign_retrieval_check(
+        return sign_retrieval_check(
             config.a,
             CoefficientVector(coeff_start, vals.astype(complex)),
             seq,
             residual_tol=residual_tol,
             match_tol=match_tol,
         )
-        return (
-            t, res.passes, res.n_survivors, res.max_survivor_residual,
-            res.dilated_delta_star, res.dilated_condition_ok,
-        )
 
-    rows = [run(t) for t in range(trials)]
+    results = [run(t) for t in range(trials)]
+    rows = [
+        (t, res.passes, res.n_survivors, res.max_survivor_residual,
+         res.dilated_delta_star, res.dilated_condition_ok)
+        for t, res in enumerate(results)
+    ]
     n_pass = sum(1 for r in rows if r[1])
     header = (
         "trial", "passes", "n_survivors", "max_survivor_residual",
@@ -360,7 +387,13 @@ def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
     )
     return ScenarioOutcome(
         passed=n_pass == trials,
-        summary={"trials": trials, "passed_trials": n_pass, "window": window},
+        summary={
+            "trials": trials,
+            "passed_trials": n_pass,
+            "window": window,
+            "prefixes_checked": sum(res.prefixes_checked for res in results),
+            "patterns_total": trials * 2**window,
+        },
         tables={"sign_retrieval": (header, rows)},
     )
 

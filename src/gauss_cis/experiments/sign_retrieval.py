@@ -1,11 +1,13 @@
-"""Brute-force verification that unsigned samples pin down a real function.
+"""Exact verification that unsigned samples pin down a real function.
 
 On a node set of roughly double density (half-integer steps), a real
 function built from real Gaussian coefficients should be recoverable from
-the magnitudes of its samples up to one global sign.  The check below is
-exhaustive: every sign pattern of the sampled magnitudes is tried against a
-least-squares reconstruction, and the verdict passes when exactly the two
-global-sign vectors survive.
+the magnitudes of its samples up to one global sign.  The check below is an
+exact pruned search with the same survivors as trying every sign pattern of
+the sampled magnitudes against a least-squares reconstruction: patterns grow
+one row at a time, and a prefix whose least-squares residual is already too
+large is dropped with all its extensions.  The verdict passes when exactly
+the two global-sign vectors survive.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,14 @@ from ..lattice import ExplicitWindow, NodeSequence, avdonin_verdict
 
 __all__ = ["SignRetrievalResult", "half_grid", "sign_retrieval_check"]
 
-# 2^W sign patterns are enumerated; beyond this the check is not desk scale
+# a function with many consistent prefixes (the zero function has all of
+# them) still makes the search visit 2^W patterns; beyond this the check is
+# not desk scale
 _MAX_WINDOW = 16
+
+# a prefix is dropped only when its residual exceeds the survivor limit by
+# this factor, so rounding never drops a pattern whose full residual passes
+_PRUNE_SLACK = 1.0 + 1e-6
 
 
 def half_grid(deltas, start_index: int = 0) -> ExplicitWindow:
@@ -31,10 +39,13 @@ def half_grid(deltas, start_index: int = 0) -> ExplicitWindow:
 
 @dataclass(frozen=True)
 class SignRetrievalResult:
-    """Outcome of the exhaustive sign search.
+    """Outcome of the exact pruned sign search (same survivors as trying
+    all 2^W patterns).
 
     ``n_survivors`` counts sign patterns whose reconstruction residual is
-    below tolerance; ``matched_up_to_sign`` is True when every surviving
+    below tolerance; ``prefixes_checked`` counts the least-squares residuals
+    the search evaluated, full-length patterns included (always fewer than
+    1.5 * 2^W); ``matched_up_to_sign`` is True when every surviving
     coefficient vector equals the input up to one global sign.
     ``dilated_delta_star`` reports the averaged-perturbation statistic of
     the doubled node set (the applicable condition at half-integer
@@ -49,6 +60,41 @@ class SignRetrievalResult:
     window: int
     dilated_delta_star: float
     dilated_condition_ok: bool
+    prefixes_checked: int
+
+
+def _surviving_signs(mat, samples, residual_tol: float):
+    """Sign patterns whose relative least-squares residual is below
+    ``residual_tol``, their residuals, and the number of residuals evaluated.
+
+    The survivors are those of trying all 2^W patterns.  The residual of the
+    first k rows is a lower bound on the residual of all rows, so once k
+    exceeds the column count (up to there every prefix fits exactly) a
+    prefix whose residual reaches the limit is dropped with every
+    extension.  sigma_0 is fixed to +1; a pattern and its negation have the
+    same residual, so the kept half is mirrored before the full-row test,
+    which also decides the last row.
+    """
+    w, ncols = mat.shape
+    scale = np.linalg.norm(samples)
+    limit = residual_tol * (scale if scale > 0.0 else 1.0) * _PRUNE_SLACK
+    live = np.ones((1, 1))
+    checked = 0
+    for k in range(2, w + 1):
+        live = np.column_stack([np.tile(live, (2, 1)), np.repeat([1.0, -1.0], len(live))])
+        if ncols < k < w:
+            qk = np.linalg.qr(mat[:k])[0]
+            y = live * samples[:k]
+            resid = np.linalg.norm(y - (y @ qk) @ qk.T, axis=1)
+            checked += len(live)
+            live = live[resid < limit]
+    signs = np.vstack([live, -live])
+    q = np.linalg.qr(mat)[0]
+    targets = signs * samples[None, :]
+    resid = np.linalg.norm(targets - (targets @ q) @ q.T, axis=1)
+    rel = resid / scale if scale > 0.0 else resid
+    keep = rel < residual_tol
+    return signs[keep], rel[keep], checked + len(signs)
 
 
 def sign_retrieval_check(
@@ -63,9 +109,10 @@ def sign_retrieval_check(
 
     The first ``window`` stored nodes are used (all of them by default).
     Magnitudes s_m = |f(lambda_m)| are computed exactly from the
-    coefficients, then every one of the 2^W sign assignments is solved in
-    the least-squares sense for real coefficients over the same index
-    range.  Assignments with relative residual below ``residual_tol``
+    coefficients, then the sign assignments are solved in the least-squares
+    sense for real coefficients over the same index range by an exact
+    pruned search over the 2^W assignments (same survivors as trying every
+    one).  Assignments with relative residual below ``residual_tol``
     survive; the verdict passes when the survivors' coefficient vectors are
     exactly the two global-sign copies of the input (the zero vector
     passes trivially).
@@ -103,18 +150,10 @@ def sign_retrieval_check(
     dverdict = avdonin_verdict(dilated)
     dilated_ok = bool(dverdict.passes)
 
+    signs, rel, checked = _surviving_signs(mat, samples, residual_tol)
     q, r = np.linalg.qr(mat)
-    signs = 1.0 - 2.0 * (
-        (np.arange(2**w)[:, None] >> np.arange(w)[None, :]) & 1
-    )  # (2^w, w) of +-1, deterministic order
-    targets = signs * samples[None, :]
-    proj = targets @ q  # (2^w, ncols) of q^T y
-    resid = np.linalg.norm(targets - proj @ q.T, axis=1)
-    scale = np.linalg.norm(samples)
-    rel = resid / scale if scale > 0.0 else resid
-    surviving = np.nonzero(rel < residual_tol)[0]
-
-    sols = np.linalg.solve(r, proj[surviving].T).T if len(surviving) else np.empty((0, len(c)))
+    proj = (signs * samples[None, :]) @ q  # (survivors, ncols) of q^T y
+    sols = np.linalg.solve(r, proj.T).T if len(signs) else np.empty((0, len(c)))
     cnorm = np.linalg.norm(c)
     tol = match_tol * max(cnorm, 1.0)
     matched = all(
@@ -124,14 +163,15 @@ def sign_retrieval_check(
         has_plus = any(np.linalg.norm(d - c) <= tol for d in sols)
         has_minus = any(np.linalg.norm(d + c) <= tol for d in sols)
         matched = matched and has_plus and has_minus
-    passes = matched and len(surviving) > 0
-    max_res = float(np.max(rel[surviving])) if len(surviving) else float("nan")
+    passes = matched and len(signs) > 0
+    max_res = float(np.max(rel)) if len(rel) else float("nan")
     return SignRetrievalResult(
         passes=bool(passes),
-        n_survivors=int(len(surviving)),
+        n_survivors=int(len(signs)),
         matched_up_to_sign=bool(matched),
         max_survivor_residual=max_res,
         window=w,
         dilated_delta_star=float(dverdict.delta_star),
         dilated_condition_ok=dilated_ok,
+        prefixes_checked=checked,
     )

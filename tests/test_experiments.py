@@ -1,12 +1,17 @@
 import json
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gauss_cis.errors import (
     BadParameterError,
     ComplexInputError,
     ConfigInvalidError,
+    EmptyWindowError,
     UnknownScenarioError,
     WindowTooLargeError,
 )
@@ -18,6 +23,7 @@ from gauss_cis.experiments import (
     sign_retrieval_check,
 )
 from gauss_cis.experiments.cli import main as cli_main
+from gauss_cis.experiments.sign_retrieval import _surviving_signs
 from gauss_cis.gauss_space import CoefficientVector
 
 
@@ -101,6 +107,17 @@ class TestRunner:
         header = (tmp_path / "out" / f"{table}.csv").read_text().splitlines()[0]
         assert "tail_bound" not in header
 
+    def test_sign_retrieval_summary_counts_the_search(self, tmp_path):
+        cfg = ScenarioConfig(scenario="sign-retrieval", seed=3, out_dir=tmp_path / "out",
+                             options={"trials": 4, "window": 10})
+        assert run_scenario(cfg).passed
+        summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
+        assert summary["patterns_total"] == 4 * 2**10
+        assert 0 < summary["prefixes_checked"] < summary["patterns_total"]
+        header = (tmp_path / "out" / "sign_retrieval.csv").read_text().splitlines()[0]
+        assert header == ("trial,passes,n_survivors,max_survivor_residual,"
+                          "dilated_delta_star,dilated_condition_ok")
+
     def test_sequence_required(self, tmp_path):
         cfg = ScenarioConfig(scenario="classify", seed=1, out_dir=tmp_path)
         with pytest.raises(ConfigInvalidError):
@@ -151,6 +168,69 @@ class TestCli:
         assert cli_main([
             "classify", "--config", str(path), "--out", str(tmp_path / "out"),
         ]) == 0
+
+
+def _exhaustive_survivors(a, coeffs, seq, residual_tol=1e-8, match_tol=1e-8):
+    """Oracle: every one of the 2^W sign patterns solved in the least-squares
+    sense, as sign_retrieval_check did before its pruned search."""
+    lam = seq.positions()
+    w = len(lam)
+    c = coeffs.values.real.astype(float)
+    n = coeffs.indices.astype(float)
+    mat = np.exp(-a * (lam[:, None] - n[None, :]) ** 2)
+    samples = np.abs(mat @ c)
+    q, r = np.linalg.qr(mat)
+    signs = 1.0 - 2.0 * ((np.arange(2**w)[:, None] >> np.arange(w)[None, :]) & 1)
+    targets = signs * samples[None, :]
+    proj = targets @ q
+    resid = np.linalg.norm(targets - proj @ q.T, axis=1)
+    scale = np.linalg.norm(samples)
+    rel = resid / scale if scale > 0.0 else resid
+    surviving = np.nonzero(rel < residual_tol)[0]
+    sols = np.linalg.solve(r, proj[surviving].T).T if len(surviving) else np.empty((0, len(c)))
+    cnorm = np.linalg.norm(c)
+    tol = match_tol * max(cnorm, 1.0)
+    matched = all(min(np.linalg.norm(d - c), np.linalg.norm(d + c)) <= tol for d in sols)
+    if cnorm > 0.0 and len(sols):
+        has_plus = any(np.linalg.norm(d - c) <= tol for d in sols)
+        has_minus = any(np.linalg.norm(d + c) <= tol for d in sols)
+        matched = matched and has_plus and has_minus
+    return SimpleNamespace(
+        mat=mat,
+        samples=samples,
+        patterns={tuple(p) for p in signs[surviving]},
+        n_survivors=len(surviving),
+        passes=bool(matched and len(surviving) > 0),
+        matched_up_to_sign=bool(matched),
+        max_survivor_residual=float(np.max(rel[surviving])) if len(surviving) else float("nan"),
+    )
+
+
+def _assert_matches_oracle(a, coeffs, seq):
+    oracle = _exhaustive_survivors(a, coeffs, seq)
+    signs, _, _ = _surviving_signs(oracle.mat, oracle.samples, 1e-8)
+    assert {tuple(p) for p in signs} == oracle.patterns
+    if len(oracle.samples) == 1:
+        # the verdict on the doubled nodes needs two of them
+        with pytest.raises(EmptyWindowError):
+            sign_retrieval_check(a, coeffs, seq)
+        return None
+    res = sign_retrieval_check(a, coeffs, seq)
+    assert res.n_survivors == oracle.n_survivors
+    assert res.passes == oracle.passes
+    assert res.matched_up_to_sign == oracle.matched_up_to_sign
+    if oracle.n_survivors:
+        assert abs(res.max_survivor_residual - oracle.max_survivor_residual) <= 1e-12
+    else:
+        assert np.isnan(res.max_survivor_residual)
+    return res
+
+
+def _benchmark_shape_trial(seed, t, window=16):
+    """Five coefficients on a half-grid of ``window`` perturbed nodes."""
+    rng = np.random.default_rng([seed, t])
+    coeffs = CoefficientVector(0, rng.standard_normal(5).astype(complex))
+    return coeffs, half_grid(rng.uniform(-0.2, 0.2, window), -1)
 
 
 class TestSignRetrieval:
@@ -207,6 +287,48 @@ class TestSignRetrieval:
             assert res.passes, f"trial {t} failed"
             assert res.dilated_condition_ok
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        window=st.integers(1, 12),
+        data=st.data(),
+        amplitude=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_search_matches_exhaustive(self, window, data, amplitude, seed):
+        count = data.draw(st.integers(1, window), label="coeff_count")
+        rng = np.random.default_rng(seed)
+        coeffs = CoefficientVector(0, rng.standard_normal(count).astype(complex))
+        deltas = rng.uniform(-amplitude, amplitude, window)
+        assume(np.all(np.diff(np.arange(window) / 2.0 + deltas) > 0.0))
+        _assert_matches_oracle(1.0, coeffs, half_grid(deltas, -1))
+
+    def test_benchmark_shape_matches_exhaustive(self):
+        for t in range(12):
+            res = _assert_matches_oracle(1.0, *_benchmark_shape_trial(771, t))
+            assert res.passes and res.n_survivors == 2
+            assert res.prefixes_checked < 2**16
+
+    def test_zero_vector_keeps_every_pattern(self):
+        seq = half_grid(np.zeros(12), start_index=-2)
+        res = _assert_matches_oracle(1.0, CoefficientVector(0, np.zeros(5)), seq)
+        assert res.n_survivors == 2**12
+        # nothing is pruned: every prefix past the five columns is checked
+        assert res.prefixes_checked == sum(2 ** (k - 1) for k in range(6, 12)) + 2**12
+
+    def test_zero_sample_doubles_survivors(self):
+        # f = g_0 - g_1 vanishes exactly at the node 1/2, so its sign is free
+        seq = half_grid(np.zeros(8), start_index=-2)
+        assert 0.5 in seq.positions()
+        res = _assert_matches_oracle(1.0, CoefficientVector(0, [1.0, -1.0]), seq)
+        assert res.passes and res.n_survivors == 4
+
+    def test_window_16_has_no_cliff(self):
+        trials = [_benchmark_shape_trial(772, t) for t in range(20)]
+        start = time.perf_counter()
+        for coeffs, seq in trials:
+            assert sign_retrieval_check(1.0, coeffs, seq).passes
+        assert time.perf_counter() - start < 0.2
+
 
 @pytest.mark.parametrize(
     "scenario, config",
@@ -223,6 +345,15 @@ class TestSignRetrieval:
         ("kernel-asymptotic", {"options": {"step": 0}}),
         ("kernel-asymptotic", {"options": {"step": -0.1}}),
         ("kernel-asymptotic", {"options": {"step": float("nan")}}),
+        ("kernel-asymptotic", {"options": {"log_modulus_lo": 5, "log_modulus_hi": 1}}),
+        ("g0-estimate", {"options": {"exclusion": 1e9}}),
+        ("g0-estimate", {"options": {"exclusion": 0}}),
+        ("g0-estimate", {"options": {"n_angles": 0}}),
+        ("fock-consistency", {"options": {"n_seeds": 0}}),
+        ("sign-retrieval", {"options": {"window": -1}}),
+        ("sign-retrieval", {"options": {"coeff_count": -2}}),
+        ("sign-retrieval", {"options": {"delta_amplitude": -0.2}}),
+        ("sign-retrieval", {"options": {"trials": -1}}),
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
