@@ -1,6 +1,7 @@
 """Scenario configuration: JSON loading, validation, CLI overrides."""
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +41,10 @@ class ScenarioConfig:
             raise ConfigInvalidError("seed must be non-negative")
         self.a = coerce(float, self.a, "a")
         self.b = coerce(float, self.b, "b")
-        if not self.a > 0.0:
-            raise ConfigInvalidError("a must be > 0")
+        if not (math.isfinite(self.a) and self.a > 0.0):
+            raise ConfigInvalidError(f"a must be finite and > 0, got {self.a}")
+        if not math.isfinite(self.b):
+            raise ConfigInvalidError(f"b must be finite, got {self.b}")
         self.sizes = coerce(lambda ms: tuple(int(m) for m in ms), self.sizes, "sizes")
         if any(y <= x for x, y in zip(self.sizes, self.sizes[1:])):
             raise ConfigInvalidError("sizes must be increasing")

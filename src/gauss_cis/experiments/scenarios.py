@@ -32,6 +32,9 @@ if TYPE_CHECKING:
 
 __all__ = ["ScenarioOutcome", "SCENARIOS"]
 
+# most points a kernel or product grid may ask for
+_MAX_GRID = 1_000_000
+
 
 @dataclass
 class ScenarioOutcome:
@@ -70,8 +73,20 @@ def _count(value) -> int:
     return n
 
 
-def _log_modulus_grid(lo: float, hi: float, step: float):
-    """lo, lo + step, ... up to hi; an empty grid is a config error."""
+def _log_modulus_grid(lo: float, hi: float, step: float, per_point: int = 1):
+    """lo, lo + step, ... up to hi.
+
+    Non-finite ends, an empty grid, and a grid whose points times
+    ``per_point`` (evaluations per grid point) exceed ``_MAX_GRID`` are
+    config errors.
+    """
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigInvalidError(f"log_modulus_lo {lo} and log_modulus_hi {hi} must be finite")
+    count = ((hi - lo) / step + 1.0) * per_point
+    if count > _MAX_GRID:
+        raise ConfigInvalidError(
+            f"grid of {count:.3g} points exceeds {_MAX_GRID:,}; raise the step"
+        )
     grid = np.arange(lo, hi + 1e-12, step)
     if len(grid) == 0:
         raise ConfigInvalidError(f"empty grid: log_modulus_lo {lo} > log_modulus_hi {hi}")
@@ -85,6 +100,14 @@ def _floats(values) -> list:
 def _pair(values, kind=float) -> tuple:
     lo, hi = values
     return kind(lo), kind(hi)
+
+
+def _coeff_range(values) -> tuple:
+    """``[lo, hi]`` coefficient indices with 1 <= lo <= hi."""
+    lo, hi = _pair(values, int)
+    if not 1 <= lo <= hi:
+        raise ValueError("must be [lo, hi] with 1 <= lo <= hi")
+    return lo, hi
 
 
 def _in_bracket(config: ScenarioConfig, ratios) -> bool:
@@ -111,6 +134,17 @@ def _sweep(config, seq, sizes, frac, margin, orientation):
         edge_margin=margin,
         orientation=orientation,
     )
+
+
+def _sweep_sizes(config: ScenarioConfig) -> tuple:
+    """The config's sizes (16, 32, 64 by default); a sweep compares sizes,
+    so fewer than two is a config error."""
+    sizes = config.sizes or (16, 32, 64)
+    if len(sizes) < 2:
+        raise ConfigInvalidError(
+            f"sizes: {config.scenario} needs at least two sizes, got {list(sizes)}"
+        )
+    return sizes
 
 
 def _stability_pct(report) -> float:
@@ -155,7 +189,7 @@ def _frame_sweep(config: ScenarioConfig, seq, frac: float, margin: float):
     """Frame bounds at the config's sizes; ``frac`` and ``margin`` are the
     defaults of the interior_fraction and edge_margin options."""
     return _sweep(
-        config, seq, config.sizes or (16, 32, 64),
+        config, seq, _sweep_sizes(config),
         _option(config, "interior_fraction", frac),
         _option(config, "edge_margin", margin),
         config.options.get("orientation", "interior_rows"),
@@ -195,7 +229,7 @@ def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
 def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     deltas = _option(config, "deltas", (0.1, 0.3, 0.45), _floats)
     critical = _option(config, "critical_deltas", (0.5,), _floats)
-    sizes = config.sizes or (16, 32, 64)
+    sizes = _sweep_sizes(config)
     frac = _option(config, "interior_fraction", 1.0)
     margin = _option(config, "edge_margin", 3.0)
     stability = _option(config, "stability_pct", 10.0)
@@ -226,7 +260,7 @@ def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
 
 def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
     alphas = _option(config, "alphas", (0.9, 1.1), _floats)
-    sizes = config.sizes or (16, 32, 64)
+    sizes = _sweep_sizes(config)
     frac = _option(config, "interior_fraction", 2.0 / 3.0)
     margin = _option(config, "edge_margin", 0.0)
     stability = _option(config, "stability_pct", 10.0)
@@ -261,11 +295,9 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
     step = _option(config, "step", 0.25, _positive)
     max_spread = _option(config, "max_spread", 10.0)
     bracket = config.options.get("bracket")
-    rows = [
-        (float(t), fock.kernel_norm(config.a, fock.LogPolarPoint(float(t), 0.0))[1])
-        for t in _log_modulus_grid(lo, hi, step)
-    ]
-    ratios = np.array([r for _, r in rows])
+    grid = _log_modulus_grid(lo, hi, step)
+    _, ratios = fock.kernel_norm(config.a, fock.LogPolarPoint(grid, np.zeros_like(grid)))
+    rows = list(zip(grid.tolist(), ratios.tolist()))
     spread = float(ratios.max() / ratios.min())
     passed = spread <= max_spread and _in_bracket(config, ratios)
     return ScenarioOutcome(
@@ -291,20 +323,19 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     exclusion = _option(config, "exclusion", 0.1, _positive)
     bracket = config.options.get("bracket")
 
+    lms = _log_modulus_grid(lo, hi, step, n_angles)
     zeros = fock.GeneratingProduct.unperturbed(a, int(np.ceil((hi + 40) / (2 * a))))
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    points = []
-    for lm in _log_modulus_grid(lo, hi, step):
-        for ang in angles:
-            p = fock.LogPolarPoint(float(lm), float(ang))
-            rel = fock.log_distance_to_zeros(p, zeros.zero_log_moduli) - lm
-            if rel >= np.log(exclusion):
-                points.append(p)
-    if not points:
+    # every angle at each log-modulus, log-modulus major
+    grid = fock.LogPolarPoint(np.repeat(lms, n_angles), np.tile(angles, len(lms)))
+    rel = fock.log_distance_to_zeros(grid, zeros.zero_log_moduli) - grid.log_modulus
+    keep = rel >= np.log(exclusion)
+    if not keep.any():
         raise ConfigInvalidError(f"exclusion {exclusion} removes every grid point")
 
-    rows = [(p.log_modulus, p.argument, fock.g0_estimate_ratio(a, p)) for p in points]
-    ratios = np.array([r for _, _, r in rows])
+    points = fock.LogPolarPoint(grid.log_modulus[keep], grid.argument[keep])
+    ratios = fock.g0_estimate_ratio(a, points)
+    rows = list(zip(points.log_modulus.tolist(), points.argument.tolist(), ratios.tolist()))
     summary = {
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),
@@ -323,25 +354,21 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
     n_seeds = _option(config, "n_seeds", 5, _count)
     lambdas = _option(config, "lambdas", np.linspace(-5.0, 5.0, 11), _floats)
     b_values = _option(config, "b_values", (0.0, 2.0), _floats)
-    n_lo, n_hi = _option(config, "coeff_range", (1, 16), lambda v: _pair(v, int))
+    n_lo, n_hi = _option(config, "coeff_range", (1, 16), _coeff_range)
     tol = config.tolerance("gap", 1e-9)
+    for key, values in (("lambdas", lambdas), ("b_values", b_values)):
+        if not values:
+            raise ConfigInvalidError(f"option {key!r}: needs at least one value")
 
-    tasks = []
+    rows = []
     for i in range(n_seeds):
         rng = np.random.default_rng([config.seed, i])
         size = n_hi - n_lo + 1
         vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         coeffs = CoefficientVector(n_lo, vals)
         for b in b_values:
-            for lam in lambdas:
-                tasks.append((i, b, lam, coeffs))
-
-    def run(task):
-        i, b, lam, coeffs = task
-        _, _, gap = fock.consistency_identity(GaussianParam(config.a, b), coeffs, lam)
-        return i, b, lam, gap
-
-    rows = [run(task) for task in tasks]
+            _, _, gaps = fock.consistency_identity(GaussianParam(config.a, b), coeffs, lambdas)
+            rows += [(i, b, lam, gap) for lam, gap in zip(lambdas, gaps.tolist())]
     worst = max(r[3] for r in rows)
     return ScenarioOutcome(
         passed=worst < tol,
@@ -354,6 +381,9 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
 def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
     trials = _option(config, "trials", 50, _count)
     window = _option(config, "window", 12, _count)
+    if window < 2:
+        # the dilated-node verdict compares neighbouring nodes
+        raise ConfigInvalidError(f"option 'window': needs at least two nodes, got {window}")
     coeff_start = _option(config, "coeff_start", 0, int)
     coeff_count = _option(config, "coeff_count", 5, _count)
     amplitude = _option(config, "delta_amplitude", 0.2, _nonnegative)

@@ -6,6 +6,13 @@ e^{2a(n+1)^2}.  Those weights, and moduli |w| = e^{2a lambda}, overflow
 double precision almost immediately, so series coefficients live as
 (log-magnitude, phase) pairs and all products and sums happen in log
 coordinates.
+
+Point-valued functions are array-valued: a ``LogPolarPoint`` may hold a
+whole grid, and ``evaluate``, ``kernel_norm``, ``g0_estimate_ratio`` and
+the rest return one value per point (a float for a single point).  A grid
+is one call, not a loop; ``GeneratingProduct.evaluate`` and ``kernel_norm``
+walk it in blocks of ``_BLOCK`` points, so their (points x zeros) and
+(points x terms) temporaries stay small however large the grid.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +33,12 @@ from .logdomain import (
     log_abs_diff_exp,
     log_abs_one_minus_exp,
     logsumexp,
+    modulus,
     wrap_angle,
 )
+
+# points per block of GeneratingProduct.evaluate and kernel_norm
+_BLOCK = 64
 
 __all__ = [
     "FockSeries",
@@ -53,27 +64,73 @@ __all__ = [
 ]
 
 
+def _out(x):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
+def _blockwise(fn, n_out, *arrays):
+    """``fn`` on consecutive blocks of ``_BLOCK`` entries of equal-shape arrays.
+
+    ``fn`` takes the flattened 1-d blocks and returns ``n_out`` 1-d results;
+    they come back stitched together in the arrays' shape.
+    """
+    flat = [np.reshape(x, -1) for x in arrays]
+    outs = [np.empty(np.shape(arrays[0])) for _ in range(n_out)]
+    for lo in range(0, flat[0].size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        for out, part in zip(outs, fn(*(x[block] for x in flat))):
+            out.reshape(-1)[block] = part
+    return outs
+
+
+def _sum_in_order(x):
+    """Sums along the last axis, taken one by one from the right.
+
+    Zero entries then change no bit of a sum, so masked factors leave each
+    point's value exactly as if it were evaluated alone.  Product factors
+    shrink towards the right, so the small ones are added first.
+    """
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x[..., ::-1], axis=-1)[..., -1]
+
+
 @dataclass(frozen=True)
 class LogPolarPoint:
-    """A nonzero complex number stored as (log|w|, arg w)."""
+    """Nonzero complex numbers stored as (log|w|, arg w).
 
-    log_modulus: float
-    argument: float
+    Both fields are floats for a single point, or equal-shape read-only
+    float arrays for a grid of points; every entry must be finite.
+    """
+
+    log_modulus: float | np.ndarray
+    argument: float | np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.log_modulus) and np.isfinite(self.argument)):
+        if np.ndim(self.log_modulus) or np.ndim(self.argument):
+            lm = np.array(self.log_modulus, dtype=float)
+            arg = np.array(self.argument, dtype=float)
+            if lm.shape != arg.shape:
+                raise BadParameterError("log-modulus and argument shapes differ")
+            lm.setflags(write=False)
+            arg.setflags(write=False)
+            object.__setattr__(self, "log_modulus", lm)
+            object.__setattr__(self, "argument", arg)
+        if not (np.all(np.isfinite(self.log_modulus)) and np.all(np.isfinite(self.argument))):
             raise BadParameterError("log-polar fields must be finite")
 
     @classmethod
     def from_complex(cls, w) -> "LogPolarPoint":
-        w = complex(w)
-        if w == 0:
+        w = np.asarray(w, dtype=complex)
+        if np.any(w == 0):
             raise BadParameterError("log-polar point cannot represent 0")
-        return cls(float(np.log(abs(w))), float(np.angle(w)))
+        return cls(_out(np.log(modulus(w))), _out(np.angle(w)))
 
-    def to_complex(self) -> complex:
+    def to_complex(self):
         """May overflow for large log-modulus; intended for small points."""
-        return complex(np.exp(self.log_modulus) * np.exp(1j * self.argument))
+        return _out(np.exp(self.log_modulus) * np.exp(1j * self.argument))
 
 
 @dataclass(frozen=True)
@@ -124,21 +181,21 @@ class FockSeries:
         return complex(np.exp(self.log_magnitude[k]) * np.exp(1j * self.phase[k]))
 
     def evaluate_log(self, p: LogPolarPoint):
-        """(log|F(w)|, arg F(w)) at a log-polar point.
+        """(log|F(w)|, arg F(w)) at log-polar points, one value per point.
 
-        The largest term is factored out so the residual sum is O(1).
+        The largest term is factored out so the residual sum is O(1).  A
+        zero value gives (-inf, 0).
         """
-        if len(self.log_magnitude) == 0:
-            return -np.inf, 0.0
+        lm = np.asarray(p.log_modulus, dtype=float)[..., None]
+        arg = np.asarray(p.argument, dtype=float)[..., None]
         k = np.arange(len(self.log_magnitude))
-        term_log = self.log_magnitude + k * p.log_modulus
-        top = np.max(term_log)
-        if top == -np.inf:
-            return -np.inf, 0.0
-        s = np.sum(np.exp(term_log - top + 1j * (self.phase + k * p.argument)))
-        if s == 0:
-            return -np.inf, 0.0
-        return float(top + np.log(abs(s))), float(np.angle(s))
+        term_log = self.log_magnitude + k * lm
+        top = np.max(term_log, axis=-1, keepdims=True, initial=-np.inf)
+        top = np.where(top == -np.inf, 0.0, top)
+        s = np.sum(np.exp(term_log - top + 1j * (self.phase + k * arg)), axis=-1)
+        with np.errstate(divide="ignore"):
+            log_abs = top[..., 0] + np.log(modulus(s))
+        return _out(log_abs), _out(np.where(s == 0, 0.0, np.angle(s)))
 
     def to_json(self) -> dict:
         lm = [None if np.isneginf(v) else float(v) for v in self.log_magnitude]
@@ -163,16 +220,15 @@ def to_fock(c: GaussianParam, coeffs: gauss_space.CoefficientVector):
     f_minus, c0, f_plus = gauss_space.split_parts(coeffs)
 
     def series(part, sign):
-        hi = part.index_range[1] if sign > 0 else -part.index_range[0]
-        if len(part) == 0 or hi < 1:
+        if len(part) == 0:
             return FockSeries.zero()
-        lm = np.full(hi, -np.inf)
-        ph = np.zeros(hi)
-        for n in range(1, hi + 1):
-            v = part.value_at(sign * n)
-            if v != 0:
-                lm[n - 1] = np.log(abs(v)) - c.a * n * n
-                ph[n - 1] = np.angle(v) - c.b * n * n
+        n = sign * part.indices
+        keep = part.values != 0
+        n, v = n[keep], part.values[keep]
+        lm = np.full(sign * part.index_range[(1 + sign) // 2], -np.inf)
+        ph = np.zeros(len(lm))
+        lm[n - 1] = np.log(modulus(v)) - c.a * n * n
+        ph[n - 1] = np.angle(v) - c.b * n * n
         return FockSeries(lm, ph)
 
     return series(f_minus, -1), c0, series(f_plus, +1)
@@ -269,7 +325,7 @@ def fock_norm_quadrature(
     return float(np.exp(full))
 
 
-def phi(a: float, p: LogPolarPoint) -> float:
+def phi(a: float, p: LogPolarPoint):
     """Radial growth exponent (log|w|)^2 / (4a)."""
     if a <= 0.0:
         raise BadParameterError("a must be > 0")
@@ -288,59 +344,72 @@ def kernel_norm(a: float, p: LogPolarPoint, n_terms: Optional[int] = None):
 
     where phi+ uses log+|w|: the comparison growth saturates at 0 inside the
     unit circle, where the kernel itself tends to the constant term.
+
+    One value per point: each point's terms form a row, padded with -inf
+    past its own term count, and every point's tail is certified on its
+    own (TooFewTermsError names the first point that fails).
     """
     if a <= 0.0:
         raise BadParameterError("a must be > 0")
-    lm = p.log_modulus
-    peak = max(0.0, lm / (2.0 * a) - 1.0)
-    needed = int(np.ceil(peak + np.sqrt(40.0 / a) + 4.0))
-    n_used = needed if n_terms is None else int(n_terms)
-    n = np.arange(n_used + 1)
-    term_log = 2.0 * n * lm - 2.0 * a * (n + 1.0) ** 2
-    total = logsumexp(term_log)
+    lm = np.asarray(p.log_modulus, dtype=float)
+    peak = np.maximum(0.0, lm / (2.0 * a) - 1.0)
+    needed = np.ceil(peak + np.sqrt(40.0 / a) + 4.0).astype(int)
+    n_used = needed if n_terms is None else np.full(lm.shape, int(n_terms))
+
+    def partial_sums(lm, n_used):
+        n = np.arange(int(n_used.max()) + 1)
+        term_log = 2.0 * n * lm[:, None] - 2.0 * a * (n + 1.0) ** 2
+        return (logsumexp(np.where(n <= n_used[:, None], term_log, -np.inf), axis=-1),)
+
+    (total,) = _blockwise(partial_sums, 1, lm, n_used)
     # certify: next term small and ratio of successive terms < 1/2
+    last_log = 2.0 * n_used * lm - 2.0 * a * (n_used + 1.0) ** 2
     next_log = 2.0 * (n_used + 1) * lm - 2.0 * a * (n_used + 2.0) ** 2
-    ratio_log = next_log - term_log[-1]
-    if ratio_log > np.log(0.5) or next_log - total > np.log(1e-12):
+    failed = (next_log - last_log > np.log(0.5)) | (next_log - total > np.log(1e-12))
+    if np.any(failed):
+        i = np.unravel_index(np.argmax(failed), failed.shape)
         raise TooFewTermsError(
-            f"{n_used + 1} terms do not certify the tail (peak near {peak:.1f})"
+            f"{n_used[i] + 1} terms do not certify the tail at log|w| = {lm[i]:.6g}"
+            f" (peak near {peak[i]:.1f})"
         )
-    growth = phi(a, p) if lm > 0.0 else 0.0
-    ratio = float(np.exp(total + np.logaddexp(0.0, 2.0 * lm) - 2.0 * growth))
-    return float(total), ratio
+    growth = np.where(lm > 0.0, phi(a, p), 0.0)
+    ratio = np.exp(total + np.logaddexp(0.0, 2.0 * lm) - 2.0 * growth)
+    return _out(total), _out(ratio)
 
 
-def node_transform(c: GaussianParam, lam: float) -> LogPolarPoint:
-    """Image of a real node under w = e^{2cz}: modulus e^{2a lambda}."""
-    return LogPolarPoint(2.0 * c.a * lam, wrap_angle(2.0 * c.b * lam))
+def node_transform(c: GaussianParam, lam) -> LogPolarPoint:
+    """Image of real nodes under w = e^{2cz}: modulus e^{2a lambda}."""
+    lam = np.asarray(lam, dtype=float)
+    return LogPolarPoint(_out(2.0 * c.a * lam), wrap_angle(2.0 * c.b * lam))
 
 
-def consistency_identity(c: GaussianParam, coeffs: gauss_space.CoefficientVector, lam: float):
+def consistency_identity(c: GaussianParam, coeffs: gauss_space.CoefficientVector, lam):
     """Check the two evaluation routes for a positive-index coefficient vector.
 
     Left side: the direct Gaussian sum at lambda.  Right side: the series
     route e^{-phi(w)} e^{-i b lambda^2} w F(w) with w = e^{2c lambda},
-    assembled in log-domain.  Returns (lhs, rhs, relative gap).
+    assembled in log-domain.  Returns (lhs, rhs, relative gap), each with
+    one entry per node when ``lam`` is an array.
     """
     lo, _ = coeffs.index_range
     if len(coeffs) and lo < 1:
         raise BadParameterError("only positive-index coefficients are supported")
+    lam = np.asarray(lam, dtype=float)
     # full direct sum: truncating relative to ||c|| would swamp the tiny
     # values this identity reaches far from the support
-    d = lam - coeffs.indices
-    lhs = complex(np.sum(coeffs.values * np.exp(-c.c * d * d)))
+    d = lam[..., None] - coeffs.indices
+    lhs = np.sum(coeffs.values * np.exp(-c.c * d * d), axis=-1)
     _, _, f_plus = to_fock(c, coeffs)
     w = node_transform(c, lam)
     lf, pf = f_plus.evaluate_log(w)
-    if lf == -np.inf:
-        rhs = 0.0 + 0.0j
-    else:
-        log_rhs = -c.a * lam * lam + w.log_modulus + lf
-        ph_rhs = -c.b * lam * lam + w.argument + pf
-        rhs = complex(np.exp(log_rhs) * np.exp(1j * ph_rhs))
-    denom = max(abs(lhs), abs(rhs))
-    gap = 0.0 if denom == 0.0 else abs(lhs - rhs) / denom
-    return lhs, rhs, gap
+    # a zero series gives lf = -inf and so rhs = 0
+    log_rhs = -c.a * lam * lam + w.log_modulus + lf
+    ph_rhs = -c.b * lam * lam + w.argument + pf
+    rhs = np.exp(log_rhs) * np.exp(1j * ph_rhs)
+    denom = np.maximum(modulus(lhs), modulus(rhs))
+    with np.errstate(invalid="ignore"):
+        gap = np.where(denom == 0.0, 0.0, modulus(lhs - rhs) / denom)
+    return _out(lhs), _out(rhs), _out(gap)
 
 
 @dataclass(frozen=True)
@@ -382,54 +451,72 @@ class GeneratingProduct:
         m = np.arange(1, len(deltas) + 1)
         return cls(a, 2.0 * a * (m + deltas), delta_exponent)
 
-    def tail_count_for(self, log_modulus: float) -> int:
+    def tail_count_for(self, log_modulus):
         """Zeros needed so the omitted factors differ from 1 by < 1e-16."""
-        need = log_modulus + 37.0
-        return int(np.searchsorted(self.zero_log_moduli, need, side="right"))
+        need = np.asarray(log_modulus, dtype=float) + 37.0
+        return _out(np.searchsorted(self.zero_log_moduli, need, side="right"))
 
     def evaluate(self, p: LogPolarPoint):
-        """(log|product|, phase) at a log-polar point.
+        """(log|product|, phase) at log-polar points, one value per point.
 
         Zeros more than 45 log-units below |w| contribute log(w/z_m) each;
-        the cached prefix sums fold that block in O(1).  The remaining
-        factors use the stable log|1 - e^v| kernel.  Raises OnZeroError
-        within 1e-14 relative distance of a zero.
+        the cached prefix sums fold that block in O(1).  The factors of the
+        zeros from there up to ``tail_count_for(log|w|)`` use the stable
+        log|1 - e^v| kernel; stored zeros beyond it are left out.  Points
+        go through in blocks of ``_BLOCK``, and a point's value does not
+        depend on the others.  Raises OnZeroError when any point is within
+        1e-14 relative distance of a zero.
         """
-        z = self.zero_log_moduli
-        if self.tail_count_for(p.log_modulus) > len(z):
+        lm = np.asarray(p.log_modulus, dtype=float)
+        if np.any(self.tail_count_for(lm) == len(self.zero_log_moduli)):
             raise BadParameterError(
                 "stored zeros do not certify the product tail at this modulus"
             )
-        u = p.log_modulus + 1j * p.argument
-        n_low = int(np.searchsorted(z, p.log_modulus - 45.0))
+        log_abs, phase = _blockwise(self._evaluate_block, 2, lm, p.argument)
+        return _out(log_abs), _out(phase)
+
+    def _evaluate_block(self, lm, arg):
+        """``evaluate`` on 1-d arrays of at most ``_BLOCK`` points."""
+        z = self.zero_log_moduli
+        n_low = np.searchsorted(z, lm - 45.0)
+        n_top = np.searchsorted(z, lm + 37.0, side="right")
         # bulk block: each factor is -w/z_m up to relative 1e-19
-        log_abs = n_low * p.log_modulus - self.prefix_sums[n_low]
-        phase = n_low * (np.pi + p.argument)
-        v = u - z[n_low:]
+        log_abs = n_low * lm - self.prefix_sums[n_low]
+        phase = n_low * (np.pi + arg)
+        # the zeros any point of the block needs; each point masks the rest
+        j = np.arange(n_low.min(), n_top.max())
+        active = (j >= n_low[:, None]) & (j < n_top[:, None])
+        v = (lm + 1j * arg)[:, None] - z[j]
         la, ph = log_abs_one_minus_exp(v)
-        if np.any(la - np.maximum(v.real, 0.0) < np.log(1e-14)):
+        if np.any(active & (la - np.maximum(v.real, 0.0) < np.log(1e-14))):
             raise OnZeroError("point is within 1e-14 relative of a product zero")
-        return float(log_abs + np.sum(la)), float(wrap_angle(phase + np.sum(ph)))
+        log_abs = log_abs + _sum_in_order(np.where(active, la, 0.0))
+        phase = wrap_angle(phase + _sum_in_order(np.where(active, ph, 0.0)))
+        return log_abs, phase
 
 
-def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli) -> float:
-    """log of the complex distance from w to the nearest zero.
+def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli):
+    """log of the complex distance from w to the nearest zero, per point.
 
     The zeros x_m = e^{z_m} lie on the positive real axis, and |w - x|^2 is
     convex in real x with its minimum at x = Re w.  So the nearest zero is
     one of the two either side of Re w, found by bisection on
     log Re w = log|w| + log cos(arg w), or the first zero when Re w <= 0.
     """
-    u = p.log_modulus + 1j * p.argument
+    lm = np.asarray(p.log_modulus, dtype=float)
+    arg = np.asarray(p.argument, dtype=float)
     z = np.asarray(zero_log_moduli, dtype=float)
-    cos = np.cos(p.argument)
-    i = int(np.searchsorted(z, p.log_modulus + np.log(cos))) if cos > 0.0 else 0
-    return float(min(log_abs_diff_exp(u, s) for s in z[max(i - 1, 0) : i + 1]))
+    cos = np.cos(arg)
+    right = np.searchsorted(z, lm + np.log(np.where(cos > 0.0, cos, 1.0)))
+    i = np.where(cos > 0.0, right, 0)
+    near = z[np.stack([np.maximum(i - 1, 0), np.minimum(i, len(z) - 1)])]
+    return _out(np.min(log_abs_diff_exp(lm + 1j * arg, near), axis=0))
 
 
 def _certified_zero_count(a: float, p: LogPolarPoint) -> int:
-    """Zeros e^{2am} of G0 needed to certify the product tail at p."""
-    return int(np.ceil((p.log_modulus + 38.0) / (2.0 * a))) + 1
+    """Zeros e^{2am} of G0 needed to certify the product tail at every point of p."""
+    top = float(np.max(p.log_modulus)) if np.size(p.log_modulus) else 0.0
+    return max(int(np.ceil((top + 38.0) / (2.0 * a))) + 1, 1)
 
 
 def generating_product_G0(a: float, p: LogPolarPoint, m_terms: Optional[int] = None):
@@ -443,24 +530,24 @@ def generating_product_G0(a: float, p: LogPolarPoint, m_terms: Optional[int] = N
     return prod.evaluate(p)
 
 
-def g0_estimate_ratio(a: float, p: LogPolarPoint) -> float:
+def g0_estimate_ratio(a: float, p: LogPolarPoint):
     """Normalized two-sided estimate ratio for the unperturbed product:
 
         |G0(w)| (1 + |w|^{3/2}) / (e^{phi(w)} dist(w, zeros)).
 
     Bounded above and below on grids that avoid the zeros; the bracket is
-    empirical.
+    empirical.  One product serves every point of p.
     """
     prod = GeneratingProduct.unperturbed(a, _certified_zero_count(a, p))
     log_abs, _ = prod.evaluate(p)
     log_dist = log_distance_to_zeros(p, prod.zero_log_moduli)
     log_ratio = (
         log_abs
-        + np.logaddexp(0.0, 1.5 * p.log_modulus)
+        + np.logaddexp(0.0, 1.5 * np.asarray(p.log_modulus))
         - phi(a, p)
         - log_dist
     )
-    return float(np.exp(log_ratio))
+    return _out(np.exp(log_ratio))
 
 
 def generating_product_perturbed(prod: GeneratingProduct, p: LogPolarPoint):
@@ -475,11 +562,11 @@ def generating_product_perturbed(prod: GeneratingProduct, p: LogPolarPoint):
     log_dist = log_distance_to_zeros(p, prod.zero_log_moduli)
     log_ratio = (
         log_abs
-        + (1.5 + prod.delta_exponent) * np.logaddexp(0.0, p.log_modulus)
+        + (1.5 + prod.delta_exponent) * np.logaddexp(0.0, np.asarray(p.log_modulus))
         - phi(prod.a, p)
         - log_dist
     )
-    return log_abs, phase, float(np.exp(log_ratio))
+    return log_abs, phase, _out(np.exp(log_ratio))
 
 
 @dataclass(frozen=True)

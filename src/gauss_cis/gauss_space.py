@@ -320,6 +320,10 @@ def frame_bounds(
         raise BadParameterError("sizes must be increasing")
     if orientation not in ("interior_rows", "interior_cols"):
         raise BadParameterError(f"unknown orientation {orientation!r}")
+    if not (np.isfinite(interior_fraction) and interior_fraction > 0.0):
+        raise BadParameterError(f"interior_fraction must be finite and > 0, got {interior_fraction}")
+    if not np.isfinite(edge_margin):
+        raise BadParameterError(f"edge_margin must be finite, got {edge_margin}")
     entries = []
     for m in sizes:
         mat = collocation_matrix(c, seq, (-m, m), tol)

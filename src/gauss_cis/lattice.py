@@ -152,23 +152,34 @@ class PeriodicPerturbation(NodeSequence):
 class ExplicitWindow(NodeSequence):
     """A finite strictly increasing window of nodes with integer indexing.
 
-    ``nodes[i]`` is the position of index ``start_index + i``.
+    ``nodes[i]`` is the position of index ``start_index + i``.  The nodes
+    are kept as a read-only float64 array (8 bytes a node; a tuple of
+    Python floats takes 32); windows with equal nodes and start are equal.
     """
 
-    nodes: tuple
+    nodes: np.ndarray
     start_index: int = 0
     kind = "explicit"
 
     def __post_init__(self):
-        arr = tuple(float(x) for x in self.nodes)
-        if len(arr) == 0:
-            raise BadParameterError("explicit window needs at least one node")
-        if not all(np.isfinite(arr)):
+        arr = np.array(self.nodes, dtype=float)
+        if arr.ndim != 1 or len(arr) == 0:
+            raise BadParameterError("explicit window needs a 1-d list of at least one node")
+        if not np.all(np.isfinite(arr)):
             raise BadParameterError("nodes must be finite")
         if np.any(np.diff(arr) <= 0.0):
             raise NonIncreasingError("explicit nodes must be strictly increasing")
+        arr.setflags(write=False)
         object.__setattr__(self, "nodes", arr)
         object.__setattr__(self, "start_index", int(self.start_index))
+
+    def __eq__(self, other):
+        if not isinstance(other, ExplicitWindow):
+            return NotImplemented
+        return self.start_index == other.start_index and np.array_equal(self.nodes, other.nodes)
+
+    def __hash__(self):
+        return hash((self.start_index, self.nodes.tobytes()))
 
     @property
     def index_range(self):
@@ -181,8 +192,7 @@ class ExplicitWindow(NodeSequence):
             raise EmptyWindowError(
                 f"window [{lo}, {hi}] outside stored range [{s}, {e}]"
             )
-        arr = np.asarray(self.nodes)
-        return arr[lo - s : hi - s + 1].copy()
+        return self.nodes[lo - s : hi - s + 1].copy()
 
     def default_window(self):
         return self.index_range
@@ -240,7 +250,7 @@ def sequence_to_json(seq: NodeSequence) -> dict:
         return {"kind": "periodic", "period": seq.period, "offsets": list(seq.offsets)}
     if isinstance(seq, ExplicitWindow):
         lo, hi = seq.index_range
-        return {"kind": "explicit", "nodes": list(seq.nodes), "index_range": [lo, hi]}
+        return {"kind": "explicit", "nodes": seq.nodes.tolist(), "index_range": [lo, hi]}
     raise BadParameterError(f"cannot serialize {type(seq).__name__}")
 
 

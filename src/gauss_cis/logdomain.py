@@ -3,6 +3,9 @@
 Magnitudes like e^{2a*lambda} or the weights e^{2a(n+1)^2} overflow double
 precision quickly, so everything modulus-like is kept as a logarithm and
 phases are tracked separately.
+
+Every helper works elementwise on arrays (``logsumexp`` along an axis),
+and a scalar input gives a scalar, so a grid of points is one call.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ __all__ = [
     "log_abs_one_minus_exp",
     "log_abs_diff_exp",
     "logsumexp",
+    "modulus",
 ]
 
 # |v| below which the Taylor series of expm1 is used
@@ -28,6 +32,17 @@ def wrap_angle(x):
     if np.ndim(x) == 0:
         return float(r)
     return r
+
+
+def modulus(z):
+    """|z| of complex values as hypot(Re z, Im z).
+
+    This is the libm ``hypot`` that Python's scalar ``abs`` calls; numpy's
+    vectorised complex ``abs`` can differ from it in the last bit, which
+    would make an array result differ from the same point evaluated alone.
+    """
+    z = np.asarray(z, dtype=complex)
+    return np.hypot(z.real, z.imag)
 
 
 def expm1_complex(v):
@@ -86,30 +101,32 @@ def log_abs_diff_exp(u, s):
     """log|e^u - e^s| for complex u and real s, without overflow.
 
     Factors out e^max(Re u, s) so that both residual exponentials have
-    non-positive real part.
+    non-positive real part.  ``u`` and ``s`` broadcast against each other;
+    scalar inputs give a float.
     """
-    u = complex(u)
-    s = float(s)
-    big = max(u.real, s)
+    u = np.asarray(u, dtype=complex)
+    s = np.asarray(s, dtype=float)
+    big = np.maximum(u.real, s)
     d = np.exp(u - big) - np.exp(s - big)
-    ad = abs(d)
-    if ad == 0.0:
-        return -np.inf
-    return big + float(np.log(ad))
+    with np.errstate(divide="ignore"):
+        out = big + np.log(modulus(d))
+    return float(out) if out.ndim == 0 else out
 
 
-def logsumexp(x) -> float:
-    """log(sum(exp(x))) for a real 1-d array, without overflow.
+def logsumexp(x, axis=None):
+    """log(sum(exp(x))) of a real array along ``axis``, without overflow.
 
     The m maximal entries are kept out of the shifted sum s, giving
     log1p(s / m) + log(m) + max, as scipy.special.logsumexp does (bit for
-    bit); empty or all -inf input gives -inf.
+    bit); an empty or all -inf reduction gives -inf.  ``axis=None``
+    reduces everything; a 0-d result is a float.
     """
     x = np.asarray(x, dtype=float)
-    top = np.max(x, initial=-np.inf)
-    if top == -np.inf:
-        return -np.inf
+    top = np.max(x, axis=axis, keepdims=True, initial=-np.inf)
     is_top = x == top
-    m = float(np.count_nonzero(is_top))
-    s = np.sum(np.exp(np.where(is_top, -np.inf, x) - top))
-    return float(np.log1p(s / m) + np.log(m) + top)
+    m = np.count_nonzero(is_top, axis=axis, keepdims=True).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.sum(np.exp(np.where(is_top, -np.inf, x) - top), axis=axis, keepdims=True)
+        out = np.where(top == -np.inf, -np.inf, np.log1p(s / m) + np.log(m) + top)
+    out = out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
+    return float(out) if out.ndim == 0 else out

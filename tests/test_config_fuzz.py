@@ -1,0 +1,135 @@
+"""Config fuzzing: every scenario config either exits 2 with one error line,
+or writes report.json and exits 0 or 1 as its ``passed`` says, and no run
+emits a warning.
+
+Configs start from a small valid base per scenario (so the runs stay short)
+and a derandomized hypothesis search replaces some of its fields with
+wrong types, out-of-range numbers, empty lists and single sizes.  Values
+are bounded: a valid config never asks for a huge grid or frame section.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gauss_cis.experiments.cli import main as cli_main
+
+PERIODIC = {"kind": "periodic", "offsets": [0.2, -0.1]}
+
+# small valid configs; option keys listed here are the ones fuzzed
+BASE = {
+    "classify": {"sequence": PERIODIC, "options": {"n_max": 4, "margin": 1e-9, "expect_pass": True}},
+    "framebound-sweep": {
+        "sequence": PERIODIC, "sizes": [8, 16],
+        "options": {"interior_fraction": 1.0, "edge_margin": 3.0, "stability_pct": 50.0,
+                    "orientation": "interior_rows"},
+    },
+    "critical-half": {
+        "sizes": [8, 16],
+        "options": {"max_ratio": 0.9, "interior_fraction": 1.0, "edge_margin": 3.0},
+    },
+    "kadets-sweep": {
+        "sizes": [8, 16],
+        "options": {"deltas": [0.1], "critical_deltas": [0.5], "stability_pct": 50.0,
+                    "max_ratio": 0.9, "interior_fraction": 1.0, "edge_margin": 3.0},
+    },
+    "density-demo": {
+        "sizes": [8, 16],
+        "options": {"alphas": [0.9], "stability_pct": 50.0, "interior_fraction": 1.0,
+                    "edge_margin": 0.0},
+    },
+    "kernel-asymptotic": {
+        "a": 0.5,
+        "options": {"log_modulus_lo": -2.0, "log_modulus_hi": 2.0, "step": 0.5,
+                    "max_spread": 10.0, "bracket": [0.3, 2.0]},
+    },
+    "g0-estimate": {
+        "a": 0.5,
+        "options": {"log_modulus_lo": 0.5, "log_modulus_hi": 3.0, "step": 0.5, "n_angles": 4,
+                    "exclusion": 0.1, "bracket": [0.1, 10.0]},
+    },
+    "fock-consistency": {
+        "tolerances": {"gap": 1e-9},
+        "options": {"n_seeds": 1, "lambdas": [-1.0, 0.5], "b_values": [0.0, 2.0],
+                    "coeff_range": [1, 4]},
+    },
+    "sign-retrieval": {
+        "tolerances": {"residual": 1e-8, "match": 1e-8},
+        "options": {"trials": 2, "window": 6, "coeff_start": 0, "coeff_count": 3,
+                    "delta_amplitude": 0.2, "node_start": -1},
+    },
+}
+
+ODD = st.sampled_from(
+    ["x", None, True, [], {}, [8], [16, 8], [0, 4], ["x"], 0, -1, -0.5, 0.0,
+     float("nan"), float("inf"), float("-inf"), [1.0], [5, 1], [-2, 3], [0.5, 0.4]]
+)
+VALUE = st.one_of(
+    ODD,
+    st.integers(-3, 12),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.lists(st.floats(-1.0, 1.0, allow_nan=False), max_size=3),
+    st.lists(st.integers(-2, 12), max_size=3),
+)
+SEQUENCE = st.one_of(
+    st.just(PERIODIC),
+    st.just({"kind": "affine", "alpha": 1.0, "beta": 0.5}),
+    st.just({"kind": "explicit", "nodes": [0.0, 1.2, 2.0, 2.9]}),
+    st.just({"kind": "explicit", "nodes": [0.1]}),
+    st.just({"kind": "periodic", "offsets": []}),
+    st.just({"kind": "warp"}),
+    VALUE,
+)
+
+
+@st.composite
+def configs(draw):
+    scenario = draw(st.sampled_from(sorted(BASE)))
+    config = json.loads(json.dumps(BASE[scenario]))
+    config["seed"] = 1
+    options = config.setdefault("options", {})
+    for key in draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True)):
+        options[key] = draw(VALUE)
+    top = draw(st.lists(st.sampled_from(["a", "b", "sizes", "sequence", "tolerances"]),
+                        max_size=2, unique=True))
+    for key in top:
+        if key == "sequence":
+            config[key] = draw(SEQUENCE)
+        elif key == "a":
+            config[key] = draw(st.one_of(ODD, st.floats(0.2, 2.0)))
+        elif key == "tolerances":
+            config[key] = draw(st.one_of(VALUE, st.dictionaries(
+                st.sampled_from(["gap", "residual", "match"]), VALUE, max_size=2)))
+        else:
+            config[key] = draw(VALUE)
+    return scenario, config
+
+
+@given(configs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_config_exits_2_or_reports(case):
+    scenario, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main([scenario, "--config", str(path), "--out", str(out)])
+        # a warning would print a second stderr line
+        assert [str(w.message) for w in caught] == []
+        message = err.getvalue()
+        if code == 2:
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+        else:
+            assert message == ""
+            report = json.loads((out / "report.json").read_text())
+            assert code == (0 if report["passed"] else 1)

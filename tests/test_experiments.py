@@ -354,6 +354,18 @@ class TestSignRetrieval:
         ("sign-retrieval", {"options": {"coeff_count": -2}}),
         ("sign-retrieval", {"options": {"delta_amplitude": -0.2}}),
         ("sign-retrieval", {"options": {"trials": -1}}),
+        ("fock-consistency", {"options": {"lambdas": []}}),
+        ("fock-consistency", {"options": {"b_values": []}}),
+        ("fock-consistency", {"options": {"coeff_range": [5, 1]}}),
+        ("framebound-sweep", {"sizes": [8], "sequence": {"kind": "periodic", "offsets": [0.1]}}),
+        ("critical-half", {"sizes": [8]}),
+        ("kadets-sweep", {"sizes": [8]}),
+        ("density-demo", {"sizes": [8]}),
+        ("sign-retrieval", {"options": {"window": 1, "coeff_count": 1}}),
+        ("sign-retrieval", {"a": float("inf")}),
+        ("g0-estimate", {"options": {"log_modulus_hi": float("nan")}}),
+        ("kernel-asymptotic", {"options": {"step": 1e-9}}),
+        ("critical-half", {"options": {"interior_fraction": float("inf")}}),
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
@@ -364,3 +376,23 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, conf
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "scenario, config, named",
+    [
+        ("fock-consistency", {"options": {"lambdas": []}}, "'lambdas'"),
+        ("fock-consistency", {"options": {"b_values": []}}, "'b_values'"),
+        ("fock-consistency", {"options": {"coeff_range": [5, 1]}}, "'coeff_range'"),
+        ("kadets-sweep", {"sizes": [8]}, "at least two sizes"),
+        ("density-demo", {"sizes": [8]}, "at least two sizes"),
+        ("framebound-sweep", {"sizes": [8], "sequence": {"kind": "periodic", "offsets": [0.1]}},
+         "at least two sizes"),
+        ("sign-retrieval", {"options": {"window": 1, "coeff_count": 1}}, "'window'"),
+    ],
+)
+def test_input_errors_name_what_is_wrong(tmp_path, capsys, scenario, config, named):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, **config}))
+    assert cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err

@@ -334,6 +334,15 @@ class TestClosedFormOffset:
             enum = canonical_enumeration(seq, 1e9)
             assert (enum.offset, float(np.max(np.abs(enum.deltas)))) == (k, sup)
 
+    def test_explicit_window_stores_a_read_only_array(self):
+        seq = ExplicitWindow([0.0, 1.5, 2.0], -1)
+        assert seq.nodes.dtype == np.float64 and not seq.nodes.flags.writeable
+        assert seq == ExplicitWindow((0.0, 1.5, 2.0), -1)
+        assert seq != ExplicitWindow((0.0, 1.5, 2.0), 0)
+        assert seq != ExplicitWindow((0.0, 1.5, 2.5), -1)
+        assert len({seq, ExplicitWindow(np.array([0.0, 1.5, 2.0]), -1)}) == 1
+        assert np.array_equal(seq.positions((-1, 0)), [0.0, 1.5])
+
     def test_long_explicit_window_is_classified_in_linear_time(self):
         rng = np.random.default_rng(4)
         n = 16384

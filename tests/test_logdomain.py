@@ -15,6 +15,7 @@ from gauss_cis.logdomain import (
     log_abs_diff_exp,
     log_abs_one_minus_exp,
     logsumexp,
+    modulus,
     wrap_angle,
 )
 
@@ -109,6 +110,24 @@ class TestLogAbsDiffExp:
     def test_equal_points(self):
         assert log_abs_diff_exp(2.0 + 0.0j, 2.0) == -np.inf
 
+    def test_broadcasts_and_keeps_scalars_scalar(self):
+        assert isinstance(log_abs_diff_exp(1.2 + 0.7j, 0.9), float)
+        u = np.array([1.2 + 0.7j, 1000.0 + 0.0j, 2.0 + 0.0j])
+        s = np.array([[0.9], [999.0]])
+        got = log_abs_diff_exp(u, s)
+        assert got.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j] == log_abs_diff_exp(complex(u[j]), float(s[i, 0]))
+        assert log_abs_diff_exp(u[2:], [2.0])[0] == -np.inf
+
+
+def test_modulus_is_the_scalar_abs():
+    rng = np.random.default_rng(3)
+    z = (rng.normal(size=5000) + 1j * rng.normal(size=5000)) * np.exp(rng.uniform(-30, 30, 5000))
+    assert [float(m) for m in modulus(z)] == [abs(complex(v)) for v in z]
+    assert float(modulus(3 + 4j)) == 5.0
+
 
 class TestLogSumExp:
     """The numpy logsumexp against scipy.special.logsumexp, its reference."""
@@ -134,6 +153,20 @@ class TestLogSumExp:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_bitwise_property(self, values):
         assert self._same(values)
+
+    def test_bitwise_along_an_axis(self):
+        rng = np.random.default_rng(23)
+        for i in range(300):
+            x = rng.normal(0.0, (1.0, 30.0)[i % 2], (int(rng.integers(1, 9)), int(rng.integers(1, 40))))
+            if i % 3 == 1:
+                x = np.round(x)
+            if i % 3 == 2:
+                x[rng.random(x.shape) < 0.4] = -np.inf
+                x[0] = -np.inf  # an all -inf row
+            for axis in (-1, 0):
+                assert np.array_equal(logsumexp(x, axis=axis), scipy_logsumexp(x, axis=axis))
+            assert logsumexp(x) == float(scipy_logsumexp(x))
+        assert logsumexp(np.empty((2, 0)), axis=-1).tolist() == [-np.inf, -np.inf]
 
     def test_edge_cases(self):
         assert logsumexp(np.array([])) == -np.inf
