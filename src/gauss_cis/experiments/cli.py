@@ -2,7 +2,7 @@
 
 Usage::
 
-    gauss-cis <scenario> --config path.json [--out DIR] [--seed N] [--threads N]
+    gauss-cis <scenario> --config path.json [--out DIR] [--seed N]
 
 Exit codes: 0 when every declared threshold is met, 1 when a threshold
 fails (the report is still written), 2 for unknown scenarios or invalid
@@ -26,10 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="thread count, validated and echoed in report.json; scenarios run serially",
-    )
     return parser
 
 
@@ -48,7 +44,6 @@ def main(argv=None) -> int:
             scenario=args.scenario,
             out_dir=args.out,
             seed=args.seed,
-            threads=args.threads,
         )
         report = run_scenario(config)
     except ConfigInvalidError as exc:

@@ -9,6 +9,9 @@ from ..errors import ConfigInvalidError, coerce
 from .scenarios import SCENARIOS
 
 SCENARIO_NAMES = tuple(SCENARIOS)
+# largest truncation size M a config may ask for; a frame-bound section at
+# M has about 2M rows, and M = 65,536 takes seconds
+MAX_SIZE = 65_536
 
 
 @dataclass
@@ -29,7 +32,6 @@ class ScenarioConfig:
     sizes: tuple = ()
     tolerances: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
-    threads: int = 1
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_NAMES:
@@ -48,14 +50,13 @@ class ScenarioConfig:
         self.sizes = coerce(lambda ms: tuple(int(m) for m in ms), self.sizes, "sizes")
         if any(y <= x for x, y in zip(self.sizes, self.sizes[1:])):
             raise ConfigInvalidError("sizes must be increasing")
+        if any(m > MAX_SIZE for m in self.sizes):
+            raise ConfigInvalidError(f"sizes must be at most {MAX_SIZE}, got {max(self.sizes)}")
         self.tolerances = coerce(dict, self.tolerances, "tolerances")
         for key, val in self.tolerances.items():
             if not coerce(float, val, f"tolerance {key!r}") > 0.0:
                 raise ConfigInvalidError(f"tolerance {key!r} must be > 0")
         self.options = coerce(dict, self.options, "options")
-        self.threads = coerce(int, self.threads, "threads")
-        if self.threads < 1:
-            raise ConfigInvalidError("threads must be >= 1")
         self.out_dir = coerce(Path, self.out_dir, "out")
 
     def tolerance(self, key: str, default: float) -> float:
@@ -71,7 +72,6 @@ def load_config(
     scenario: str,
     out_dir=None,
     seed=None,
-    threads=None,
 ) -> ScenarioConfig:
     """Load a config file and apply CLI overrides.
 
@@ -101,5 +101,4 @@ def load_config(
         sizes=raw.get("sizes", ()),
         tolerances=raw.get("tolerances", {}),
         options=raw.get("options", {}),
-        threads=threads if threads is not None else raw.get("threads", 1),
     )

@@ -2,8 +2,7 @@
 
 Scenario functions are pure apart from RNG seeded from the config; the
 runner handles serialization, timing, and exit status.  Grid points are
-evaluated serially in a fixed order, so reports are deterministic; the
-config's ``threads`` is accepted and echoed but does not change the run.
+evaluated serially in a fixed order, so reports are deterministic.
 Options are read through :func:`_option`, so a value of the wrong type or
 form raises ConfigInvalidError.
 """
@@ -82,7 +81,7 @@ def _log_modulus_grid(lo: float, hi: float, step: float, per_point: int = 1):
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigInvalidError(f"log_modulus_lo {lo} and log_modulus_hi {hi} must be finite")
-    count = ((hi - lo) / step + 1.0) * per_point
+    count = ((hi + 1e-12 - lo) / step + 1.0) * per_point
     if count > _MAX_GRID:
         raise ConfigInvalidError(
             f"grid of {count:.3g} points exceeds {_MAX_GRID:,}; raise the step"

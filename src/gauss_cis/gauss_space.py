@@ -5,9 +5,15 @@ with (c_n) square-summable, identified with its coefficient vector.  Entries
 of every collocation matrix lie in (0, 1], so plain double precision is safe
 throughout this module; log-domain arithmetic is reserved for the power
 series side (module ``fock``).
+
+Frame bounds of small sections come from a dense SVD.  A large section is
+never built densely: its entries fall below tol^2 beyond ``buffer`` of the
+diagonal, so the Gram matrix of its smaller side is banded, and a block
+Cholesky of that band, shifted by mu, succeeds exactly when mu lies below
+the smallest eigenvalue.  Bisection on mu brackets both extreme singular
+values, with a certificate for the dropped entries and the rounding.
 """
 
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,8 +39,6 @@ __all__ = [
     "split_parts",
     "compact_block_hsnorm",
     "l2_norm_squared",
-    "save_matrix",
-    "load_matrix",
 ]
 
 # numerical rank cutoff: sigma_min below this multiple of sigma_max is
@@ -42,6 +46,13 @@ __all__ = [
 _RANK_RTOL = 1e-13
 # e^{-x} underflows to 0 in double precision for x above this
 _UNDERFLOW = 746.0
+# frame-bound sections with min(rows, cols) above this take the band solver
+_DENSE_MAX = 256
+# the band solver bisects until its eigenvalue brackets are this narrow
+_BRACKET_RTOL = 1e-10
+# a Cholesky window spans this many bandwidth-sized blocks
+_WINDOW_BLOCKS = 3
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -166,15 +177,22 @@ class CollocationMatrix:
         return np.arange(self.col_start, self.col_start + self.entries.shape[1])
 
 
-def collocation_matrix(
-    c: GaussianParam, seq: NodeSequence, node_range, tol: float = 1e-12
-) -> CollocationMatrix:
-    """Build the collocation matrix for nodes in the inclusive index range.
+def _entries(c: GaussianParam, x, y) -> np.ndarray:
+    """Collocation entries e^{-c (x - y)^2}, broadcast; real when b = 0."""
+    return np.exp(-(c.c if c.b else c.a) * (x - y) ** 2)
 
-    The coefficient (column) range is the integer hull of the node span
-    widened by a buffer B with e^{-a B^2 / 2} < tol, so every neglected
-    column entry is below tol^2.
-    """
+
+def _integer_tail(a: float, lam, lo, hi) -> float:
+    """Frobenius norm of the entries e^{-c (lam_i - n)^2} over the integers
+    n < lo or n > hi (``lo``, ``hi`` broadcast against ``lam``), each row's
+    two tails summed to underflow."""
+    dropped = np.concatenate([lam - (lo - 1), (hi + 1) - lam])
+    return float(np.sqrt(np.sum(_gaussian_tail_terms(a, dropped))))
+
+
+def _section_frame(c: GaussianParam, seq: NodeSequence, node_range, tol: float):
+    """``(positions, buffer, col_lo, col_hi, tail_bound)`` of the
+    collocation matrix on ``node_range``, without its entries."""
     if tol <= 0.0 or tol >= 1.0:
         raise BadParameterError("tol must be in (0, 1)")
     try:
@@ -184,20 +202,28 @@ def collocation_matrix(
     buffer = int(np.ceil(np.sqrt(2.0 * np.log(1.0 / tol) / c.a)))
     col_lo = int(np.floor(lam.min())) - buffer
     col_hi = int(np.ceil(lam.max())) + buffer
-    cols = np.arange(col_lo, col_hi + 1, dtype=float)
-    entries = np.exp(-(c.c if c.b else c.a) * (lam[:, None] - cols[None, :]) ** 2)
+    return lam, buffer, col_lo, col_hi, _integer_tail(c.a, lam, col_lo, col_hi)
 
-    # Frobenius bound on the dropped columns, summed per row until underflow
-    dropped = np.concatenate([lam - (col_lo - 1), (col_hi + 1) - lam])
-    tail_sq = np.sum(_gaussian_tail_terms(c.a, dropped))
+
+def collocation_matrix(
+    c: GaussianParam, seq: NodeSequence, node_range, tol: float = 1e-12
+) -> CollocationMatrix:
+    """Build the collocation matrix for nodes in the inclusive index range.
+
+    The coefficient (column) range is the integer hull of the node span
+    widened by a buffer B with e^{-a B^2 / 2} < tol, so every neglected
+    column entry is below tol^2.
+    """
+    lam, buffer, col_lo, col_hi, tail = _section_frame(c, seq, node_range, tol)
+    cols = np.arange(col_lo, col_hi + 1, dtype=float)
     return CollocationMatrix(
         param=c,
         row_start=int(node_range[0]),
         col_start=col_lo,
         node_positions=lam,
-        entries=entries,
+        entries=_entries(c, lam[:, None], cols[None, :]),
         buffer=buffer,
-        tail_bound=float(np.sqrt(tail_sq)),
+        tail_bound=tail,
     )
 
 
@@ -248,6 +274,9 @@ class FrameBoundEntry:
     sigma_min: float
     sigma_max: float
     tail_bound: float    # CollocationMatrix.tail_bound of the section's matrix
+    solver: str          # "svd" (dense) or "band" (banded Gram bisection)
+    sigma_min_bracket: tuple    # certified (lo, hi) around sigma_min
+    sigma_max_bracket: tuple    # certified (lo, hi) around sigma_max
 
     def __post_init__(self):
         if self.sigma_min > self.sigma_max:
@@ -310,10 +339,15 @@ def frame_bounds(
     The trim keeps |position| <= interior_fraction * span - edge_margin,
     where span is the smaller of |lambda_{-M}|, |lambda_M|.
 
-    sigma_min and sigma_max come from a values-only dense SVD of the
-    section, which runs in real arithmetic when b = 0 (the entries are then
-    real).  Each entry also records the ``tail_bound`` of the section's
-    collocation matrix.
+    Sections with min(rows, cols) <= 256 take a values-only dense SVD,
+    which runs in real arithmetic when b = 0 (the entries are then real);
+    each bracket is the value +- max(rows, cols) * eps * sigma_max.  Larger
+    sections are never built densely: the band solver bisects Cholesky
+    factorisations of the band of the smaller side's Gram matrix to a
+    relative width of 1e-10 in sigma^2, reports the square roots of the
+    midpoints, and certifies each bracket against the dropped entries and
+    the rounding.  Each entry records its ``solver``, both brackets and the
+    ``tail_bound`` of the section's collocation matrix.
     """
     sizes = [int(m) for m in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -326,24 +360,203 @@ def frame_bounds(
         raise BadParameterError(f"edge_margin must be finite, got {edge_margin}")
     entries = []
     for m in sizes:
-        mat = collocation_matrix(c, seq, (-m, m), tol)
-        span = min(abs(mat.node_positions[0]), abs(mat.node_positions[-1]))
+        lam, buffer, col_lo, col_hi, tail = _section_frame(c, seq, (-m, m), tol)
+        cols = np.arange(col_lo, col_hi + 1, dtype=float)
+        span = min(abs(lam[0]), abs(lam[-1]))
         cutoff = interior_fraction * span - edge_margin
-        if orientation == "interior_rows":
-            keep = np.abs(mat.node_positions) <= cutoff
-            sub = mat.entries[keep, :]
-        else:
-            keep = np.abs(mat.col_indices) <= cutoff
-            sub = mat.entries[:, keep]
-        if min(sub.shape) == 0:
+        by_rows = orientation == "interior_rows"
+        keep = np.abs(lam if by_rows else cols) <= cutoff
+        rows, kept_cols = (lam[keep], cols) if by_rows else (lam, cols[keep])
+        shape = (len(rows), len(kept_cols))
+        if min(shape) == 0:
             raise EmptyWindowError(f"interior trim removed everything at size {m}")
-        s = np.linalg.svd(sub, compute_uv=False)
+        if min(shape) <= _DENSE_MAX:
+            full = collocation_matrix(c, seq, (-m, m), tol).entries
+            s = np.linalg.svd(full[keep, :] if by_rows else full[:, keep], compute_uv=False)
+            solver, values = "svd", s[[-1, 0]]
+            err = max(shape) * _EPS * s[0]
+            lo, hi = np.maximum(values - err, 0.0), values + err
+        else:
+            solver = "band"
+            values, lo, hi = _extreme_singular_values(c, rows, kept_cols, buffer)
         entries.append(FrameBoundEntry(
-            m, sub.shape[0], sub.shape[1], float(s[-1]), float(s[0]), mat.tail_bound
+            m, *shape, float(values[0]), float(values[1]), tail, solver,
+            (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1])),
         ))
     return FrameBoundReport(
         orientation, interior_fraction, edge_margin, tuple(entries)
     )
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the rounding factor of k-term sums."""
+    u = _EPS / 2.0
+    return k * u / (1.0 - k * u)
+
+
+def _gram_band(c: GaussianParam, p, q, radius: float):
+    """Diagonals of the Gram matrix B B^H of a section's band.
+
+    B[i, j] = e^{-c (p_i - q_j)^2} where |p_i - q_j| <= radius and 0
+    elsewhere, for increasing ``p`` and ``q``.  Returns ``(diags, width,
+    norms)``: ``diags[d][i] = (B B^H)[i, i + d]`` up to the half-bandwidth,
+    the most entries any row keeps, and ||B||_1 ||B||_inf.
+    """
+    first = np.searchsorted(q, p - radius, "left")
+    kept = np.searchsorted(q, p + radius, "right") - first
+    width = int(kept.max())
+    t = np.arange(width)
+    cols = first[:, None] + t
+    band = np.where(t < kept[:, None], _entries(c, p[:, None], q[np.minimum(cols, len(q) - 1)]), 0.0)
+    mag = np.abs(band)
+    norms = float(mag.sum(axis=1).max() * np.bincount(cols.ravel(), mag.ravel()).max())
+    # row i + d meets row i where its band starts `shift` columns further on
+    diags = [np.sum(band * band.conj(), axis=1)]
+    for d in range(1, len(p)):
+        shift = first[d:] - first[:-d]
+        if shift.min() >= width:
+            break
+        idx = shift[:, None] + t
+        mine = np.take_along_axis(band[:-d], np.minimum(idx, width - 1), axis=1)
+        diags.append(np.sum(np.where(idx < width, mine, 0.0) * band[d:].conj(), axis=1))
+    return diags, width, norms
+
+
+def _cholesky_windows(diags, nb: int):
+    """The band as dense windows of ``_WINDOW_BLOCKS`` blocks of ``nb`` rows.
+
+    Consecutive windows share one block.  Returns the stacked windows (the
+    last one zero-padded) and each window's true size.
+    """
+    n = len(diags[0])
+    span = _WINDOW_BLOCKS * nb
+    step = span - nb
+    count = 1 + max(0, -(-(n - span) // step))
+    rows = np.arange(count)[:, None] * step + np.arange(span)
+    wins = np.zeros((count, span, span), dtype=diags[0].dtype)
+    for d, g in enumerate(diags[:span]):
+        r = np.arange(span - d)
+        i = rows[:, : span - d]
+        v = np.where(i < n - d, g[np.minimum(i, n - d - 1)], 0.0)
+        wins[:, r, r + d] = v
+        wins[:, r + d, r] = v.conj()
+    return wins, np.minimum(span, n - rows[:, 0])
+
+
+def _cholesky_or_none(mat):
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _definite(wins, sizes, nb: int, shifts, signs) -> np.ndarray:
+    """Whether sign * (G - shift I) has a Cholesky factor, for each pair.
+
+    One block Cholesky sweep over the windows serves every pair: window k
+    starts with the Schur complement its shared block inherits from window
+    k - 1.  A pair whose factorisation breaks down leaves the batch.
+    """
+    ok = np.ones(len(shifts), dtype=bool)
+    live = np.flatnonzero(ok)
+    eye = np.eye(wins.shape[1])
+    scale, offset = signs[:, None, None], (signs * shifts)[:, None, None] * eye
+    carry = None
+    for win, size in zip(wins, sizes):
+        mats = scale * win[:size, :size] - offset[:, :size, :size]
+        if carry is not None:
+            mats[:, :nb, :nb] = carry
+        try:
+            low = np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError:
+            factors = [_cholesky_or_none(x) for x in mats]
+            fine = np.array([f is not None for f in factors])
+            ok[live[~fine]] = False
+            live, scale, offset = live[fine], scale[fine], offset[fine]
+            if live.size == 0:
+                break
+            low = np.stack([f for f in factors if f is not None])
+        last = low[:, -nb:, -nb:]
+        carry = last @ last.conj().swapaxes(-1, -2)
+    return ok
+
+
+def _band_matvec(diags, x):
+    y = diags[0] * x
+    for d, g in enumerate(diags[1:], 1):
+        y[:-d] += g * x[d:]
+        y[d:] += g.conj() * x[:-d]
+    return y
+
+
+def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
+    """Extreme singular values of the section e^{-c (lam_i - n_j)^2}.
+
+    ``lam`` are the section's increasing node positions, ``cols`` its
+    increasing integer columns.  The Gram matrix of the smaller side (A A^H
+    for a wide section, A^H A, up to conjugation, for a tall one) has the
+    squares of the singular values ``np.linalg.svd`` returns; entries
+    beyond ``buffer`` of the diagonal are dropped, which leaves it banded.
+    A bisection on each extreme eigenvalue, both served by one batched
+    Cholesky sweep a step, starts from the smallest diagonal entry (and the
+    rounding radius below it) for lambda_min and from a power-iteration
+    Rayleigh quotient and the Gershgorin bound for lambda_max.
+
+    Returns ``(values, lo, hi)``: (sigma_min, sigma_max), the square roots of
+    the bracket midpoints, and certified lower and upper ends.  An eigenvalue
+    bracket widens by the rounding radius: the error of forming the Gram
+    matrix, gamma_{2w+4} ||A||_1 ||A||_inf for rows of at most w kept
+    entries, plus the Cholesky backward error gamma_{2s+2} |L| |L^H| for
+    windows of s rows, where rows of L have squared norm at most the
+    Gershgorin bound g and |L| |L^H| is 2P + 1 wide, so its norm is at most
+    (2P + 1) g (Demmel's theorem gives the same radius for a factorisation
+    that fails).  A singular-value bracket then widens by the Frobenius norm
+    of the dropped entries (Weyl).
+    """
+    p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
+    diags, width, norms = _gram_band(c, p, q, buffer)
+    half = len(diags) - 1
+    nb = max(half, 1)
+    wins, sizes = _cholesky_windows(diags, nb)
+    rowsum = np.abs(diags[0])
+    for d, g in enumerate(diags[1:], 1):
+        rowsum[:-d] += np.abs(g)
+        rowsum[d:] += np.abs(g)
+    # Gershgorin, raised so that mu I - G is strictly diagonally dominant
+    top = float(rowsum.max()) * (1.0 + 1e-8)
+    rounding = (_gamma(2 * width + 4) * norms
+                + (2 * half + 1) * _gamma(2 * wins.shape[1] + 2) * top)
+    x = np.ones(len(p))
+    for _ in range(8):
+        x = _band_matvec(diags, x)
+        x /= np.linalg.norm(x)
+    quotient = float(np.vdot(x, _band_matvec(diags, x)).real)
+    diag = diags[0].real
+    # index 0: G - mu I is definite for mu <= lo[0] and not at hi[0];
+    # index 1: mu I - G is definite at hi[1] and not at lo[1]
+    lo = np.array([0.0, max(float(diag.max()), quotient)])
+    hi = np.array([float(diag.min()), top])
+    while True:
+        todo = [k for k in (0, 1)
+                if hi[k] - lo[k] > _BRACKET_RTOL * hi[k] and hi[k] > 2.0 * rounding]
+        if not todo:
+            break
+        mus = np.array([_bisection_point(max(lo[k], rounding), hi[k]) for k in todo])
+        signs = np.array([1.0 if k == 0 else -1.0 for k in todo])
+        for k, mu, ok in zip(todo, mus, _definite(wins, sizes, nb, mus, signs)):
+            if ok == (k == 0):
+                lo[k] = mu
+            else:
+                hi[k] = mu
+    values = np.sqrt(0.5 * (lo + hi))
+    dropped = _integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer))
+    lower = np.maximum(np.sqrt(np.maximum(lo - rounding, 0.0)) - dropped, 0.0)
+    return values, lower, np.sqrt(hi + rounding) + dropped
+
+
+def _bisection_point(lo: float, hi: float) -> float:
+    """Geometric mean while the bracket spans more than a factor 2, then the midpoint."""
+    return float(np.sqrt(lo * hi)) if hi > 2.0 * lo else 0.5 * (lo + hi)
 
 
 def split_parts(coeffs: CoefficientVector):
@@ -401,56 +614,3 @@ def l2_norm_squared(
     x = np.arange(lo - pad, hi + pad + step, step)
     vals = np.exp(-c.c * (x[:, None] - coeffs.indices[None, :]) ** 2) @ coeffs.values
     return float(np.trapezoid(np.abs(vals) ** 2, x))
-
-
-_MAGIC = b"GCISMTX1"
-
-
-def save_matrix(mat: CollocationMatrix, path) -> None:
-    """Write a matrix as little-endian binary: header, node positions, then
-    row-major complex-double entries (real entries are widened)."""
-    rows, cols = mat.entries.shape
-    header = _MAGIC + struct.pack(
-        "<qqqqqddd",
-        mat.row_start,
-        mat.row_start + rows - 1,
-        mat.col_start,
-        mat.col_start + cols - 1,
-        mat.buffer,
-        mat.param.a,
-        mat.param.b,
-        mat.tail_bound,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(mat.node_positions, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(mat.entries, dtype="<c16").tobytes())
-
-
-def load_matrix(path) -> CollocationMatrix:
-    """Read a matrix written by :func:`save_matrix`; entries are real when
-    the stored b is 0, as :func:`collocation_matrix` builds them."""
-    head_len = len(_MAGIC) + struct.calcsize("<qqqqqddd")
-    with open(path, "rb") as fh:
-        head = fh.read(head_len)
-        if head[: len(_MAGIC)] != _MAGIC:
-            raise BadParameterError("not a collocation matrix file")
-        row_lo, row_hi, col_lo, col_hi, buffer, a, b, tail = struct.unpack(
-            "<qqqqqddd", head[len(_MAGIC) :]
-        )
-        rows = row_hi - row_lo + 1
-        cols = col_hi - col_lo + 1
-        lam = np.frombuffer(fh.read(rows * 8), dtype="<f8").astype(float)
-        data = np.frombuffer(fh.read(rows * cols * 16), dtype="<c16")
-    entries = data.reshape(rows, cols).astype(complex)
-    if b == 0.0:
-        entries = entries.real.copy()
-    return CollocationMatrix(
-        param=GaussianParam(a, b),
-        row_start=int(row_lo),
-        col_start=int(col_lo),
-        node_positions=lam,
-        entries=entries,
-        buffer=int(buffer),
-        tail_bound=float(tail),
-    )

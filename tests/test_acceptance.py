@@ -263,7 +263,6 @@ def test_criterion_12_deterministic_reports(tmp_path):
             out_dir=tmp_path / name,
             a=1.0,
             options={"n_seeds": 3},
-            threads=1 if name == "first" else 4,
         )
         report = run_scenario(cfg)
         bodies.append(

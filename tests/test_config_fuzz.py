@@ -4,8 +4,9 @@ emits a warning.
 
 Configs start from a small valid base per scenario (so the runs stay short)
 and a derandomized hypothesis search replaces some of its fields with
-wrong types, out-of-range numbers, empty lists and single sizes.  Values
-are bounded: a valid config never asks for a huge grid or frame section.
+wrong types, out-of-range numbers, empty lists, single sizes and sizes
+past the 65,536 limit.  Values are bounded: a valid config never asks for a
+huge grid or frame section.
 """
 
 import contextlib
@@ -77,6 +78,9 @@ VALUE = st.one_of(
     st.lists(st.floats(-1.0, 1.0, allow_nan=False), max_size=3),
     st.lists(st.integers(-2, 12), max_size=3),
 )
+# sizes above the limit, alone or after a valid one; each must exit 2 before any work
+TOO_LARGE = st.lists(st.integers(65_537, 2**62), min_size=1, max_size=2).map(
+    lambda big: [8] + sorted(big))
 SEQUENCE = st.one_of(
     st.just(PERIODIC),
     st.just({"kind": "affine", "alpha": 1.0, "beta": 0.5}),
@@ -103,6 +107,8 @@ def configs(draw):
             config[key] = draw(SEQUENCE)
         elif key == "a":
             config[key] = draw(st.one_of(ODD, st.floats(0.2, 2.0)))
+        elif key == "sizes":
+            config[key] = draw(st.one_of(VALUE, TOO_LARGE))
         elif key == "tolerances":
             config[key] = draw(st.one_of(VALUE, st.dictionaries(
                 st.sampled_from(["gap", "residual", "match"]), VALUE, max_size=2)))

@@ -55,9 +55,8 @@ class TestConfig:
     def test_cli_overrides(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 1, "out": "x"}))
-        cfg = load_config(path, scenario="critical-half", out_dir=tmp_path / "y",
-                          seed=9, threads=2)
-        assert cfg.seed == 9 and cfg.threads == 2
+        cfg = load_config(path, scenario="critical-half", out_dir=tmp_path / "y", seed=9)
+        assert cfg.seed == 9
         assert cfg.out_dir == tmp_path / "y"
 
     def test_bad_json(self, tmp_path):
@@ -122,20 +121,6 @@ class TestRunner:
         cfg = ScenarioConfig(scenario="classify", seed=1, out_dir=tmp_path)
         with pytest.raises(ConfigInvalidError):
             run_scenario(cfg)
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        outs = []
-        for threads, name in ((1, "one"), (4, "four")):
-            cfg = ScenarioConfig(
-                scenario="fock-consistency",
-                seed=21,
-                out_dir=tmp_path / name,
-                options={"n_seeds": 2},
-                threads=threads,
-            )
-            run_scenario(cfg)
-            outs.append((tmp_path / name / "consistency.csv").read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestCli:
@@ -366,6 +351,9 @@ class TestSignRetrieval:
         ("g0-estimate", {"options": {"log_modulus_hi": float("nan")}}),
         ("kernel-asymptotic", {"options": {"step": 1e-9}}),
         ("critical-half", {"options": {"interior_fraction": float("inf")}}),
+        ("critical-half", {"sizes": [1024, 65537]}),
+        ("kernel-asymptotic", {"options": {"log_modulus_lo": 2.0, "log_modulus_hi": 2.0, "step": 1e-89}}),
+        ("framebound-sweep", {"sizes": [16, 10**9], "sequence": {"kind": "periodic", "offsets": [0.1]}}),
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
@@ -389,6 +377,7 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, conf
         ("framebound-sweep", {"sizes": [8], "sequence": {"kind": "periodic", "offsets": [0.1]}},
          "at least two sizes"),
         ("sign-retrieval", {"options": {"window": 1, "coeff_count": 1}}, "'window'"),
+        ("critical-half", {"sizes": [1024, 65537]}, "sizes must be at most 65536"),
     ],
 )
 def test_input_errors_name_what_is_wrong(tmp_path, capsys, scenario, config, named):

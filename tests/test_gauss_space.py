@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauss_cis import gauss_space
 from gauss_cis.errors import (
@@ -15,8 +19,6 @@ from gauss_cis.gauss_space import (
     frame_bounds,
     interpolate,
     l2_norm_squared,
-    load_matrix,
-    save_matrix,
     split_parts,
 )
 from gauss_cis.lattice import (
@@ -104,20 +106,6 @@ class TestCollocationMatrix:
         with pytest.raises(NoEnumerationError):
             collocation_matrix(A1, seq, (-5, 5))
 
-    def test_binary_round_trip(self, tmp_path):
-        for b in (1.5, 0.0):
-            mat = collocation_matrix(GaussianParam(0.8, b), PeriodicPerturbation((0.2,)), (-5, 5))
-            path = tmp_path / "mat.bin"
-            save_matrix(mat, path)
-            back = load_matrix(path)
-            assert back.row_range == mat.row_range
-            assert back.col_range == mat.col_range
-            assert back.buffer == mat.buffer
-            assert back.param == mat.param
-            assert back.entries.dtype == mat.entries.dtype
-            assert np.array_equal(back.entries, mat.entries)
-            assert np.array_equal(back.node_positions, mat.node_positions)
-
 
 class TestInterpolate:
     def test_consistency_identity(self):
@@ -203,13 +191,20 @@ class TestFrameBounds:
 
 
 def _section(c, seq, m, interior_fraction, edge_margin, orientation, tol=1e-14):
-    """The interior section frame_bounds takes singular values of."""
+    """The interior section frame_bounds takes singular values of, with the
+    node positions, columns and buffer the band solver takes for it."""
     mat = collocation_matrix(c, seq, (-m, m), tol)
-    span = min(abs(mat.node_positions[0]), abs(mat.node_positions[-1]))
-    cutoff = interior_fraction * span - edge_margin
+    lam, cols = mat.node_positions, mat.col_indices.astype(float)
+    cutoff = interior_fraction * min(abs(lam[0]), abs(lam[-1])) - edge_margin
     if orientation == "interior_rows":
-        return mat.entries[np.abs(mat.node_positions) <= cutoff, :]
-    return mat.entries[:, np.abs(mat.col_indices) <= cutoff]
+        keep = np.abs(lam) <= cutoff
+        return mat.entries[keep, :], lam[keep], cols, mat.buffer
+    keep = np.abs(cols) <= cutoff
+    return mat.entries[:, keep], lam, cols[keep], mat.buffer
+
+
+def _inside(value, bracket):
+    return bracket[0] <= value <= bracket[1]
 
 
 class TestFrameBoundSolver:
@@ -225,7 +220,7 @@ class TestFrameBoundSolver:
         sizes = (16, 64, 256)
         report = frame_bounds(c, seq, sizes, orientation=orientation)
         for m, e in zip(sizes, report.entries):
-            sub = _section(c, seq, m, 2.0 / 3.0, 0.0, orientation)
+            sub = _section(c, seq, m, 2.0 / 3.0, 0.0, orientation)[0]
             s = np.linalg.svd(sub.astype(complex), compute_uv=False)
             assert (e.n_rows < e.n_cols) == (orientation == "interior_rows")
             assert e.sigma_min == pytest.approx(s[-1], rel=1e-9)
@@ -248,6 +243,96 @@ class TestFrameBoundSolver:
         for e, row in zip(report.entries, report.to_json()["entries"]):
             assert e.tail_bound == collocation_matrix(A1, seq, (-e.size, e.size), 1e-14).tail_bound
             assert row["tail_bound"] == e.tail_bound
+
+
+class TestBandSolver:
+    """The banded Gram bisection against the dense SVD of the same section."""
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("orientation", ["interior_rows", "interior_cols"])
+    @pytest.mark.parametrize("seq", [
+        PeriodicPerturbation((0.5,)),
+        PeriodicPerturbation((0.45, -0.35)),
+        PeriodicPerturbation((0.7, -0.1, -0.7, 0.1)),
+    ], ids=repr)
+    def test_matches_svd(self, seq, orientation, b):
+        c = GaussianParam(1.0, b)
+        for m in (48, 200):
+            sub, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, orientation)
+            s = np.linalg.svd(sub, compute_uv=False)
+            values, lo, hi = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+            assert values[0] == pytest.approx(s[-1], rel=1e-9)
+            assert values[1] == pytest.approx(s[0], rel=1e-9)
+            assert np.all(lo <= s[[-1, 0]]) and np.all(s[[-1, 0]] <= hi)
+
+    def test_matches_svd_at_m_1024(self):
+        seq = PeriodicPerturbation((0.5,))
+        sub, lam, cols, buffer = _section(A1, seq, 1024, 1.0, 3.0, "interior_rows")
+        s = np.linalg.svd(sub, compute_uv=False)
+        e, = frame_bounds(A1, seq, (1024,), interior_fraction=1.0, edge_margin=3.0).entries
+        assert e.solver == "band" and (e.n_rows, e.n_cols) == sub.shape
+        assert e.sigma_min == pytest.approx(s[-1], rel=1e-9)
+        assert e.sigma_max == pytest.approx(s[0], rel=1e-9)
+        # forming the Gram matrix costs eps * kappa^2 here, more than the
+        # bisection width, so only the certified radius keeps s inside
+        assert _inside(s[-1], e.sigma_min_bracket) and _inside(s[0], e.sigma_max_bracket)
+
+    @pytest.mark.parametrize("b", [0.0, 1.5])
+    @pytest.mark.parametrize("alpha, orientation, size, tall", [
+        (0.75, "interior_cols", 320, True),    # Gram of the columns, A^H A
+        (4.0 / 3.0, "interior_rows", 256, False),    # Gram of the rows, A A^H
+    ])
+    def test_rational_grids_use_the_smaller_side(self, alpha, orientation, size, tall, b):
+        c, seq = GaussianParam(1.0, b), AffineGrid(alpha)
+        sub, *_ = _section(c, seq, size, 2.0 / 3.0, 0.0, orientation)
+        s = np.linalg.svd(sub, compute_uv=False)
+        e, = frame_bounds(c, seq, (size,), orientation=orientation).entries
+        assert e.solver == "band" and (e.n_rows > e.n_cols) == tall
+        assert min(e.n_rows, e.n_cols) > gauss_space._DENSE_MAX
+        assert e.sigma_min == pytest.approx(s[-1], rel=1e-9)
+        assert e.sigma_max == pytest.approx(s[0], rel=1e-9)
+
+    @given(
+        offsets=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6),
+        b=st.sampled_from([0.0, 2.0]),
+        orientation=st.sampled_from(["interior_rows", "interior_cols"]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_brackets_contain_svd_values(self, offsets, b, orientation):
+        c = GaussianParam(1.0, b)
+        sub, lam, cols, buffer = _section(
+            c, PeriodicPerturbation(tuple(offsets)), 40, 1.0, 3.0, orientation)
+        s = np.linalg.svd(sub, compute_uv=False)
+        values, lo, hi = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        for k, exact in enumerate(s[[-1, 0]]):
+            assert lo[k] <= exact <= hi[k]
+            assert lo[k] <= values[k] <= hi[k]
+
+    def test_repeat_calls_are_bitwise_equal(self):
+        c, seq = GaussianParam(1.0, 2.0), PeriodicPerturbation((0.7, -0.1, -0.7, 0.1))
+        first, second = (frame_bounds(c, seq, (200, 300)) for _ in range(2))
+        assert [e.solver for e in first.entries] == ["band", "band"]
+        assert first == second
+
+    def test_entries_record_solver_and_brackets(self):
+        seq = PeriodicPerturbation((0.3,))
+        report = frame_bounds(A1, seq, (64, 256))
+        assert [e.solver for e in report.entries] == ["svd", "band"]
+        rows = json.loads(json.dumps(report.to_json()))["entries"]
+        for e, row in zip(report.entries, rows):
+            assert _inside(e.sigma_min, e.sigma_min_bracket)
+            assert _inside(e.sigma_max, e.sigma_max_bracket)
+            assert e.sigma_min_bracket[0] < e.sigma_min_bracket[1]
+            assert row["solver"] == e.solver
+            assert row["sigma_min_bracket"] == list(e.sigma_min_bracket)
+            assert row["sigma_max_bracket"] == list(e.sigma_max_bracket)
+
+    def test_critical_shift_at_m_4096(self):
+        e, = frame_bounds(A1, PeriodicPerturbation((0.5,)), (4096,)).entries
+        assert e.solver == "band" and e.n_rows == 5460
+        # the banded-Gram scratch computation this solver was designed from
+        assert e.sigma_min == pytest.approx(2.7169427262e-4, rel=1e-8)
+        assert _inside(e.sigma_min, e.sigma_min_bracket)
 
 
 class TestSplitParts:

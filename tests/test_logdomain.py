@@ -177,12 +177,14 @@ class TestLogSumExp:
         src = str(Path(gauss_cis.__file__).resolve().parents[1])
         path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        # importing the package and taking frame bounds must not load scipy
+        # importing the package and taking frame bounds, by the dense SVD and
+        # by the band solver, must not load scipy
         code = (
             "import sys, gauss_cis\n"
             "from gauss_cis.gauss_space import frame_bounds\n"
             "from gauss_cis.lattice import GaussianParam, PeriodicPerturbation\n"
-            "frame_bounds(GaussianParam(1.0), PeriodicPerturbation((0.5,)), (32,))\n"
+            "r = frame_bounds(GaussianParam(1.0), PeriodicPerturbation((0.5,)), (32, 200))\n"
+            "assert [e.solver for e in r.entries] == ['svd', 'band']\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
