@@ -2,11 +2,11 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigInvalidError, coerce
-from .scenarios import SCENARIOS
+from .scenarios import OPTIONS, SCENARIOS, TOLERANCES
 
 SCENARIO_NAMES = tuple(SCENARIOS)
 # largest truncation size M a config may ask for; a frame-bound section at
@@ -19,8 +19,9 @@ class ScenarioConfig:
     """Validated scenario configuration.
 
     ``seed`` is mandatory so that every run is reproducible; scenario
-    specific knobs live in ``options``.  Fields of the wrong type or form
-    raise ConfigInvalidError.
+    specific knobs live in ``options``.  Fields of the wrong type or form,
+    and options or tolerances the scenario does not declare, raise
+    ConfigInvalidError.
     """
 
     scenario: str
@@ -53,18 +54,26 @@ class ScenarioConfig:
         if any(m > MAX_SIZE for m in self.sizes):
             raise ConfigInvalidError(f"sizes must be at most {MAX_SIZE}, got {max(self.sizes)}")
         self.tolerances = coerce(dict, self.tolerances, "tolerances")
+        self.options = coerce(dict, self.options, "options")
+        _reject_unknown(self.tolerances, TOLERANCES[self.scenario], f"{self.scenario} tolerance")
+        _reject_unknown(self.options, OPTIONS[self.scenario], f"{self.scenario} option")
         for key, val in self.tolerances.items():
             if not coerce(float, val, f"tolerance {key!r}") > 0.0:
                 raise ConfigInvalidError(f"tolerance {key!r} must be > 0")
-        self.options = coerce(dict, self.options, "options")
         self.out_dir = coerce(Path, self.out_dir, "out")
-
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
 
     def echo(self) -> dict:
         """Every field but the output directory, as report.json records it."""
         return {k: v for k, v in vars(self).items() if k != "out_dir"}
+
+
+def _reject_unknown(given, known, what: str) -> None:
+    """ConfigInvalidError naming the first key of ``given`` not in ``known``."""
+    unknown = [key for key in given if key not in known]
+    if unknown:
+        raise ConfigInvalidError(
+            f"unknown {what}: {unknown[0]!r}; known: {', '.join(sorted(known)) or 'none'}"
+        )
 
 
 def load_config(
@@ -86,6 +95,9 @@ def load_config(
         raise ConfigInvalidError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalidError("config must be a JSON object")
+    # a file holds the ScenarioConfig fields, with "out" for out_dir
+    keys = {f.name for f in fields(ScenarioConfig)} - {"out_dir"} | {"out"}
+    _reject_unknown(raw, keys, "config key")
     named = raw.get("scenario")
     if named is not None and named != scenario:
         raise ConfigInvalidError(

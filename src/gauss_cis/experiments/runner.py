@@ -1,10 +1,13 @@
 """Run scenarios and write deterministic reports.
 
-Reports are always written, even when thresholds fail; only the exit
-status reflects the verdict.  CSV bodies are byte-stable across runs of
-the same config: floats print with 17 significant digits, rows keep the
-scenario's fixed order, and nothing time-dependent enters a CSV (timings
-live in report.json only).
+A scenario returns one table, written as ``<table>.csv``, and at most one
+plot, written as ``plotdata/<plot>.csv``: a projection of some of the
+table's columns.  Each column is formatted once and both files are
+written from the same strings.  Reports are always written, even when
+thresholds fail; only the exit status reflects the verdict.  CSV bodies
+are byte-stable across runs of the same config: floats print with 17
+significant digits, rows keep the scenario's fixed order, and nothing
+time-dependent enters a CSV (timings live in report.json only).
 """
 
 import json
@@ -18,23 +21,24 @@ from ..errors import UnknownScenarioError
 from .config import ScenarioConfig
 from .scenarios import SCENARIOS
 
-__all__ = ["ScenarioReport", "run_scenario", "format_cell"]
+__all__ = ["ScenarioReport", "run_scenario"]
 
 
-def format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+def _formatter(kind):
+    """How a ``kind`` value prints: bools (tested before int) as true/false, ints
+    in full, floats as float() with 17 significant digits, anything else by str."""
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda v: "true" if v else "false"
+    if issubclass(kind, (int, np.integer)):
+        return lambda v: str(int(v))
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g".__mod__  # % converts through float()
+    return str
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(format_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _format_column(values) -> list:
+    fmt = {kind: _formatter(kind) for kind in set(map(type, values))}
+    return [fmt[type(v)](v) for v in values]
 
 
 @dataclass
@@ -47,17 +51,11 @@ class ScenarioReport:
     elapsed_seconds: float
 
 
-class _JsonEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
+def _plain(o):
+    """A numpy scalar or array as the Python value json writes."""
+    if isinstance(o, (np.generic, np.ndarray)):
+        return o.tolist()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -71,28 +69,25 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_paths = []
-    for name, (header, rows) in outcome.tables.items():
-        path = out / f"{name}.csv"
-        _write_csv(path, header, rows)
-        csv_paths.append(path)
-    if outcome.plots:
-        plot_dir = out / "plotdata"
-        plot_dir.mkdir(exist_ok=True)
-        for name, (header, rows) in outcome.plots.items():
-            path = plot_dir / f"{name}.csv"
-            _write_csv(path, header, rows)
-            csv_paths.append(path)
+    text = {h: _format_column([r[i] for r in outcome.rows]) for i, h in enumerate(outcome.header)}
+    csvs = {out / f"{outcome.table}.csv": outcome.header}  # path -> columns
+    if outcome.plot:
+        (out / "plotdata").mkdir(exist_ok=True)
+        csvs[out / "plotdata" / f"{outcome.plot[0]}.csv"] = outcome.plot[1]
+    for path, header in csvs.items():
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*(text[h] for h in header)))
 
     report = {
         "config": config.echo(),
         "passed": outcome.passed,
         "summary": outcome.summary,
-        "csv_files": [str(p.relative_to(out)) for p in csv_paths],
+        "csv_files": [str(p.relative_to(out)) for p in csvs],
         "elapsed_seconds": elapsed,
     }
     (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, cls=_JsonEncoder) + "\n",
+        json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n",
         encoding="utf-8",
     )
     return ScenarioReport(
@@ -100,6 +95,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         passed=outcome.passed,
         summary=outcome.summary,
         out_dir=out,
-        csv_paths=tuple(csv_paths),
+        csv_paths=tuple(csvs),
         elapsed_seconds=elapsed,
     )

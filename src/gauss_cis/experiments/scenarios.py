@@ -1,15 +1,17 @@
-"""Scenario content: each function turns a config into records and tables.
+"""Scenario content: each function turns a config into a verdict and one table.
 
 Scenario functions are pure apart from RNG seeded from the config; the
 runner handles serialization, timing, and exit status.  Grid points are
 evaluated serially in a fixed order, so reports are deterministic.
-Options are read through :func:`_option`, so a value of the wrong type or
-form raises ConfigInvalidError.
+Each scenario is registered with the options it reads, each with its
+default and parser, and its tolerances with their defaults; ScenarioConfig
+rejects any other key before a scenario runs, and :func:`_option` raises
+ConfigInvalidError for a value of the wrong type or form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,23 +31,55 @@ from .sign_retrieval import half_grid, sign_retrieval_check
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
-__all__ = ["ScenarioOutcome", "SCENARIOS"]
+__all__ = ["ScenarioOutcome", "SCENARIOS", "OPTIONS", "TOLERANCES"]
 
 # most points a kernel or product grid may ask for
 _MAX_GRID = 1_000_000
+
+SCENARIOS = {}   # scenario name -> function
+OPTIONS = {}     # scenario name -> {option: (default, parser)}
+TOLERANCES = {}  # scenario name -> {tolerance: default}
 
 
 @dataclass
 class ScenarioOutcome:
     passed: bool
     summary: dict
-    tables: dict = field(default_factory=dict)   # name -> (header, rows)
-    plots: dict = field(default_factory=dict)    # plotdata name -> (header, rows)
+    table: str                 # CSV name
+    header: tuple
+    rows: list                 # tuples in header order
+    plot: tuple | None = None  # (plotdata name, the table columns it holds)
 
 
-def _option(config: ScenarioConfig, key: str, default, kind=float):
-    """Option ``key`` read as ``kind``, or ``default`` when it is absent."""
-    return coerce(kind, config.options.get(key, default), f"option {key!r}")
+def _scenario(name: str, tolerances=None, **options):
+    """Register the decorated function as scenario ``name``, reading
+    ``options`` (each given as (default, parser)) and ``tolerances``
+    (each given with its default)."""
+    def register(fn):
+        SCENARIOS[name] = fn
+        OPTIONS[name] = options
+        TOLERANCES[name] = tolerances or {}
+        return fn
+    return register
+
+
+def _option(config: ScenarioConfig, key: str):
+    """Option ``key`` read by its declared parser, or its default when absent."""
+    default, parse = OPTIONS[config.scenario][key]
+    if key not in config.options:
+        return default
+    return coerce(parse, config.options[key], f"option {key!r}")
+
+
+def _tolerance(config: ScenarioConfig, key: str) -> float:
+    return float(config.tolerances.get(key, TOLERANCES[config.scenario][key]))
+
+
+def _flag(value) -> bool:
+    """``value`` if it is a JSON boolean; a string such as "false" is not."""
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
 
 
 def _positive(value) -> float:
@@ -113,7 +147,7 @@ def _in_bracket(config: ScenarioConfig, ratios) -> bool:
     """True unless a ``bracket`` option is set and some ratio leaves it."""
     if config.options.get("bracket") is None:
         return True
-    lo, hi = _option(config, "bracket", None, _pair)
+    lo, hi = _option(config, "bracket")
     return bool(ratios.min() >= lo and ratios.max() <= hi)
 
 
@@ -152,15 +186,16 @@ def _stability_pct(report) -> float:
     return 100.0 * abs(cur.sigma_min - prev.sigma_min) / prev.sigma_min
 
 
+@_scenario("classify", n_max=(8, int), margin=(1e-9, float), expect_pass=(None, _flag))
 def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
     seq = _require_sequence(config)
+    expect = _option(config, "expect_pass")
     verdict = avdonin_verdict(
         seq,
-        n_max=_option(config, "n_max", 8, int),
-        margin=_option(config, "margin", 1e-9),
+        n_max=_option(config, "n_max"),
+        margin=_option(config, "margin"),
     )
-    expect = config.options.get("expect_pass")
-    passed = True if expect is None else (verdict.passes == bool(expect))
+    passed = True if expect is None else (verdict.passes == expect)
     v = verdict.to_json()
     rows = [(
         config.sequence.get("kind"),
@@ -180,43 +215,46 @@ def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
     return ScenarioOutcome(
         passed=passed,
         summary={"verdict": v, "expect_pass": expect},
-        tables={"verdict": (header, rows)},
+        table="verdict", header=header, rows=rows,
     )
 
 
-def _frame_sweep(config: ScenarioConfig, seq, frac: float, margin: float):
-    """Frame bounds at the config's sizes; ``frac`` and ``margin`` are the
-    defaults of the interior_fraction and edge_margin options."""
+def _frame_sweep(config: ScenarioConfig, seq):
+    """Frame bounds at the config's sizes, trimmed as its options say."""
     return _sweep(
         config, seq, _sweep_sizes(config),
-        _option(config, "interior_fraction", frac),
-        _option(config, "edge_margin", margin),
-        config.options.get("orientation", "interior_rows"),
+        _option(config, "interior_fraction"),
+        _option(config, "edge_margin"),
+        _option(config, "orientation"),
     )
 
 
 def _frame_outcome(passed: bool, summary: dict, report) -> ScenarioOutcome:
     """Outcome holding one sweep's frame-bound table and sigma_min plot."""
-    rows = [(e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries]
     return ScenarioOutcome(
         passed=passed,
         summary={"report": report.to_json(), **summary},
-        tables={"frame_bounds": (("size", "n_rows", "n_cols", "sigma_min", "sigma_max"), rows)},
-        plots={"sigma_min": (("size", "sigma_min"), [(e.size, e.sigma_min) for e in report.entries])},
+        table="frame_bounds", header=("size", "n_rows", "n_cols", "sigma_min", "sigma_max"),
+        rows=[(e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries],
+        plot=("sigma_min", ("size", "sigma_min")),
     )
 
 
+@_scenario("framebound-sweep", interior_fraction=(2.0 / 3.0, float), edge_margin=(0.0, float),
+           orientation=("interior_rows", str), stability_pct=(float("inf"), float))
 def scenario_framebound_sweep(config: ScenarioConfig) -> ScenarioOutcome:
-    report = _frame_sweep(config, _require_sequence(config), 2.0 / 3.0, 0.0)
+    report = _frame_sweep(config, _require_sequence(config))
     pct = _stability_pct(report)
-    passed = pct <= _option(config, "stability_pct", float("inf"))
+    passed = pct <= _option(config, "stability_pct")
     return _frame_outcome(passed, {"stability_pct": pct}, report)
 
 
+@_scenario("critical-half", interior_fraction=(1.0, float), edge_margin=(3.0, float),
+           orientation=("interior_rows", str), max_ratio=(0.5, float))
 def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
     seq = build_sequence(config.sequence) if config.sequence else PeriodicPerturbation((0.5,))
-    report = _frame_sweep(config, seq, 1.0, 3.0)
-    max_ratio = _option(config, "max_ratio", 0.5)
+    report = _frame_sweep(config, seq)
+    max_ratio = _option(config, "max_ratio")
     ratios = report.sigma_min_ratios()
     summary = {
         "max_ratio_allowed": max_ratio,
@@ -225,14 +263,17 @@ def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
     return _frame_outcome(all(r <= max_ratio for _, _, r in ratios), summary, report)
 
 
+@_scenario("kadets-sweep", deltas=((0.1, 0.3, 0.45), _floats), critical_deltas=((0.5,), _floats),
+           interior_fraction=(1.0, float), edge_margin=(3.0, float),
+           stability_pct=(10.0, float), max_ratio=(0.5, float))
 def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
-    deltas = _option(config, "deltas", (0.1, 0.3, 0.45), _floats)
-    critical = _option(config, "critical_deltas", (0.5,), _floats)
+    deltas = _option(config, "deltas")
+    critical = _option(config, "critical_deltas")
     sizes = _sweep_sizes(config)
-    frac = _option(config, "interior_fraction", 1.0)
-    margin = _option(config, "edge_margin", 3.0)
-    stability = _option(config, "stability_pct", 10.0)
-    max_ratio = _option(config, "max_ratio", 0.5)
+    frac = _option(config, "interior_fraction")
+    margin = _option(config, "edge_margin")
+    stability = _option(config, "stability_pct")
+    max_ratio = _option(config, "max_ratio")
     rows, checks = [], []
     for d in sorted(deltas) + sorted(critical):
         report = _sweep(config, PeriodicPerturbation((d,)), sizes, frac, margin, "interior_rows")
@@ -252,17 +293,19 @@ def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     return ScenarioOutcome(
         passed=all(ch["ok"] for ch in checks),
         summary={"checks": checks, "stability_pct": stability, "max_ratio": max_ratio},
-        tables={"kadets": (header, rows)},
-        plots={"sigma_min": (("delta", "size", "sigma_min"), [(r[0], r[1], r[4]) for r in rows])},
+        table="kadets", header=header, rows=rows,
+        plot=("sigma_min", ("delta", "size", "sigma_min")),
     )
 
 
+@_scenario("density-demo", alphas=((0.9, 1.1), _floats), interior_fraction=(2.0 / 3.0, float),
+           edge_margin=(0.0, float), stability_pct=(10.0, float))
 def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
-    alphas = _option(config, "alphas", (0.9, 1.1), _floats)
+    alphas = _option(config, "alphas")
     sizes = _sweep_sizes(config)
-    frac = _option(config, "interior_fraction", 2.0 / 3.0)
-    margin = _option(config, "edge_margin", 0.0)
-    stability = _option(config, "stability_pct", 10.0)
+    frac = _option(config, "interior_fraction")
+    margin = _option(config, "edge_margin")
+    stability = _option(config, "stability_pct")
     rows, checks = [], []
     for alpha in sorted(alphas):
         # oversampled grids measure the sampling-side bound (interior
@@ -283,19 +326,22 @@ def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
     return ScenarioOutcome(
         passed=all(ch["ok"] for ch in checks),
         summary={"checks": checks, "stability_pct": stability},
-        tables={"density": (header, rows)},
-        plots={"sigma_min": (("alpha", "size", "sigma_min"), [(r[0], r[2], r[5]) for r in rows])},
+        table="density", header=header, rows=rows,
+        plot=("sigma_min", ("alpha", "size", "sigma_min")),
     )
 
 
+@_scenario("kernel-asymptotic", log_modulus_lo=(-10.0, float), log_modulus_hi=(10.0, float),
+           step=(0.25, _positive), max_spread=(10.0, float), bracket=(None, _pair))
 def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
-    lo = _option(config, "log_modulus_lo", -10.0)
-    hi = _option(config, "log_modulus_hi", 10.0)
-    step = _option(config, "step", 0.25, _positive)
-    max_spread = _option(config, "max_spread", 10.0)
+    lo = _option(config, "log_modulus_lo")
+    hi = _option(config, "log_modulus_hi")
+    step = _option(config, "step")
+    max_spread = _option(config, "max_spread")
     bracket = config.options.get("bracket")
     grid = _log_modulus_grid(lo, hi, step)
     _, ratios = fock.kernel_norm(config.a, fock.LogPolarPoint(grid, np.zeros_like(grid)))
+    header = ("log_modulus", "ratio")
     rows = list(zip(grid.tolist(), ratios.tolist()))
     spread = float(ratios.max() / ratios.min())
     passed = spread <= max_spread and _in_bracket(config, ratios)
@@ -308,18 +354,24 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
             "max_spread": max_spread,
             "bracket": bracket,
         },
-        tables={"kernel_ratio": (("log_modulus", "ratio"), rows)},
-        plots={"kernel_ratio": (("log_modulus", "ratio"), rows)},
+        table="kernel_ratio", header=header, rows=rows,
+        plot=("kernel_ratio", header),
     )
 
 
+# log_modulus_lo and log_modulus_hi default to a and 21a
+@_scenario("g0-estimate", log_modulus_lo=(None, float), log_modulus_hi=(None, float),
+           step=(0.1, _positive), n_angles=(8, _count), exclusion=(0.1, _positive),
+           bracket=(None, _pair))
 def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     a = config.a
-    lo = _option(config, "log_modulus_lo", a)
-    hi = _option(config, "log_modulus_hi", 21.0 * a)
-    step = _option(config, "step", 0.1, _positive)
-    n_angles = _option(config, "n_angles", 8, _count)
-    exclusion = _option(config, "exclusion", 0.1, _positive)
+    lo = _option(config, "log_modulus_lo")
+    lo = a if lo is None else lo
+    hi = _option(config, "log_modulus_hi")
+    hi = 21.0 * a if hi is None else hi
+    step = _option(config, "step")
+    n_angles = _option(config, "n_angles")
+    exclusion = _option(config, "exclusion")
     bracket = config.options.get("bracket")
 
     lms = _log_modulus_grid(lo, hi, step, n_angles)
@@ -334,6 +386,7 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
 
     points = fock.LogPolarPoint(grid.log_modulus[keep], grid.argument[keep])
     ratios = fock.g0_estimate_ratio(a, points)
+    header = ("log_modulus", "argument", "ratio")
     rows = list(zip(points.log_modulus.tolist(), points.argument.tolist(), ratios.tolist()))
     summary = {
         "ratio_min": float(ratios.min()),
@@ -344,17 +397,20 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     return ScenarioOutcome(
         passed=_in_bracket(config, ratios),
         summary=summary,
-        tables={"g0_ratio": (("log_modulus", "argument", "ratio"), rows)},
-        plots={"g0_ratio": (("log_modulus", "argument", "ratio"), rows)},
+        table="g0_ratio", header=header, rows=rows,
+        plot=("g0_ratio", header),
     )
 
 
+@_scenario("fock-consistency", tolerances={"gap": 1e-9}, n_seeds=(5, _count),
+           lambdas=(tuple(np.linspace(-5.0, 5.0, 11).tolist()), _floats),
+           b_values=((0.0, 2.0), _floats), coeff_range=((1, 16), _coeff_range))
 def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
-    n_seeds = _option(config, "n_seeds", 5, _count)
-    lambdas = _option(config, "lambdas", np.linspace(-5.0, 5.0, 11), _floats)
-    b_values = _option(config, "b_values", (0.0, 2.0), _floats)
-    n_lo, n_hi = _option(config, "coeff_range", (1, 16), _coeff_range)
-    tol = config.tolerance("gap", 1e-9)
+    n_seeds = _option(config, "n_seeds")
+    lambdas = _option(config, "lambdas")
+    b_values = _option(config, "b_values")
+    n_lo, n_hi = _option(config, "coeff_range")
+    tol = _tolerance(config, "gap")
     for key, values in (("lambdas", lambdas), ("b_values", b_values)):
         if not values:
             raise ConfigInvalidError(f"option {key!r}: needs at least one value")
@@ -372,23 +428,26 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
     return ScenarioOutcome(
         passed=worst < tol,
         summary={"max_gap": worst, "tolerance": tol, "n_checks": len(rows)},
-        tables={"consistency": (("seed_index", "b", "lambda", "gap"), rows)},
-        plots={"gap": (("lambda", "gap"), [(r[2], r[3]) for r in rows])},
+        table="consistency", header=("seed_index", "b", "lambda", "gap"), rows=rows,
+        plot=("gap", ("lambda", "gap")),
     )
 
 
+@_scenario("sign-retrieval", tolerances={"residual": 1e-8, "match": 1e-8},
+           trials=(50, _count), window=(12, _count), coeff_start=(0, int), coeff_count=(5, _count),
+           delta_amplitude=(0.2, _nonnegative), node_start=(-1, int))
 def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
-    trials = _option(config, "trials", 50, _count)
-    window = _option(config, "window", 12, _count)
+    trials = _option(config, "trials")
+    window = _option(config, "window")
     if window < 2:
         # the dilated-node verdict compares neighbouring nodes
         raise ConfigInvalidError(f"option 'window': needs at least two nodes, got {window}")
-    coeff_start = _option(config, "coeff_start", 0, int)
-    coeff_count = _option(config, "coeff_count", 5, _count)
-    amplitude = _option(config, "delta_amplitude", 0.2, _nonnegative)
-    node_start = _option(config, "node_start", -1, int)
-    residual_tol = config.tolerance("residual", 1e-8)
-    match_tol = config.tolerance("match", 1e-8)
+    coeff_start = _option(config, "coeff_start")
+    coeff_count = _option(config, "coeff_count")
+    amplitude = _option(config, "delta_amplitude")
+    node_start = _option(config, "node_start")
+    residual_tol = _tolerance(config, "residual")
+    match_tol = _tolerance(config, "match")
 
     def run(t):
         rng = np.random.default_rng([config.seed, t])
@@ -423,18 +482,6 @@ def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
             "prefixes_checked": sum(res.prefixes_checked for res in results),
             "patterns_total": trials * 2**window,
         },
-        tables={"sign_retrieval": (header, rows)},
+        table="sign_retrieval", header=header, rows=rows,
     )
 
-
-SCENARIOS = {
-    "classify": scenario_classify,
-    "framebound-sweep": scenario_framebound_sweep,
-    "critical-half": scenario_critical_half,
-    "kadets-sweep": scenario_kadets_sweep,
-    "density-demo": scenario_density_demo,
-    "kernel-asymptotic": scenario_kernel_asymptotic,
-    "g0-estimate": scenario_g0_estimate,
-    "fock-consistency": scenario_fock_consistency,
-    "sign-retrieval": scenario_sign_retrieval,
-}

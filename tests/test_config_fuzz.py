@@ -6,7 +6,8 @@ Configs start from a small valid base per scenario (so the runs stay short)
 and a derandomized hypothesis search replaces some of its fields with
 wrong types, out-of-range numbers, empty lists, single sizes and sizes
 past the 65,536 limit.  Values are bounded: a valid config never asks for a
-huge grid or frame section.
+huge grid or frame section.  Misspelled keys and non-boolean
+``expect_pass`` values are listed cases, each of which must exit 2.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +141,53 @@ def test_any_config_exits_2_or_reports(case):
             assert message == ""
             report = json.loads((out / "report.json").read_text())
             assert code == (0 if report["passed"] else 1)
+
+
+def _run(tmp, scenario, config):
+    """(exit code, stderr) of the CLI on ``config``."""
+    path = Path(tmp) / "c.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main([scenario, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+def _misspell(config, level):
+    """The config with one key misspelled at ``level``; returns the bad key."""
+    if level == "top":
+        config["sizes_typo"] = [8, 16]
+        return "sizes_typo"
+    if level == "tolerances":
+        config["tolerances"] = {"gapp": 1e-9}
+        return "gapp"
+    key = sorted(config["options"])[0]
+    config["options"][key + key[-1]] = config["options"].pop(key)
+    return key + key[-1]
+
+
+@pytest.mark.parametrize("level", ["top", "options", "tolerances"])
+@pytest.mark.parametrize("scenario", sorted(BASE))
+def test_misspelled_key_exits_2_naming_it(tmp_path, scenario, level):
+    config = {**json.loads(json.dumps(BASE[scenario])), "seed": 1}
+    bad = _misspell(config, level)
+    code, err = _run(tmp_path, scenario, config)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(bad) in err, err
+    assert not (tmp_path / "out").exists()
+
+
+CRITICAL = {"seed": 1, "sequence": {"kind": "periodic", "offsets": [0.5]}}
+
+
+@pytest.mark.parametrize("value", ["false", "true", "no", 0, 1, None, [], {}])
+def test_expect_pass_takes_only_json_booleans(tmp_path, value):
+    code, err = _run(tmp_path, "classify", {**CRITICAL, "options": {"expect_pass": value}})
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'expect_pass'" in err, err
+
+
+@pytest.mark.parametrize("value, code", [(False, 0), (True, 1)])
+def test_expect_pass_is_compared_with_the_verdict(tmp_path, value, code):
+    # the critical shift fails the classifier, as an expectation of false says
+    assert _run(tmp_path, "classify", {**CRITICAL, "options": {"expect_pass": value}}) == (code, "")

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,9 @@ from gauss_cis.errors import (
     WindowTooLargeError,
 )
 from gauss_cis.experiments import (
+    SCENARIOS,
     ScenarioConfig,
+    ScenarioOutcome,
     half_grid,
     load_config,
     run_scenario,
@@ -38,7 +41,7 @@ class TestConfig:
 
     def test_bad_tolerance(self):
         with pytest.raises(ConfigInvalidError):
-            ScenarioConfig(scenario="classify", seed=1, out_dir="out",
+            ScenarioConfig(scenario="fock-consistency", seed=1, out_dir="out",
                            tolerances={"gap": 0.0})
 
     def test_sizes_must_increase(self):
@@ -121,6 +124,76 @@ class TestRunner:
         cfg = ScenarioConfig(scenario="classify", seed=1, out_dir=tmp_path)
         with pytest.raises(ConfigInvalidError):
             run_scenario(cfg)
+
+
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+
+
+def _reference_cell(value) -> str:
+    """The writer's original per-cell rule, kept as the oracle for the
+    column-at-a-time writer."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def _reference_csvs(outcome) -> dict:
+    """Relative path -> CSV text of the outcome's table and plot, cell by cell."""
+    def csv(names):
+        cols = [outcome.header.index(n) for n in names]
+        lines = [",".join(names)]
+        lines += [",".join(_reference_cell(row[i]) for i in cols) for row in outcome.rows]
+        return "\n".join(lines) + "\n"
+
+    texts = {f"{outcome.table}.csv": csv(outcome.header)}
+    if outcome.plot:
+        texts[f"plotdata/{outcome.plot[0]}.csv"] = csv(outcome.plot[1])
+    return texts
+
+
+def _assert_written_as_reference(out, report, outcome):
+    expected = _reference_csvs(outcome)
+    assert [p.relative_to(out).as_posix() for p in report.csv_paths] == list(expected)
+    for rel, text in expected.items():
+        assert (out / rel).read_text(encoding="utf-8") == text, rel
+    assert json.loads((out / "report.json").read_text())["csv_files"] == list(expected)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+    def test_demo_csvs_equal_the_per_cell_reference(self, tmp_path, monkeypatch, path):
+        config = load_config(path, json.loads(path.read_text())["scenario"], out_dir=tmp_path)
+        outcomes = []
+        scenario = SCENARIOS[config.scenario]
+
+        def capture(c):
+            outcomes.append(scenario(c))
+            return outcomes[-1]
+
+        monkeypatch.setitem(SCENARIOS, config.scenario, capture)
+        report = run_scenario(config)
+        _assert_written_as_reference(tmp_path, report, outcomes[0])
+
+    def test_nine_demo_configs(self):
+        assert len(DEMO_CONFIGS) == 9
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 11])
+    def test_edge_values_equal_the_per_cell_reference(self, tmp_path, monkeypatch, n_rows):
+        edge = [True, np.bool_(False), np.int64(-7), None, float("nan"), float("inf"),
+                float("-inf"), -0.0, 1e-300, np.float32(0.1), np.float64(2.5)]
+        rows = [(i, edge[i], "x" if i % 2 else None, edge[-1 - i]) for i in range(n_rows)]
+        outcome = ScenarioOutcome(
+            passed=True, summary={}, table="edge",
+            header=("index", "edge", "label", "reversed"), rows=rows,
+            plot=("edge", ("reversed", "index")),
+        )
+        monkeypatch.setitem(SCENARIOS, "classify", lambda c: outcome)
+        report = run_scenario(ScenarioConfig(scenario="classify", seed=1, out_dir=tmp_path))
+        _assert_written_as_reference(tmp_path, report, outcome)
 
 
 class TestCli:
