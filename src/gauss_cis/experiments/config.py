@@ -19,9 +19,9 @@ class ScenarioConfig:
     """Validated scenario configuration.
 
     ``seed`` is mandatory so that every run is reproducible; scenario
-    specific knobs live in ``options``.  Fields of the wrong type or form,
-    and options or tolerances the scenario does not declare, raise
-    ConfigInvalidError.
+    specific knobs live in ``options``, each read through the parser its
+    scenario declares.  Fields of the wrong type or form, and options or
+    tolerances the scenario does not declare, raise ConfigInvalidError.
     """
 
     scenario: str
@@ -57,6 +57,9 @@ class ScenarioConfig:
         self.options = coerce(dict, self.options, "options")
         _reject_unknown(self.tolerances, TOLERANCES[self.scenario], f"{self.scenario} tolerance")
         _reject_unknown(self.options, OPTIONS[self.scenario], f"{self.scenario} option")
+        declared = OPTIONS[self.scenario]
+        self.options = {key: coerce(declared[key][1], val, f"option {key!r}")
+                        for key, val in self.options.items()}
         for key, val in self.tolerances.items():
             if not coerce(float, val, f"tolerance {key!r}") > 0.0:
                 raise ConfigInvalidError(f"tolerance {key!r} must be > 0")

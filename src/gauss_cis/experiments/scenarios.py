@@ -4,9 +4,10 @@ Scenario functions are pure apart from RNG seeded from the config; the
 runner handles serialization, timing, and exit status.  Grid points are
 evaluated serially in a fixed order, so reports are deterministic.
 Each scenario is registered with the options it reads, each with its
-default and parser, and its tolerances with their defaults; ScenarioConfig
-rejects any other key before a scenario runs, and :func:`_option` raises
-ConfigInvalidError for a value of the wrong type or form.
+default and parser, and its tolerances with their defaults.  Before a
+scenario runs, ScenarioConfig rejects any other key and reads every given
+option through its parser, so a value of the wrong type or form raises
+ConfigInvalidError before any work.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import fock, gauss_space
-from ..errors import ConfigInvalidError, coerce
+from ..errors import ConfigInvalidError
 from ..gauss_space import CoefficientVector
 from ..lattice import (
     AffineGrid,
@@ -64,11 +65,8 @@ def _scenario(name: str, tolerances=None, **options):
 
 
 def _option(config: ScenarioConfig, key: str):
-    """Option ``key`` read by its declared parser, or its default when absent."""
-    default, parse = OPTIONS[config.scenario][key]
-    if key not in config.options:
-        return default
-    return coerce(parse, config.options[key], f"option {key!r}")
+    """Option ``key`` as its parser read it, or its default when absent."""
+    return config.options.get(key, OPTIONS[config.scenario][key][0])
 
 
 def _tolerance(config: ScenarioConfig, key: str) -> float:
@@ -130,9 +128,22 @@ def _floats(values) -> list:
     return [float(x) for x in values]
 
 
+def _some_floats(values) -> list:
+    """``values`` as a list of at least one float."""
+    out = _floats(values)
+    if not out:
+        raise ValueError("needs at least one value")
+    return out
+
+
 def _pair(values, kind=float) -> tuple:
     lo, hi = values
     return kind(lo), kind(hi)
+
+
+def _bracket(values):
+    """``[lo, hi]`` bounds on a ratio, or None for no bounds."""
+    return None if values is None else _pair(values)
 
 
 def _coeff_range(values) -> tuple:
@@ -143,11 +154,11 @@ def _coeff_range(values) -> tuple:
     return lo, hi
 
 
-def _in_bracket(config: ScenarioConfig, ratios) -> bool:
-    """True unless a ``bracket`` option is set and some ratio leaves it."""
-    if config.options.get("bracket") is None:
+def _in_bracket(bracket, ratios) -> bool:
+    """True unless ``bracket`` is set and some ratio leaves it."""
+    if bracket is None:
         return True
-    lo, hi = _option(config, "bracket")
+    lo, hi = bracket
     return bool(ratios.min() >= lo and ratios.max() <= hi)
 
 
@@ -269,6 +280,10 @@ def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
 def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     deltas = _option(config, "deltas")
     critical = _option(config, "critical_deltas")
+    if not deltas and not critical:
+        raise ConfigInvalidError(
+            "options 'deltas' and 'critical_deltas': need at least one delta between them"
+        )
     sizes = _sweep_sizes(config)
     frac = _option(config, "interior_fraction")
     margin = _option(config, "edge_margin")
@@ -298,7 +313,7 @@ def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     )
 
 
-@_scenario("density-demo", alphas=((0.9, 1.1), _floats), interior_fraction=(2.0 / 3.0, float),
+@_scenario("density-demo", alphas=((0.9, 1.1), _some_floats), interior_fraction=(2.0 / 3.0, float),
            edge_margin=(0.0, float), stability_pct=(10.0, float))
 def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
     alphas = _option(config, "alphas")
@@ -332,19 +347,19 @@ def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 @_scenario("kernel-asymptotic", log_modulus_lo=(-10.0, float), log_modulus_hi=(10.0, float),
-           step=(0.25, _positive), max_spread=(10.0, float), bracket=(None, _pair))
+           step=(0.25, _positive), max_spread=(10.0, float), bracket=(None, _bracket))
 def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
     lo = _option(config, "log_modulus_lo")
     hi = _option(config, "log_modulus_hi")
     step = _option(config, "step")
     max_spread = _option(config, "max_spread")
-    bracket = config.options.get("bracket")
+    bracket = _option(config, "bracket")
     grid = _log_modulus_grid(lo, hi, step)
     _, ratios = fock.kernel_norm(config.a, fock.LogPolarPoint(grid, np.zeros_like(grid)))
     header = ("log_modulus", "ratio")
     rows = list(zip(grid.tolist(), ratios.tolist()))
     spread = float(ratios.max() / ratios.min())
-    passed = spread <= max_spread and _in_bracket(config, ratios)
+    passed = spread <= max_spread and _in_bracket(bracket, ratios)
     return ScenarioOutcome(
         passed=passed,
         summary={
@@ -362,7 +377,7 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
 # log_modulus_lo and log_modulus_hi default to a and 21a
 @_scenario("g0-estimate", log_modulus_lo=(None, float), log_modulus_hi=(None, float),
            step=(0.1, _positive), n_angles=(8, _count), exclusion=(0.1, _positive),
-           bracket=(None, _pair))
+           bracket=(None, _bracket))
 def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     a = config.a
     lo = _option(config, "log_modulus_lo")
@@ -372,7 +387,7 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     step = _option(config, "step")
     n_angles = _option(config, "n_angles")
     exclusion = _option(config, "exclusion")
-    bracket = config.options.get("bracket")
+    bracket = _option(config, "bracket")
 
     lms = _log_modulus_grid(lo, hi, step, n_angles)
     zeros = fock.GeneratingProduct.unperturbed(a, int(np.ceil((hi + 40) / (2 * a))))
@@ -395,7 +410,7 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
         "bracket": bracket,
     }
     return ScenarioOutcome(
-        passed=_in_bracket(config, ratios),
+        passed=_in_bracket(bracket, ratios),
         summary=summary,
         table="g0_ratio", header=header, rows=rows,
         plot=("g0_ratio", header),
@@ -403,17 +418,14 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 @_scenario("fock-consistency", tolerances={"gap": 1e-9}, n_seeds=(5, _count),
-           lambdas=(tuple(np.linspace(-5.0, 5.0, 11).tolist()), _floats),
-           b_values=((0.0, 2.0), _floats), coeff_range=((1, 16), _coeff_range))
+           lambdas=(tuple(np.linspace(-5.0, 5.0, 11).tolist()), _some_floats),
+           b_values=((0.0, 2.0), _some_floats), coeff_range=((1, 16), _coeff_range))
 def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
     n_seeds = _option(config, "n_seeds")
     lambdas = _option(config, "lambdas")
     b_values = _option(config, "b_values")
     n_lo, n_hi = _option(config, "coeff_range")
     tol = _tolerance(config, "gap")
-    for key, values in (("lambdas", lambdas), ("b_values", b_values)):
-        if not values:
-            raise ConfigInvalidError(f"option {key!r}: needs at least one value")
 
     rows = []
     for i in range(n_seeds):

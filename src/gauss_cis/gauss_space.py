@@ -8,10 +8,13 @@ series side (module ``fock``).
 
 Frame bounds of small sections come from a dense SVD.  A large section is
 never built densely: its entries fall below tol^2 beyond ``buffer`` of the
-diagonal, so the Gram matrix of its smaller side is banded, and a block
-Cholesky of that band, shifted by mu, succeeds exactly when mu lies below
-the smallest eigenvalue.  Bisection on mu brackets both extreme singular
-values, with a certificate for the dropped entries and the rounding.
+diagonal, so the Gram matrix of its smaller side is banded, and its outer
+diagonals fall off fast enough to be trimmed to about half that width.  A
+twisted block Cholesky of the band, shifted by mu, succeeds exactly when mu
+lies below the smallest eigenvalue.  A bisection on mu, steered by the
+Schur complement of the middle window, brackets both extreme singular
+values, with a certificate for the dropped entries, the trimmed diagonals
+and the rounding.
 """
 
 from dataclasses import asdict, dataclass
@@ -53,6 +56,9 @@ _BRACKET_RTOL = 1e-10
 # a Cholesky window spans this many bandwidth-sized blocks
 _WINDOW_BLOCKS = 3
 _EPS = np.finfo(float).eps
+# the band solver drops outer Gram diagonals while their largest row sum
+# stays within this multiple of the Gershgorin bound
+_TRIM_RTOL = _EPS
 
 
 @dataclass(frozen=True)
@@ -277,10 +283,20 @@ class FrameBoundEntry:
     solver: str          # "svd" (dense) or "band" (banded Gram bisection)
     sigma_min_bracket: tuple    # certified (lo, hi) around sigma_min
     sigma_max_bracket: tuple    # certified (lo, hi) around sigma_max
+    sweeps: int | None = None          # band: Cholesky sweeps of the bisection
+    half_bandwidth: int | None = None  # band: half-bandwidth of the trimmed Gram band
 
     def __post_init__(self):
         if self.sigma_min > self.sigma_max:
             raise BadParameterError("sigma_min cannot exceed sigma_max")
+
+    def to_json(self) -> dict:
+        """The entry as report.json records it: ``sweeps`` and
+        ``half_bandwidth`` only for a band entry."""
+        out = asdict(self)
+        if self.solver != "band":
+            del out["sweeps"], out["half_bandwidth"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -308,7 +324,7 @@ class FrameBoundReport:
             "orientation": self.orientation,
             "interior_fraction": self.interior_fraction,
             "edge_margin": self.edge_margin,
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [e.to_json() for e in self.entries],
             "sigma_min_ratios": [
                 {"from": a, "to": b, "ratio": r} for a, b, r in self.sigma_min_ratios()
             ],
@@ -342,12 +358,17 @@ def frame_bounds(
     Sections with min(rows, cols) <= 256 take a values-only dense SVD,
     which runs in real arithmetic when b = 0 (the entries are then real);
     each bracket is the value +- max(rows, cols) * eps * sigma_max.  Larger
-    sections are never built densely: the band solver bisects Cholesky
-    factorisations of the band of the smaller side's Gram matrix to a
-    relative width of 1e-10 in sigma^2, reports the square roots of the
-    midpoints, and certifies each bracket against the dropped entries and
-    the rounding.  Each entry records its ``solver``, both brackets and the
-    ``tail_bound`` of the section's collocation matrix.
+    sections are never built densely: the band solver trims the band of
+    the smaller side's Gram matrix to a half-bandwidth of about 8 (from
+    about 2 * buffer), bisects twisted Cholesky factorisations of it to a
+    relative width of 1e-10 in sigma^2, in about 12 sweeps at the critical
+    shift for M = 1,024 and 25 to 30 for a period-4 pattern at M = 512,
+    reports the square roots of the midpoints, and certifies each bracket
+    against the dropped entries, the trimmed diagonals and the rounding
+    (``_extreme_singular_values``).  Each entry records its ``solver``,
+    both brackets and the ``tail_bound`` of the section's collocation
+    matrix; a band entry also records its ``sweeps`` and
+    ``half_bandwidth``.
     """
     sizes = [int(m) for m in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -373,15 +394,15 @@ def frame_bounds(
         if min(shape) <= _DENSE_MAX:
             full = collocation_matrix(c, seq, (-m, m), tol).entries
             s = np.linalg.svd(full[keep, :] if by_rows else full[:, keep], compute_uv=False)
-            solver, values = "svd", s[[-1, 0]]
+            solver, values, diagnostics = "svd", s[[-1, 0]], {}
             err = max(shape) * _EPS * s[0]
             lo, hi = np.maximum(values - err, 0.0), values + err
         else:
             solver = "band"
-            values, lo, hi = _extreme_singular_values(c, rows, kept_cols, buffer)
+            values, lo, hi, diagnostics = _extreme_singular_values(c, rows, kept_cols, buffer)
         entries.append(FrameBoundEntry(
             m, *shape, float(values[0]), float(values[1]), tail, solver,
-            (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1])),
+            (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1])), **diagnostics,
         ))
     return FrameBoundReport(
         orientation, interior_fraction, edge_margin, tuple(entries)
@@ -395,12 +416,17 @@ def _gamma(k: int) -> float:
 
 
 def _gram_band(c: GaussianParam, p, q, radius: float):
-    """Diagonals of the Gram matrix B B^H of a section's band.
+    """Diagonals of the Gram matrix B B^H of a section's band, trimmed.
 
     B[i, j] = e^{-c (p_i - q_j)^2} where |p_i - q_j| <= radius and 0
-    elsewhere, for increasing ``p`` and ``q``.  Returns ``(diags, width,
-    norms)``: ``diags[d][i] = (B B^H)[i, i + d]`` up to the half-bandwidth,
-    the most entries any row keeps, and ||B||_1 ||B||_inf.
+    elsewhere, for increasing ``p`` and ``q``.  Gram entries at offset d
+    fall off like e^{-a d^2 / 2}, so the outer diagonals are dropped while
+    the largest row sum of the dropped ones stays within ``_TRIM_RTOL``
+    times the Gershgorin bound g.  Returns ``(diags, width, norms, g,
+    dropped)``: ``diags[d][i] = (B B^H)[i, i + d]`` up to the kept
+    half-bandwidth, the most entries any row of B keeps, ||B||_1 ||B||_inf,
+    the Gershgorin bound of the untrimmed matrix, and the largest dropped
+    row sum, which bounds the 2-norm of the dropped Hermitian part.
     """
     first = np.searchsorted(q, p - radius, "left")
     kept = np.searchsorted(q, p + radius, "right") - first
@@ -419,28 +445,60 @@ def _gram_band(c: GaussianParam, p, q, radius: float):
         idx = shift[:, None] + t
         mine = np.take_along_axis(band[:-d], np.minimum(idx, width - 1), axis=1)
         diags.append(np.sum(np.where(idx < width, mine, 0.0) * band[d:].conj(), axis=1))
-    return diags, width, norms
+    rowsum = np.abs(diags[0])
+    for d, g in enumerate(diags[1:], 1):
+        rowsum[:-d] += np.abs(g)
+        rowsum[d:] += np.abs(g)
+    top = float(rowsum.max())
+    dropped = np.zeros(len(p))
+    keep = len(diags)
+    while keep > 1:
+        d = keep - 1
+        trial = dropped.copy()
+        trial[:-d] += np.abs(diags[d])
+        trial[d:] += np.abs(diags[d])
+        if trial.max() > _TRIM_RTOL * top:
+            break
+        dropped, keep = trial, d
+    return diags[:keep], width, norms, top, float(dropped.max())
+
+
+def _band_windows(diags, rows):
+    """Dense windows ``G[rows[..., i], rows[..., j]]`` of the Hermitian band.
+
+    The rows of each window are consecutive, running up or down.
+    """
+    span = rows.shape[-1]
+    wins = np.zeros(rows.shape + (span,), dtype=diags[0].dtype)
+    for d, g in enumerate(diags[:span]):
+        r = np.arange(span - d)
+        i, j = rows[..., : span - d], rows[..., d:]
+        # the band stores G[i, j] at the smaller index; below it is the conjugate
+        v = g[np.minimum(i, j)]
+        v = np.where(i < j, v, v.conj())
+        wins[..., r, r + d] = v
+        wins[..., r + d, r] = v.conj()
+    return wins
 
 
 def _cholesky_windows(diags, nb: int):
-    """The band as dense windows of ``_WINDOW_BLOCKS`` blocks of ``nb`` rows.
+    """The band as dense windows of a twisted block Cholesky sweep.
 
-    Consecutive windows share one block.  Returns the stacked windows (the
-    last one zero-padded) and each window's true size.
+    Windows of ``_WINDOW_BLOCKS`` blocks of ``nb`` rows run in from both
+    ends, in pairs: a forward one from the first row and a backward one,
+    flipped, from the last.  Each shares one block with the next window in.
+    The middle window, of 3 to 7 blocks when the windows hold 3, shares its
+    first block with the last forward window and its last block with the
+    last backward one.  Returns the pairs, shape (h, 2, s, s), and the
+    middle window.
     """
     n = len(diags[0])
     span = _WINDOW_BLOCKS * nb
     step = span - nb
-    count = 1 + max(0, -(-(n - span) // step))
-    rows = np.arange(count)[:, None] * step + np.arange(span)
-    wins = np.zeros((count, span, span), dtype=diags[0].dtype)
-    for d, g in enumerate(diags[:span]):
-        r = np.arange(span - d)
-        i = rows[:, : span - d]
-        v = np.where(i < n - d, g[np.minimum(i, n - d - 1)], 0.0)
-        wins[:, r, r + d] = v
-        wins[:, r + d, r] = v.conj()
-    return wins, np.minimum(span, n - rows[:, 0])
+    count = max(0, (n - span) // (2 * step))
+    ahead = np.arange(count)[:, None] * step + np.arange(span)
+    rows = np.stack([ahead, n - 1 - ahead], axis=1)
+    return _band_windows(diags, rows), _band_windows(diags, np.arange(count * step, n - count * step))
 
 
 def _cholesky_or_none(mat):
@@ -450,35 +508,58 @@ def _cholesky_or_none(mat):
         return None
 
 
-def _definite(wins, sizes, nb: int, shifts, signs) -> np.ndarray:
-    """Whether sign * (G - shift I) has a Cholesky factor, for each pair.
+def _factor(mats):
+    """Cholesky factors of a stack of matrices and which of them exist;
+    a matrix without one gets zeros."""
+    try:
+        return np.linalg.cholesky(mats), np.ones(mats.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        flat = mats.reshape(-1, *mats.shape[-2:])
+        factors = [_cholesky_or_none(x) for x in flat]
+        low = np.stack([np.zeros_like(x) if f is None else f for x, f in zip(flat, factors)])
+        fine = np.array([f is not None for f in factors])
+        return low.reshape(mats.shape), fine.reshape(mats.shape[:-2])
 
-    One block Cholesky sweep over the windows serves every pair: window k
-    starts with the Schur complement its shared block inherits from window
-    k - 1.  A pair whose factorisation breaks down leaves the batch.
+
+def _definite(pairs, mid, nb: int, shifts, signs):
+    """Whether sign * (G - shift I) has a Cholesky factor, for each pair,
+    and phi, the smallest eigenvalue of its middle window's Schur complement.
+
+    The sweep is twisted.  Step j factors forward window j and backward
+    window j in one batch, each starting with the Schur complement its
+    shared block inherits from step j - 1; the middle window then starts
+    with both carried blocks in place.  The rows before and after the
+    middle window are more than a bandwidth apart, so the matrix is
+    definite exactly when both outer parts and the middle Schur complement
+    are.  A pair whose outer part breaks down leaves the batch, with phi
+    left nan.
     """
     ok = np.ones(len(shifts), dtype=bool)
-    live = np.flatnonzero(ok)
-    eye = np.eye(wins.shape[1])
-    scale, offset = signs[:, None, None], (signs * shifts)[:, None, None] * eye
+    phi = np.full(len(shifts), np.nan)
+    live = np.arange(len(shifts))
+    scale = signs[:, None, None, None]
+    offset = (signs * shifts)[:, None, None, None] * np.eye(pairs.shape[-1])
     carry = None
-    for win, size in zip(wins, sizes):
-        mats = scale * win[:size, :size] - offset[:, :size, :size]
+    for win in pairs:
+        mats = scale * win - offset
         if carry is not None:
-            mats[:, :nb, :nb] = carry
-        try:
-            low = np.linalg.cholesky(mats)
-        except np.linalg.LinAlgError:
-            factors = [_cholesky_or_none(x) for x in mats]
-            fine = np.array([f is not None for f in factors])
+            mats[..., :nb, :nb] = carry
+        low, fine = _factor(mats)
+        fine = fine.all(axis=1)
+        if not fine.all():
             ok[live[~fine]] = False
-            live, scale, offset = live[fine], scale[fine], offset[fine]
+            live, low, scale, offset = live[fine], low[fine], scale[fine], offset[fine]
             if live.size == 0:
-                break
-            low = np.stack([f for f in factors if f is not None])
-        last = low[:, -nb:, -nb:]
+                return ok, phi
+        last = low[..., -nb:, -nb:]
         carry = last @ last.conj().swapaxes(-1, -2)
-    return ok
+    mats = scale[:, 0] * mid - (signs * shifts)[live, None, None] * np.eye(len(mid))
+    if carry is not None:
+        mats[:, :nb, :nb] = carry[:, 0]
+        mats[:, -nb:, -nb:] = carry[:, 1, ::-1, ::-1]
+    ok[live] = _factor(mats)[1]
+    phi[live] = np.linalg.eigvalsh(mats)[:, 0]
+    return ok, phi
 
 
 def _band_matvec(diags, x):
@@ -493,65 +574,110 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
     """Extreme singular values of the section e^{-c (lam_i - n_j)^2}.
 
     ``lam`` are the section's increasing node positions, ``cols`` its
-    increasing integer columns.  The Gram matrix of the smaller side (A A^H
-    for a wide section, A^H A, up to conjugation, for a tall one) has the
-    squares of the singular values ``np.linalg.svd`` returns; entries
-    beyond ``buffer`` of the diagonal are dropped, which leaves it banded.
-    A bisection on each extreme eigenvalue, both served by one batched
-    Cholesky sweep a step, starts from the smallest diagonal entry (and the
-    rounding radius below it) for lambda_min and from a power-iteration
-    Rayleigh quotient and the Gershgorin bound for lambda_max.
+    increasing integer columns.  The Gram matrix G of the smaller side
+    (A A^H for a wide section, A^H A, up to conjugation, for a tall one)
+    has the squares of the singular values ``np.linalg.svd`` returns;
+    entries of A beyond ``buffer`` of the diagonal are dropped, which leaves
+    G banded, and its outer diagonals are trimmed (``_gram_band``) to a
+    half-bandwidth P of about 8.  Each step shifts both extreme
+    eigenvalues' brackets, in one batched twisted Cholesky sweep
+    (``_definite``).  lambda_min starts from the smallest diagonal entry
+    (and the rounding radius below it), lambda_max from a power-iteration
+    Rayleigh quotient and the Gershgorin bound.  The bracket ends are always
+    a Cholesky success and a Cholesky failure; phi, the smallest eigenvalue
+    of the middle Schur complement, only chooses the shifts.  It is
+    continuous and monotone up to the first eigenvalue of the outer parts,
+    with its first root at the extreme eigenvalue, so once it is known at
+    both ends the shift is its regula falsi point (Illinois variant: the
+    phi of an end kept twice in a row is halved); otherwise it is the
+    geometric or halving step.  About 12 sweeps at the critical shift, M =
+    1,024, bring each bracket to a relative width of 1e-10.
 
-    Returns ``(values, lo, hi)``: (sigma_min, sigma_max), the square roots of
-    the bracket midpoints, and certified lower and upper ends.  An eigenvalue
-    bracket widens by the rounding radius: the error of forming the Gram
-    matrix, gamma_{2w+4} ||A||_1 ||A||_inf for rows of at most w kept
-    entries, plus the Cholesky backward error gamma_{2s+2} |L| |L^H| for
-    windows of s rows, where rows of L have squared norm at most the
-    Gershgorin bound g and |L| |L^H| is 2P + 1 wide, so its norm is at most
-    (2P + 1) g (Demmel's theorem gives the same radius for a factorisation
-    that fails).  A singular-value bracket then widens by the Frobenius norm
-    of the dropped entries (Weyl).
+    Returns ``(values, lo, hi, diagnostics)``: (sigma_min, sigma_max), the
+    square roots of the bracket midpoints, certified lower and upper ends,
+    and the ``sweeps`` taken and the ``half_bandwidth`` P.  An eigenvalue
+    bracket widens by the rounding radius, the sum of three terms:
+
+    * forming G: gamma_{2w+4} ||A||_1 ||A||_inf for rows of at most w kept
+      entries;
+    * trimming G: the largest dropped row sum, which bounds the 2-norm of
+      the dropped Hermitian part and so, by Weyl's inequality, how far it
+      moves any eigenvalue;
+    * factoring G - mu I.  A window's dense Cholesky has backward error
+      gamma_{k+1} |L| |L^H| for a window of k rows, and a carried block
+      gains gamma_nb |L| |L^H| from its product L L^H.  Every |L| |L^H|
+      here has entries at most g by Cauchy-Schwarz: a row of L has squared
+      norm at most a diagonal entry of the shifted matrix or of a Schur
+      complement of it, which is at most the Gershgorin bound g for
+      shifts in [0, g].  An entry of a shared block is rounded in the
+      window that hands it on, in that product and in the window that
+      takes it, so with outer windows of s rows and a middle one of
+      m >= s rows every entry, in the middle window's two carried blocks
+      too, is off by at most gamma_{s+m+nb+2} g.  The error keeps
+      half-bandwidth P: in the twisted order each column of L is nonzero
+      only within P below it (forward and middle windows) or within P
+      above it (backward windows), so two rows that meet in a column are
+      within P of each other.  Hence the term (2P + 1) gamma_{s+m+nb+2} g;
+      Demmel's theorem gives the same radius for a factorisation that
+      fails.
+
+    A singular-value bracket then widens by the Frobenius norm of the
+    entries of A dropped outside the band (Weyl).
     """
     p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
-    diags, width, norms = _gram_band(c, p, q, buffer)
+    diags, width, norms, top, dropped = _gram_band(c, p, q, buffer)
     half = len(diags) - 1
     nb = max(half, 1)
-    wins, sizes = _cholesky_windows(diags, nb)
-    rowsum = np.abs(diags[0])
-    for d, g in enumerate(diags[1:], 1):
-        rowsum[:-d] += np.abs(g)
-        rowsum[d:] += np.abs(g)
+    pairs, mid = _cholesky_windows(diags, nb)
     # Gershgorin, raised so that mu I - G is strictly diagonally dominant
-    top = float(rowsum.max()) * (1.0 + 1e-8)
-    rounding = (_gamma(2 * width + 4) * norms
-                + (2 * half + 1) * _gamma(2 * wins.shape[1] + 2) * top)
+    top *= 1.0 + 1e-8
+    factoring = _gamma(_WINDOW_BLOCKS * nb + len(mid) + nb + 2)
+    rounding = _gamma(2 * width + 4) * norms + dropped + (2 * half + 1) * factoring * top
     x = np.ones(len(p))
     for _ in range(8):
         x = _band_matvec(diags, x)
         x /= np.linalg.norm(x)
     quotient = float(np.vdot(x, _band_matvec(diags, x)).real)
     diag = diags[0].real
-    # index 0: G - mu I is definite for mu <= lo[0] and not at hi[0];
-    # index 1: mu I - G is definite at hi[1] and not at lo[1]
-    lo = np.array([0.0, max(float(diag.max()), quotient)])
-    hi = np.array([float(diag.min()), top])
+    # side 0: G - mu I is definite for mu <= ends[0, 0] and not at ends[0, 1];
+    # side 1: mu I - G is definite at ends[1, 1] and not at ends[1, 0];
+    # phis holds phi at each end (nan while unknown)
+    ends = np.array([[0.0, float(diag.min())], [max(float(diag.max()), quotient), top]])
+    phis = np.full((2, 2), np.nan)
+    moved = [None, None]
+    sweeps = 0
     while True:
+        lo, hi = ends.T
         todo = [k for k in (0, 1)
                 if hi[k] - lo[k] > _BRACKET_RTOL * hi[k] and hi[k] > 2.0 * rounding]
         if not todo:
             break
-        mus = np.array([_bisection_point(max(lo[k], rounding), hi[k]) for k in todo])
+        mus = np.array([_next_shift(*ends[k], *phis[k], rounding) for k in todo])
         signs = np.array([1.0 if k == 0 else -1.0 for k in todo])
-        for k, mu, ok in zip(todo, mus, _definite(wins, sizes, nb, mus, signs)):
-            if ok == (k == 0):
-                lo[k] = mu
-            else:
-                hi[k] = mu
+        ok, phi = _definite(pairs, mid, nb, mus, signs)
+        sweeps += 1
+        for k, mu, good, f in zip(todo, mus, ok, phi):
+            end = 0 if good == (k == 0) else 1
+            ends[k, end], phis[k, end] = mu, f
+            if moved[k] == end:
+                phis[k, 1 - end] *= 0.5
+            moved[k] = end
+    lo, hi = ends.T
     values = np.sqrt(0.5 * (lo + hi))
-    dropped = _integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer))
-    lower = np.maximum(np.sqrt(np.maximum(lo - rounding, 0.0)) - dropped, 0.0)
-    return values, lower, np.sqrt(hi + rounding) + dropped
+    tail = _integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer))
+    lower = np.maximum(np.sqrt(np.maximum(lo - rounding, 0.0)) - tail, 0.0)
+    return values, lower, np.sqrt(hi + rounding) + tail, {"sweeps": sweeps, "half_bandwidth": half}
+
+
+def _next_shift(lo: float, hi: float, phi_lo: float, phi_hi: float, floor: float) -> float:
+    """The regula falsi point of phi when phi has opposite signs at the
+    bracket ends and the point falls strictly inside, else the bisection
+    point above ``floor``."""
+    if phi_lo * phi_hi < 0.0:
+        mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
+        if lo < mu < hi:
+            return mu
+    return _bisection_point(max(lo, floor), hi)
 
 
 def _bisection_point(lo: float, hi: float) -> float:

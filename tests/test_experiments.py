@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gauss_cis import gauss_space
 from gauss_cis.errors import (
     BadParameterError,
     ComplexInputError,
@@ -427,6 +428,8 @@ class TestSignRetrieval:
         ("critical-half", {"sizes": [1024, 65537]}),
         ("kernel-asymptotic", {"options": {"log_modulus_lo": 2.0, "log_modulus_hi": 2.0, "step": 1e-89}}),
         ("framebound-sweep", {"sizes": [16, 10**9], "sequence": {"kind": "periodic", "offsets": [0.1]}}),
+        ("kadets-sweep", {"sizes": [8, 16], "options": {"deltas": [], "critical_deltas": []}}),
+        ("density-demo", {"sizes": [8, 16], "options": {"alphas": []}}),
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
@@ -451,6 +454,8 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, conf
          "at least two sizes"),
         ("sign-retrieval", {"options": {"window": 1, "coeff_count": 1}}, "'window'"),
         ("critical-half", {"sizes": [1024, 65537]}, "sizes must be at most 65536"),
+        ("kadets-sweep", {"options": {"deltas": [], "critical_deltas": []}}, "'critical_deltas'"),
+        ("density-demo", {"options": {"alphas": []}}, "'alphas'"),
     ],
 )
 def test_input_errors_name_what_is_wrong(tmp_path, capsys, scenario, config, named):
@@ -458,3 +463,19 @@ def test_input_errors_name_what_is_wrong(tmp_path, capsys, scenario, config, nam
     path.write_text(json.dumps({"seed": 1, **config}))
     assert cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_bad_option_value_fails_before_any_frame_bounds(tmp_path, capsys, monkeypatch):
+    # the value is read at the end of the sweep, but parsed when the config is
+    calls = []
+    monkeypatch.setattr(gauss_space, "frame_bounds", lambda *args, **kw: calls.append(args))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "seed": 1, "sizes": [1024, 4096], "sequence": {"kind": "periodic", "offsets": [0.1]},
+        "options": {"stability_pct": "x"},
+    }))
+    code = cli_main(["framebound-sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and calls == []
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'stability_pct'" in err
+    assert not (tmp_path / "out").exists()

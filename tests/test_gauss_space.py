@@ -260,7 +260,7 @@ class TestBandSolver:
         for m in (48, 200):
             sub, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, orientation)
             s = np.linalg.svd(sub, compute_uv=False)
-            values, lo, hi = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+            values, lo, hi, _ = gauss_space._extreme_singular_values(c, lam, cols, buffer)
             assert values[0] == pytest.approx(s[-1], rel=1e-9)
             assert values[1] == pytest.approx(s[0], rel=1e-9)
             assert np.all(lo <= s[[-1, 0]]) and np.all(s[[-1, 0]] <= hi)
@@ -303,7 +303,7 @@ class TestBandSolver:
         sub, lam, cols, buffer = _section(
             c, PeriodicPerturbation(tuple(offsets)), 40, 1.0, 3.0, orientation)
         s = np.linalg.svd(sub, compute_uv=False)
-        values, lo, hi = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        values, lo, hi, _ = gauss_space._extreme_singular_values(c, lam, cols, buffer)
         for k, exact in enumerate(s[[-1, 0]]):
             assert lo[k] <= exact <= hi[k]
             assert lo[k] <= values[k] <= hi[k]
@@ -326,6 +326,11 @@ class TestBandSolver:
             assert row["solver"] == e.solver
             assert row["sigma_min_bracket"] == list(e.sigma_min_bracket)
             assert row["sigma_max_bracket"] == list(e.sigma_max_bracket)
+            if e.solver == "band":
+                assert row["sweeps"] == e.sweeps > 0
+                assert row["half_bandwidth"] == e.half_bandwidth > 0
+            else:
+                assert "sweeps" not in row and "half_bandwidth" not in row
 
     def test_critical_shift_at_m_4096(self):
         e, = frame_bounds(A1, PeriodicPerturbation((0.5,)), (4096,)).entries
@@ -334,6 +339,144 @@ class TestBandSolver:
         assert e.sigma_min == pytest.approx(2.7169427262e-4, rel=1e-8)
         assert _inside(e.sigma_min, e.sigma_min_bracket)
 
+
+def _forward_windows(diags, nb):
+    """Windows of three nb-row blocks from the first row, consecutive ones
+    sharing one block, the last zero-padded; returns them and their sizes."""
+    n = len(diags[0])
+    span, step = 3 * nb, 2 * nb
+    count = 1 + max(0, -(-(n - span) // step))
+    rows = np.arange(count)[:, None] * step + np.arange(span)
+    wins = np.zeros((count, span, span), dtype=diags[0].dtype)
+    for d, g in enumerate(diags[:span]):
+        r = np.arange(span - d)
+        i = rows[:, : span - d]
+        v = np.where(i < n - d, g[np.minimum(i, n - d - 1)], 0.0)
+        wins[:, r, r + d] = v
+        wins[:, r + d, r] = v.conj()
+    return wins, np.minimum(span, n - rows[:, 0])
+
+
+def _forward_definite(wins, sizes, nb, shifts, signs):
+    """Whether sign * (G - shift I) has a Cholesky factor, from one forward
+    block Cholesky sweep over ``_forward_windows``: the oracle for the
+    twisted sweep."""
+    ok = np.ones(len(shifts), dtype=bool)
+    for k, (shift, sign) in enumerate(zip(shifts, signs)):
+        carry = None
+        for win, size in zip(wins, sizes):
+            mat = sign * (win[:size, :size] - shift * np.eye(size))
+            if carry is not None:
+                mat[:nb, :nb] = carry
+            try:
+                low = np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                ok[k] = False
+                break
+            last = low[-nb:, -nb:]
+            carry = last @ last.conj().T
+    return ok
+
+
+def _dense_gram(diags):
+    n = len(diags[0])
+    gram = np.zeros((n, n), dtype=diags[0].dtype)
+    for d, g in enumerate(diags):
+        gram[np.arange(n - d), np.arange(d, n)] = g
+        gram[np.arange(d, n), np.arange(n - d)] = g.conj()
+    return gram
+
+
+def _trimmed_band(c, seq, m, orientation):
+    """The trimmed Gram band the band solver takes for a section."""
+    _, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, orientation)
+    p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
+    return gauss_space._gram_band(c, p, q, buffer)[0]
+
+
+PATTERN = (0.7, -0.1, -0.7, 0.1)
+
+
+class TestTwistedSweep:
+    """The twisted Cholesky sweep, its steering and the trimmed band."""
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("orientation", ["interior_rows", "interior_cols"])
+    @pytest.mark.parametrize("seq", [PeriodicPerturbation((0.5,)), PeriodicPerturbation(PATTERN)],
+                             ids=repr)
+    def test_decisions_equal_the_forward_sweep(self, seq, orientation, b):
+        c = GaussianParam(1.0, b)
+        diags = _trimmed_band(c, seq, 200, orientation)
+        nb = len(diags) - 1
+        eig = np.linalg.eigvalsh(_dense_gram(diags))[[0, -1]]
+        # seeded shifts on both sides of each extreme eigenvalue, some past
+        # the outer parts' own extreme eigenvalues
+        rng = np.random.default_rng([int(b), len(seq.offsets), orientation == "interior_rows"])
+        rel = rng.choice([-1.0, 1.0], (2, 16)) * 10.0 ** rng.uniform(-7.0, 0.5, (2, 16))
+        shifts = (eig[:, None] * (1.0 + rel)).ravel()
+        signs = np.repeat([1.0, -1.0], 16)
+        twisted, phi = gauss_space._definite(*gauss_space._cholesky_windows(diags, nb), nb,
+                                             shifts, signs)
+        assert np.array_equal(twisted, _forward_definite(*_forward_windows(diags, nb), nb,
+                                                         shifts, signs))
+        assert np.array_equal(twisted, np.where(signs > 0, shifts < eig[0], shifts > eig[1]))
+        # phi has the decision's sign wherever the outer parts factor
+        known = ~np.isnan(phi)
+        assert known.any() and not known.all()
+        assert np.array_equal(phi[known] > 0, twisted[known])
+
+    @given(
+        offsets=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6),
+        m=st.integers(30, 150),
+        b=st.sampled_from([0.0, 2.0]),
+        orientation=st.sampled_from(["interior_rows", "interior_cols"]),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_trimmed_band_brackets_contain_svd_values(self, offsets, m, b, orientation):
+        c, seq = GaussianParam(1.0, b), PeriodicPerturbation(tuple(offsets))
+        sub, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, orientation)
+        s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
+        values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        # the untrimmed band reaches twice the buffer; the trim keeps about half
+        assert diagnostics["half_bandwidth"] <= buffer
+        assert np.all(lo <= s) and np.all(s <= hi)
+        assert np.all(lo <= values) and np.all(values <= hi)
+
+    def test_sweep_counts(self):
+        critical, = frame_bounds(A1, PeriodicPerturbation((0.5,)), (1024,),
+                                 interior_fraction=1.0, edge_margin=3.0).entries
+        pattern, = frame_bounds(GaussianParam(1.0, 2.0), PeriodicPerturbation(PATTERN), (512,),
+                                interior_fraction=1.0, edge_margin=3.0).entries
+        assert critical.solver == pattern.solver == "band"
+        assert critical.sweeps <= 16 and critical.half_bandwidth == 8
+        assert pattern.sweeps <= 34 and pattern.half_bandwidth <= 9
+
+    def test_trimmed_diagonals_widen_the_radius(self, monkeypatch):
+        # trimming far past the fixed rule moves the eigenvalues by much more
+        # than the rounding, so the brackets hold only through the Weyl term
+        monkeypatch.setattr(gauss_space, "_TRIM_RTOL", 1e-6)
+        c = GaussianParam(1.0, 2.0)
+        sub, lam, cols, buffer = _section(c, PeriodicPerturbation(PATTERN), 60, 1.0, 3.0,
+                                          "interior_rows")
+        s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
+        _, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        assert diagnostics["half_bandwidth"] < 8
+        assert np.all(lo <= s) and np.all(s <= hi)
+
+    def test_phi_only_chooses_the_shifts(self, monkeypatch):
+        # with phi replaced by noise the bisection takes other steps, but its
+        # bracket ends are still Cholesky successes and failures
+        c = GaussianParam(1.0, 2.0)
+        sub, lam, cols, buffer = _section(c, PeriodicPerturbation(PATTERN), 120, 1.0, 3.0,
+                                          "interior_rows")
+        s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
+        steered = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        rng = np.random.default_rng(11)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mats: rng.standard_normal(mats.shape[:-1]))
+        values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        assert diagnostics["sweeps"] != steered[3]["sweeps"]
+        assert values == pytest.approx(s, rel=1e-9)
+        assert np.all(lo <= s) and np.all(s <= hi)
 
 class TestSplitParts:
     def test_center_only(self):
