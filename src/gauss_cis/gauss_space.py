@@ -11,10 +11,11 @@ never built densely: its entries fall below tol^2 beyond ``buffer`` of the
 diagonal, so the Gram matrix of its smaller side is banded, and its outer
 diagonals fall off fast enough to be trimmed to about half that width.  A
 twisted block Cholesky of the band, shifted by mu, succeeds exactly when mu
-lies below the smallest eigenvalue.  A bisection on mu, steered by the
-Schur complement of the middle window, brackets both extreme singular
-values, with a certificate for the dropped entries, the trimmed diagonals
-and the rounding.
+lies below the smallest eigenvalue.  A bisection on mu brackets both
+extreme singular values, with a certificate for the dropped entries, the
+trimmed diagonals and the rounding.  It starts from the eigenvalues of a
+central block, extrapolated to the section's length, and is steered by the
+Schur complement of the middle window, whose slope is at most -1.
 """
 
 from dataclasses import asdict, dataclass
@@ -59,6 +60,14 @@ _EPS = np.finfo(float).eps
 # the band solver drops outer Gram diagonals while their largest row sum
 # stays within this multiple of the Gershgorin bound
 _TRIM_RTOL = _EPS
+# the band solver models its extreme eigenvalues from a central block of
+# this many rows, trusts the model where it moves the block's value by less
+# than _MODEL_RTOL, and first shifts _MODEL_STEP of that move either side
+_MODEL_ROWS = 128
+_MODEL_RTOL = 0.05
+_MODEL_STEP = 0.01
+# a slope-bound shift steps this fraction past the bound
+_SLOPE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -285,17 +294,22 @@ class FrameBoundEntry:
     sigma_max_bracket: tuple    # certified (lo, hi) around sigma_max
     sweeps: int | None = None          # band: Cholesky sweeps of the bisection
     half_bandwidth: int | None = None  # band: half-bandwidth of the trimmed Gram band
+    start: tuple | None = None   # band: how the (sigma_min, sigma_max) brackets started
+    stop: tuple | None = None    # band: why each of them stopped
+    below_resolution: bool = False  # band: sigma_min is the upper end of its bracket
 
     def __post_init__(self):
         if self.sigma_min > self.sigma_max:
             raise BadParameterError("sigma_min cannot exceed sigma_max")
 
     def to_json(self) -> dict:
-        """The entry as report.json records it: ``sweeps`` and
-        ``half_bandwidth`` only for a band entry."""
+        """The entry as report.json records it: ``sweeps``,
+        ``half_bandwidth``, ``start``, ``stop`` and ``below_resolution``
+        only for a band entry."""
         out = asdict(self)
         if self.solver != "band":
-            del out["sweeps"], out["half_bandwidth"]
+            for key in ("sweeps", "half_bandwidth", "start", "stop", "below_resolution"):
+                del out[key]
         return out
 
 
@@ -361,14 +375,18 @@ def frame_bounds(
     sections are never built densely: the band solver trims the band of
     the smaller side's Gram matrix to a half-bandwidth of about 8 (from
     about 2 * buffer), bisects twisted Cholesky factorisations of it to a
-    relative width of 1e-10 in sigma^2, in about 12 sweeps at the critical
-    shift for M = 1,024 and 25 to 30 for a period-4 pattern at M = 512,
-    reports the square roots of the midpoints, and certifies each bracket
-    against the dropped entries, the trimmed diagonals and the rounding
-    (``_extreme_singular_values``).  Each entry records its ``solver``,
-    both brackets and the ``tail_bound`` of the section's collocation
-    matrix; a band entry also records its ``sweeps`` and
-    ``half_bandwidth``.
+    relative width of 1e-10 in sigma^2 or to the shifts' resolution,
+    starting near each eigenvalue from a central block's (about 10 to 15
+    sweeps at the critical shift for M = 1,024 to 16,384, 7 to 9 for a
+    period-4 pattern at M = 512), reports the square roots of the
+    midpoints, and certifies each bracket against the dropped entries, the
+    trimmed diagonals and the rounding (``_extreme_singular_values``).
+    Each entry records its ``solver``, both brackets and the ``tail_bound``
+    of the section's collocation matrix; a band entry also records its
+    ``sweeps``, ``half_bandwidth``, how each bracket started and stopped,
+    and whether sigma_min was ``below_resolution`` (its bracket never rose
+    above twice the rounding radius), in which case sigma_min is the
+    bracket's certified upper end.
     """
     sizes = [int(m) for m in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -579,23 +597,55 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
     has the squares of the singular values ``np.linalg.svd`` returns;
     entries of A beyond ``buffer`` of the diagonal are dropped, which leaves
     G banded, and its outer diagonals are trimmed (``_gram_band``) to a
-    half-bandwidth P of about 8.  Each step shifts both extreme
-    eigenvalues' brackets, in one batched twisted Cholesky sweep
-    (``_definite``).  lambda_min starts from the smallest diagonal entry
-    (and the rounding radius below it), lambda_max from a power-iteration
-    Rayleigh quotient and the Gershgorin bound.  The bracket ends are always
-    a Cholesky success and a Cholesky failure; phi, the smallest eigenvalue
-    of the middle Schur complement, only chooses the shifts.  It is
-    continuous and monotone up to the first eigenvalue of the outer parts,
-    with its first root at the extreme eigenvalue, so once it is known at
-    both ends the shift is its regula falsi point (Illinois variant: the
-    phi of an end kept twice in a row is halved); otherwise it is the
-    geometric or halving step.  About 12 sweeps at the critical shift, M =
-    1,024, bring each bracket to a relative width of 1e-10.
+    half-bandwidth P of about 8.  Each sweep shifts both extreme
+    eigenvalues' brackets, in one batched twisted Cholesky factorisation
+    (``_definite``).  The bracket ends are always a Cholesky success and a
+    Cholesky failure; the estimates and phi below only choose the shifts.
+    phi, the smallest eigenvalue of the middle window's Schur complement
+    S(mu), is continuous and decreasing up to the first eigenvalue of the
+    outer parts, with its first root at the extreme eigenvalue.  Three
+    fixed rules place the shifts:
+
+    * Modelled start.  The eigenvalues theta_k of the central block
+      (``_edge_model``) bound lambda_min from above and lambda_max from
+      below by Cauchy interlacing, and near a band edge theta_k ~
+      lambda_inf + alpha k^2 / (L + 1)^2, so the two extreme ones
+      extrapolate to the band's length.  Where that moves the block value
+      by less than 5 % (pattern and affine sections, and the critical
+      shift's lambda_max), the first sweep takes one shift either side of
+      the estimate, 1 % of the move away, so that a good estimate is
+      bracketed at once.  Elsewhere (the critical shift's lambda_min, where
+      lambda_inf = 0) lambda_min starts from the smallest diagonal entry,
+      with geometric steps down to the rounding radius, and lambda_max from
+      a power-iteration Rayleigh quotient and the Gershgorin bound.
+    * Slope bound.  Split G - mu I into the outer parts' block M_11 and the
+      middle window's M_22; then S = M_22 - M_21 M_11^-1 M_12 has dS/dmu =
+      -I - X^H X <= -I with X = M_11^-1 M_12, so phi' <= -1.  From a
+      success end mu_s with phi_s > 0, phi therefore has its root by
+      mu_s + phi_s, and G - mu I is not definite there (nor mu I - G at
+      mu_s - phi_s, for lambda_max).  While phi is unknown at the failure
+      end (an outer part failed first), the shift is that point, taken
+      1e-3 of phi_s further; once phi is known at both ends it is phi's
+      regula falsi point (Illinois variant: the phi of an end kept twice in
+      a row is halved, once the other end's is known, so that the slope
+      bound sees the true phi_s), and otherwise the geometric or halving
+      step.
+    * Resolution stop.  A bracket stops at a relative width of 1e-10, or
+      once it is narrower than 2 eps max G_ii, below which a shift no longer
+      changes the shifted matrix, or once lambda_min's lies below twice the
+      rounding radius.
+
+    Each sweep takes one shift a side, the first two on a modelled side.
+    About 7 sweeps bring a period-4 pattern at M = 512 to width, and 10 to
+    15 the critical shift at M = 1,024 to 16,384.
 
     Returns ``(values, lo, hi, diagnostics)``: (sigma_min, sigma_max), the
     square roots of the bracket midpoints, certified lower and upper ends,
-    and the ``sweeps`` taken and the ``half_bandwidth`` P.  An eigenvalue
+    and the ``sweeps`` taken, the ``half_bandwidth`` P, each side's
+    ``start`` (``model``, ``diagonal`` or ``rayleigh``) and ``stop``
+    (``width`` or ``resolution``), and ``below_resolution``: whether
+    lambda_min's bracket stayed below twice the rounding radius, in which
+    case sigma_min is its certified upper end.  An eigenvalue
     bracket widens by the rounding radius, the sum of three terms:
 
     * forming G: gamma_{2w+4} ||A||_1 ||A||_inf for rows of at most w kept
@@ -639,42 +689,107 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
         x /= np.linalg.norm(x)
     quotient = float(np.vdot(x, _band_matvec(diags, x)).real)
     diag = diags[0].real
+    # below this width a shift no longer changes the shifted matrix
+    resolution = 2.0 * _EPS * float(diag.max())
     # side 0: G - mu I is definite for mu <= ends[0, 0] and not at ends[0, 1];
     # side 1: mu I - G is definite at ends[1, 1] and not at ends[1, 0];
     # phis holds phi at each end (nan while unknown)
     ends = np.array([[0.0, float(diag.min())], [max(float(diag.max()), quotient), top]])
     phis = np.full((2, 2), np.nan)
+    # side k factors sign[k] * (G - mu I); sign[k] points from its success end to its failure end
+    sign = np.array([1.0, -1.0])
+    estimate, move = _edge_model(diags)
+    modelled = np.isfinite(move)
+    start = tuple("model" if modelled[k] else ("diagonal", "rayleigh")[k] for k in (0, 1))
+    # a modelled side's first sweep puts one shift either side of its
+    # estimate, the one toward its success end first
+    queued = [[], []]
+    for k in np.flatnonzero(modelled):
+        step = sign[k] * _MODEL_STEP * move[k]
+        lo, hi = ends[k]
+        queued[k] = [mu for mu in (estimate[k] - step, estimate[k] + step) if lo < mu < hi]
     moved = [None, None]
     sweeps = 0
     while True:
-        lo, hi = ends.T
-        todo = [k for k in (0, 1)
-                if hi[k] - lo[k] > _BRACKET_RTOL * hi[k] and hi[k] > 2.0 * rounding]
+        stop = ["width" if hi - lo <= _BRACKET_RTOL * hi
+                else "resolution" if hi - lo < resolution or hi <= 2.0 * rounding
+                else None for lo, hi in ends]
+        todo = [k for k in (0, 1) if stop[k] is None]
         if not todo:
             break
-        mus = np.array([_next_shift(*ends[k], *phis[k], rounding) for k in todo])
-        signs = np.array([1.0 if k == 0 else -1.0 for k in todo])
-        ok, phi = _definite(pairs, mid, nb, mus, signs)
+        shifts = [(k, mu) for k in todo
+                  for mu in (queued[k] or [_next_shift(ends[k], phis[k], rounding, k)])]
+        queued = [[], []]
+        side, mus = np.array(shifts).T
+        ok, phi = _definite(pairs, mid, nb, mus, sign[side.astype(int)])
         sweeps += 1
-        for k, mu, good, f in zip(todo, mus, ok, phi):
+        for (k, mu), good, f in zip(shifts, ok, phi):
+            # a first sweep's second shift is outside once the first fails
+            if not ends[k, 0] < mu < ends[k, 1]:
+                continue
             end = 0 if good == (k == 0) else 1
             ends[k, end], phis[k, end] = mu, f
-            if moved[k] == end:
+            # Illinois: an end kept twice in a row while regula falsi steers
+            if moved[k] == end and np.isfinite(f):
                 phis[k, 1 - end] *= 0.5
             moved[k] = end
     lo, hi = ends.T
     values = np.sqrt(0.5 * (lo + hi))
     tail = _integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer))
     lower = np.maximum(np.sqrt(np.maximum(lo - rounding, 0.0)) - tail, 0.0)
-    return values, lower, np.sqrt(hi + rounding) + tail, {"sweeps": sweeps, "half_bandwidth": half}
+    upper = np.sqrt(hi + rounding) + tail
+    below = bool(hi[0] <= 2.0 * rounding)
+    if below:
+        values[0] = upper[0]
+    return values, lower, upper, {
+        "sweeps": sweeps, "half_bandwidth": half, "start": start, "stop": tuple(stop),
+        "below_resolution": below,
+    }
 
 
-def _next_shift(lo: float, hi: float, phi_lo: float, phi_hi: float, floor: float) -> float:
-    """The regula falsi point of phi when phi has opposite signs at the
-    bracket ends and the point falls strictly inside, else the bisection
-    point above ``floor``."""
+def _edge_model(diags):
+    """Modelled extreme eigenvalues of the band and how far each was moved.
+
+    The central ``_MODEL_ROWS``-row principal block's eigenvalues theta_k
+    bound lambda_min from above and lambda_max from below (Cauchy
+    interlacing).  Near a band edge theta_k ~ lambda_inf + alpha k^2 / (L +
+    1)^2 for a block of L rows, so the two extreme ones extrapolate to the
+    band's length.  Returns ``(estimate, move)``, (lambda_min, lambda_max)
+    each: ``move`` is how far the estimate lies from the block value, below
+    it for lambda_min and above it for lambda_max, and nan where that is
+    ``_MODEL_RTOL`` of the block value or more, or no model (a positive
+    block value and a positive move) holds.
+    """
+    n = len(diags[0])
+    size = min(_MODEL_ROWS, n)
+    first = (n - size) // 2
+    theta = np.linalg.eigvalsh(_band_windows(diags, np.arange(first, first + size)))
+    block = theta[[0, -1]]
+    shrink = 1.0 - ((size + 1.0) / (n + 1.0)) ** 2
+    move = np.array([theta[1] - theta[0], theta[-1] - theta[-2]]) * shrink / 3.0
+    estimate = block + np.array([-1.0, 1.0]) * move
+    trusted = (block > 0.0) & (move > 0.0) & (move < _MODEL_RTOL * block)
+    return estimate, np.where(trusted, move, np.nan)
+
+
+def _next_shift(ends, phis, floor: float, side: int) -> float:
+    """The next shift inside the bracket ``ends`` of ``side`` (0: lambda_min,
+    whose success end is the lower; 1: lambda_max, the upper).
+
+    The regula falsi point of phi when phi has opposite signs at the ends
+    and the point falls strictly inside; else, while phi is unknown at the
+    failure end, the slope bound mu_s + phi_s (1 + ``_SLOPE_MARGIN``) from
+    the success end, taken toward the failure end; else the bisection point
+    above ``floor``.
+    """
+    lo, hi = ends
+    phi_lo, phi_hi = phis
     if phi_lo * phi_hi < 0.0:
         mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
+        if lo < mu < hi:
+            return mu
+    if np.isnan(phis[1 - side]) and phis[side] > 0.0:
+        mu = ends[side] + (1.0 - 2.0 * side) * phis[side] * (1.0 + _SLOPE_MARGIN)
         if lo < mu < hi:
             return mu
     return _bisection_point(max(lo, floor), hi)

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -326,11 +327,16 @@ class TestBandSolver:
             assert row["solver"] == e.solver
             assert row["sigma_min_bracket"] == list(e.sigma_min_bracket)
             assert row["sigma_max_bracket"] == list(e.sigma_max_bracket)
+            band_keys = ("sweeps", "half_bandwidth", "start", "stop", "below_resolution")
             if e.solver == "band":
                 assert row["sweeps"] == e.sweeps > 0
                 assert row["half_bandwidth"] == e.half_bandwidth > 0
+                assert row["start"] == list(e.start)
+                assert set(e.start) <= {"model", "diagonal", "rayleigh"}
+                assert row["stop"] == list(e.stop) and set(e.stop) <= {"width", "resolution"}
+                assert row["below_resolution"] is e.below_resolution is False
             else:
-                assert "sweeps" not in row and "half_bandwidth" not in row
+                assert not set(band_keys) & set(row)
 
     def test_critical_shift_at_m_4096(self):
         e, = frame_bounds(A1, PeriodicPerturbation((0.5,)), (4096,)).entries
@@ -443,13 +449,22 @@ class TestTwistedSweep:
         assert np.all(lo <= values) and np.all(values <= hi)
 
     def test_sweep_counts(self):
-        critical, = frame_bounds(A1, PeriodicPerturbation((0.5,)), (1024,),
-                                 interior_fraction=1.0, edge_margin=3.0).entries
+        critical, wider = frame_bounds(A1, PeriodicPerturbation((0.5,)), (1024, 4096),
+                                       interior_fraction=1.0, edge_margin=3.0).entries
         pattern, = frame_bounds(GaussianParam(1.0, 2.0), PeriodicPerturbation(PATTERN), (512,),
                                 interior_fraction=1.0, edge_margin=3.0).entries
-        assert critical.solver == pattern.solver == "band"
-        assert critical.sweeps <= 16 and critical.half_bandwidth == 8
-        assert pattern.sweeps <= 34 and pattern.half_bandwidth <= 9
+        tall, = frame_bounds(A1, AffineGrid(0.75), (320,), orientation="interior_cols").entries
+        wide, = frame_bounds(A1, AffineGrid(4.0 / 3.0), (256,)).entries
+        entries = (critical, wider, pattern, tall, wide)
+        assert {e.solver for e in entries} == {"band"}
+        assert min(tall.n_cols, wide.n_rows) > gauss_space._DENSE_MAX
+        assert critical.sweeps <= 12 and critical.half_bandwidth == 8
+        assert wider.sweeps <= 16
+        assert pattern.sweeps <= 10 and pattern.half_bandwidth <= 9
+        assert tall.sweeps <= 12 and wide.sweeps <= 12
+        # the critical shift's lambda_min has no band-edge model (its limit is 0)
+        assert critical.start == ("diagonal", "model")
+        assert pattern.start == tall.start == wide.start == ("model", "model")
 
     def test_trimmed_diagonals_widen_the_radius(self, monkeypatch):
         # trimming far past the fixed rule moves the eigenvalues by much more
@@ -477,6 +492,95 @@ class TestTwistedSweep:
         assert diagnostics["sweeps"] != steered[3]["sweeps"]
         assert values == pytest.approx(s, rel=1e-9)
         assert np.all(lo <= s) and np.all(s <= hi)
+
+
+def _explicit_window(seed):
+    """Integers -700 ... 700 moved by seeded offsets in (-0.3, 0.3)."""
+    idx = np.arange(-700, 701)
+    offsets = np.random.default_rng(seed).uniform(-0.3, 0.3, len(idx))
+    return ExplicitWindow(tuple(idx + offsets), -700)
+
+
+class TestShiftSteering:
+    """Where the band solver starts, how it steps and when it stops; the
+    bracket ends stay Cholesky decisions whatever steers them."""
+
+    @pytest.mark.parametrize("b, sweeps, sigma_min, sigma_max", [
+        # the previous solver (bisection steered by phi alone) on the same sections
+        (0.0, 39, 0.192977863974501, 1.82024025024942),
+        (2.0, 39, 0.482416332458384, 1.56449295602571),
+    ])
+    def test_misfired_model_costs_at_most_two_sweeps(self, b, sweeps, sigma_min, sigma_max):
+        # random offsets put the extreme eigenvectors away from the central
+        # block, so its trusted model misses and the bisection does the rest
+        e, = frame_bounds(GaussianParam(1.0, b), _explicit_window(7), (600,),
+                          interior_fraction=1.0, edge_margin=3.0).entries
+        assert e.solver == "band" and e.start == ("model", "model")
+        assert e.sweeps <= sweeps + 2
+        assert e.sigma_min == pytest.approx(sigma_min, rel=1e-9)
+        assert e.sigma_max == pytest.approx(sigma_max, rel=1e-9)
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("scale", [0.7, 1.3])
+    def test_estimates_only_steer(self, monkeypatch, scale, b):
+        c = GaussianParam(1.0, b)
+        sub, lam, cols, buffer = _section(c, PeriodicPerturbation(PATTERN), 150, 1.0, 3.0,
+                                          "interior_rows")
+        s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
+        steered = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        assert steered[3]["start"] == ("model", "model")
+        model = gauss_space._edge_model
+        monkeypatch.setattr(gauss_space, "_edge_model",
+                            lambda diags: (scale * model(diags)[0], model(diags)[1]))
+        values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        assert diagnostics["start"] == ("model", "model")
+        assert diagnostics["sweeps"] > steered[3]["sweeps"]
+        assert values == pytest.approx(steered[0], rel=1e-10)
+        assert np.all(lo <= s) and np.all(s <= hi)
+
+    @given(
+        offsets=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6),
+        m=st.integers(70, 200),
+        b=st.sampled_from([0.0, 2.0]),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_slope_bound_passes_the_root(self, offsets, m, b):
+        # phi' <= -1, so G - mu I is not definite at mu_s + phi_s (mu I - G
+        # at mu_s - phi_s) for any success mu_s; a phi_s within the shifts'
+        # resolution is rounding
+        c = GaussianParam(1.0, b)
+        _, lam, cols, buffer = _section(c, PeriodicPerturbation(tuple(offsets)), m, 1.0, 3.0,
+                                        "interior_rows")
+        definite, taken = gauss_space._definite, []
+
+        def recording(pairs, mid, nb, shifts, signs):
+            ok, phi = definite(pairs, mid, nb, shifts, signs)
+            taken.append((pairs, mid, nb, shifts[ok], signs[ok], phi[ok]))
+            return ok, phi
+
+        with mock.patch.object(gauss_space, "_definite", recording):
+            gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        checked = 0
+        for pairs, mid, nb, mus, signs, phis in taken:
+            clear = phis > 2.0 * np.finfo(float).eps * np.abs(mid).max()
+            past = mus[clear] + signs[clear] * phis[clear] * (1.0 + gauss_space._SLOPE_MARGIN)
+            ok, _ = definite(pairs, mid, nb, past, signs[clear])
+            assert not ok.any()
+            checked += clear.sum()
+        assert checked > 0
+
+    def test_below_resolution_reports_the_upper_end(self):
+        # oversampled rows: lambda_min is about 1e-32, far below the radius
+        c, seq = A1, AffineGrid(0.9)
+        e, = frame_bounds(c, seq, (300,)).entries
+        sub, *_ = _section(c, seq, 300, 2.0 / 3.0, 0.0, "interior_rows")
+        s = np.linalg.svd(sub, compute_uv=False)
+        assert e.solver == "band" and e.below_resolution and e.stop[0] == "resolution"
+        assert e.sigma_min == e.sigma_min_bracket[1] and e.sigma_min_bracket[0] == 0.0
+        assert _inside(s[-1], e.sigma_min_bracket) and _inside(s[0], e.sigma_max_bracket)
+        assert e.sigma_max == pytest.approx(s[0], rel=1e-9)
+        assert json.loads(json.dumps(e.to_json()))["below_resolution"] is True
+
 
 class TestSplitParts:
     def test_center_only(self):
