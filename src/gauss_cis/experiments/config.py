@@ -19,9 +19,11 @@ class ScenarioConfig:
     """Validated scenario configuration.
 
     ``seed`` is mandatory so that every run is reproducible; scenario
-    specific knobs live in ``options``, each read through the parser its
-    scenario declares.  Fields of the wrong type or form, and options or
-    tolerances the scenario does not declare, raise ConfigInvalidError.
+    specific knobs live in ``options``.  After construction ``options`` and
+    ``tolerances`` hold every one the scenario declares: a given value read
+    through its declared parser, else the default.  Fields of the wrong
+    type or form, and options or tolerances the scenario does not declare,
+    raise ConfigInvalidError.
     """
 
     scenario: str
@@ -57,17 +59,29 @@ class ScenarioConfig:
         self.options = coerce(dict, self.options, "options")
         _reject_unknown(self.tolerances, TOLERANCES[self.scenario], f"{self.scenario} tolerance")
         _reject_unknown(self.options, OPTIONS[self.scenario], f"{self.scenario} option")
-        declared = OPTIONS[self.scenario]
-        self.options = {key: coerce(declared[key][1], val, f"option {key!r}")
-                        for key, val in self.options.items()}
+        self.options = {
+            key: coerce(parse, self.options[key], f"option {key!r}") if key in self.options
+            else default
+            for key, (default, parse) in OPTIONS[self.scenario].items()
+        }
+        self.tolerances = {
+            key: coerce(float, self.tolerances.get(key, default), f"tolerance {key!r}")
+            for key, default in TOLERANCES[self.scenario].items()
+        }
         for key, val in self.tolerances.items():
-            if not coerce(float, val, f"tolerance {key!r}") > 0.0:
+            if not val > 0.0:
                 raise ConfigInvalidError(f"tolerance {key!r} must be > 0")
         self.out_dir = coerce(Path, self.out_dir, "out")
 
     def echo(self) -> dict:
-        """Every field but the output directory, as report.json records it."""
-        return {k: v for k, v in vars(self).items() if k != "out_dir"}
+        """Every field but the output directory, as report.json records it:
+        every effective option and tolerance, defaults included.  An option
+        that is a float but not finite, such as framebound-sweep's default
+        ``stability_pct`` of inf (no bound), is recorded as null, so the
+        report stays strict JSON."""
+        options = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in self.options.items()}
+        return {k: v for k, v in vars(self).items() if k != "out_dir"} | {"options": options}
 
 
 def _reject_unknown(given, known, what: str) -> None:

@@ -5,9 +5,11 @@ runner handles serialization, timing, and exit status.  Grid points are
 evaluated serially in a fixed order, so reports are deterministic.
 Each scenario is registered with the options it reads, each with its
 default and parser, and its tolerances with their defaults.  Before a
-scenario runs, ScenarioConfig rejects any other key and reads every given
-option through its parser, so a value of the wrong type or form raises
-ConfigInvalidError before any work.
+scenario runs, ScenarioConfig rejects any other key, reads every given
+option through its parser and fills in the defaults of the rest, so a
+value of the wrong type or form raises ConfigInvalidError before any work
+and a scenario reads ``config.options[key]``.  The four frame-bound
+scenarios only declare their legs; ``_frame_legs`` sweeps and checks them.
 """
 
 from __future__ import annotations
@@ -62,15 +64,6 @@ def _scenario(name: str, tolerances=None, **options):
         TOLERANCES[name] = tolerances or {}
         return fn
     return register
-
-
-def _option(config: ScenarioConfig, key: str):
-    """Option ``key`` as its parser read it, or its default when absent."""
-    return config.options.get(key, OPTIONS[config.scenario][key][0])
-
-
-def _tolerance(config: ScenarioConfig, key: str) -> float:
-    return float(config.tolerances.get(key, TOLERANCES[config.scenario][key]))
 
 
 def _flag(value) -> bool:
@@ -168,43 +161,11 @@ def _require_sequence(config: ScenarioConfig):
     return build_sequence(config.sequence)
 
 
-def _sweep(config, seq, sizes, frac, margin, orientation):
-    param = GaussianParam(config.a, config.b)
-    return gauss_space.frame_bounds(
-        param,
-        seq,
-        sizes,
-        interior_fraction=frac,
-        edge_margin=margin,
-        orientation=orientation,
-    )
-
-
-def _sweep_sizes(config: ScenarioConfig) -> tuple:
-    """The config's sizes (16, 32, 64 by default); a sweep compares sizes,
-    so fewer than two is a config error."""
-    sizes = config.sizes or (16, 32, 64)
-    if len(sizes) < 2:
-        raise ConfigInvalidError(
-            f"sizes: {config.scenario} needs at least two sizes, got {list(sizes)}"
-        )
-    return sizes
-
-
-def _stability_pct(report) -> float:
-    """Relative change of sigma_min across the last size doubling, percent."""
-    prev, cur = report.entries[-2], report.entries[-1]
-    return 100.0 * abs(cur.sigma_min - prev.sigma_min) / prev.sigma_min
-
-
 @_scenario("classify", n_max=(8, int), margin=(1e-9, float), expect_pass=(None, _flag))
 def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
-    seq = _require_sequence(config)
-    expect = _option(config, "expect_pass")
+    expect = config.options["expect_pass"]
     verdict = avdonin_verdict(
-        seq,
-        n_max=_option(config, "n_max"),
-        margin=_option(config, "margin"),
+        _require_sequence(config), n_max=config.options["n_max"], margin=config.options["margin"]
     )
     passed = True if expect is None else (verdict.passes == expect)
     v = verdict.to_json()
@@ -230,131 +191,103 @@ def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
     )
 
 
-def _frame_sweep(config: ScenarioConfig, seq):
-    """Frame bounds at the config's sizes, trimmed as its options say."""
-    return _sweep(
-        config, seq, _sweep_sizes(config),
-        _option(config, "interior_fraction"),
-        _option(config, "edge_margin"),
-        _option(config, "orientation"),
-    )
+def _frame_legs(config: ScenarioConfig, table: str, labels: tuple, legs) -> ScenarioOutcome:
+    """Frame bounds of each leg at the config's sizes, checked, as one table.
 
-
-def _frame_outcome(passed: bool, summary: dict, report) -> ScenarioOutcome:
-    """Outcome holding one sweep's frame-bound table and sigma_min plot."""
+    A leg is (label values, sequence, orientation, critical).  A critical
+    leg passes when sigma_min falls by at most ``max_ratio`` at every size
+    step, any other when it moves by at most ``stability_pct`` percent
+    across the last one; a sigma_min of 0 (every entry underflowed) leaves
+    the ratio or percentage after it None, and the check fails.  A sweep
+    compares sizes, so fewer than two is a config error.  The table has a
+    row per leg and size; the summary a check per leg, with its labels,
+    ``kind``, ``ok``, ``ratios`` or ``stability_pct``, and its ``report``.
+    """
+    sizes = config.sizes or (16, 32, 64)
+    if len(sizes) < 2:
+        raise ConfigInvalidError(
+            f"sizes: {config.scenario} needs at least two sizes, got {list(sizes)}"
+        )
+    options = config.options
+    param = GaussianParam(config.a, config.b)
+    rows, checks = [], []
+    for values, seq, orientation, critical in legs:
+        report = gauss_space.frame_bounds(
+            param, seq, sizes,
+            interior_fraction=options["interior_fraction"],
+            edge_margin=options["edge_margin"],
+            orientation=orientation,
+        )
+        rows += [(*values, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max)
+                 for e in report.entries]
+        check = dict(zip(labels, values))
+        if critical:
+            ratios = [r for _, _, r in report.sigma_min_ratios()]
+            ok = all(r is not None and r <= options["max_ratio"] for r in ratios)
+            check.update(kind="decay", ratios=ratios)
+        else:
+            prev, cur = (e.sigma_min for e in report.entries[-2:])
+            pct = 100.0 * abs(cur - prev) / prev if prev > 0.0 else None
+            ok = pct is not None and pct <= options["stability_pct"]
+            check.update(kind="stable", stability_pct=pct)
+        checks.append({**check, "ok": ok, "report": report.to_json()})
     return ScenarioOutcome(
-        passed=passed,
-        summary={"report": report.to_json(), **summary},
-        table="frame_bounds", header=("size", "n_rows", "n_cols", "sigma_min", "sigma_max"),
-        rows=[(e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries],
-        plot=("sigma_min", ("size", "sigma_min")),
+        passed=all(ch["ok"] for ch in checks),
+        summary={"checks": checks},
+        table=table, header=(*labels, "size", "n_rows", "n_cols", "sigma_min", "sigma_max"),
+        rows=rows,
+        # sigma_min against size, and against the first label (delta or alpha)
+        plot=("sigma_min", (*labels[:1], "size", "sigma_min")),
     )
 
 
 @_scenario("framebound-sweep", interior_fraction=(2.0 / 3.0, float), edge_margin=(0.0, float),
            orientation=("interior_rows", str), stability_pct=(float("inf"), float))
 def scenario_framebound_sweep(config: ScenarioConfig) -> ScenarioOutcome:
-    report = _frame_sweep(config, _require_sequence(config))
-    pct = _stability_pct(report)
-    passed = pct <= _option(config, "stability_pct")
-    return _frame_outcome(passed, {"stability_pct": pct}, report)
+    leg = ((), _require_sequence(config), config.options["orientation"], False)
+    return _frame_legs(config, "frame_bounds", (), [leg])
 
 
 @_scenario("critical-half", interior_fraction=(1.0, float), edge_margin=(3.0, float),
            orientation=("interior_rows", str), max_ratio=(0.5, float))
 def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
     seq = build_sequence(config.sequence) if config.sequence else PeriodicPerturbation((0.5,))
-    report = _frame_sweep(config, seq)
-    max_ratio = _option(config, "max_ratio")
-    ratios = report.sigma_min_ratios()
-    summary = {
-        "max_ratio_allowed": max_ratio,
-        "ratios": [{"from": x, "to": y, "ratio": r} for x, y, r in ratios],
-    }
-    return _frame_outcome(all(r <= max_ratio for _, _, r in ratios), summary, report)
+    return _frame_legs(config, "frame_bounds", (), [((), seq, config.options["orientation"], True)])
 
 
 @_scenario("kadets-sweep", deltas=((0.1, 0.3, 0.45), _floats), critical_deltas=((0.5,), _floats),
            interior_fraction=(1.0, float), edge_margin=(3.0, float),
            stability_pct=(10.0, float), max_ratio=(0.5, float))
 def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
-    deltas = _option(config, "deltas")
-    critical = _option(config, "critical_deltas")
+    deltas = config.options["deltas"]
+    critical = config.options["critical_deltas"]
     if not deltas and not critical:
         raise ConfigInvalidError(
             "options 'deltas' and 'critical_deltas': need at least one delta between them"
         )
-    sizes = _sweep_sizes(config)
-    frac = _option(config, "interior_fraction")
-    margin = _option(config, "edge_margin")
-    stability = _option(config, "stability_pct")
-    max_ratio = _option(config, "max_ratio")
-    rows, checks = [], []
-    for d in sorted(deltas) + sorted(critical):
-        report = _sweep(config, PeriodicPerturbation((d,)), sizes, frac, margin, "interior_rows")
-        rows += [(d, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max) for e in report.entries]
-        tail_bounds = [e.tail_bound for e in report.entries]
-        if d in critical:
-            ratios = [r for _, _, r in report.sigma_min_ratios()]
-            ok = all(r <= max_ratio for r in ratios)
-            checks.append({"delta": d, "kind": "decay", "ratios": ratios,
-                           "tail_bounds": tail_bounds, "ok": ok})
-        else:
-            pct = _stability_pct(report)
-            ok = pct <= stability
-            checks.append({"delta": d, "kind": "stable", "stability_pct": pct,
-                           "tail_bounds": tail_bounds, "ok": ok})
-    header = ("delta", "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
-    return ScenarioOutcome(
-        passed=all(ch["ok"] for ch in checks),
-        summary={"checks": checks, "stability_pct": stability, "max_ratio": max_ratio},
-        table="kadets", header=header, rows=rows,
-        plot=("sigma_min", ("delta", "size", "sigma_min")),
-    )
+    legs = [((d,), PeriodicPerturbation((d,)), "interior_rows", d in critical)
+            for d in sorted(deltas) + sorted(critical)]
+    return _frame_legs(config, "kadets", ("delta",), legs)
 
 
 @_scenario("density-demo", alphas=((0.9, 1.1), _some_floats), interior_fraction=(2.0 / 3.0, float),
            edge_margin=(0.0, float), stability_pct=(10.0, float))
 def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
-    alphas = _option(config, "alphas")
-    sizes = _sweep_sizes(config)
-    frac = _option(config, "interior_fraction")
-    margin = _option(config, "edge_margin")
-    stability = _option(config, "stability_pct")
-    rows, checks = [], []
-    for alpha in sorted(alphas):
-        # oversampled grids measure the sampling-side bound (interior
-        # coefficients); undersampled ones the interpolation-side bound
+    # oversampled grids measure the sampling-side bound (interior
+    # coefficients); undersampled ones the interpolation-side bound
+    legs = []
+    for alpha in sorted(config.options["alphas"]):
         orientation = "interior_cols" if alpha < 1.0 else "interior_rows"
-        report = _sweep(config, AffineGrid(alpha), sizes, frac, margin, orientation)
-        rows += [(alpha, orientation, e.size, e.n_rows, e.n_cols, e.sigma_min, e.sigma_max)
-                 for e in report.entries]
-        pct = _stability_pct(report)
-        checks.append({
-            "alpha": alpha,
-            "orientation": orientation,
-            "stability_pct": pct,
-            "tail_bounds": [e.tail_bound for e in report.entries],
-            "ok": pct <= stability,
-        })
-    header = ("alpha", "orientation", "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
-    return ScenarioOutcome(
-        passed=all(ch["ok"] for ch in checks),
-        summary={"checks": checks, "stability_pct": stability},
-        table="density", header=header, rows=rows,
-        plot=("sigma_min", ("alpha", "size", "sigma_min")),
-    )
+        legs.append(((alpha, orientation), AffineGrid(alpha), orientation, False))
+    return _frame_legs(config, "density", ("alpha", "orientation"), legs)
 
 
 @_scenario("kernel-asymptotic", log_modulus_lo=(-10.0, float), log_modulus_hi=(10.0, float),
            step=(0.25, _positive), max_spread=(10.0, float), bracket=(None, _bracket))
 def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
-    lo = _option(config, "log_modulus_lo")
-    hi = _option(config, "log_modulus_hi")
-    step = _option(config, "step")
-    max_spread = _option(config, "max_spread")
-    bracket = _option(config, "bracket")
-    grid = _log_modulus_grid(lo, hi, step)
+    options = config.options
+    max_spread, bracket = options["max_spread"], options["bracket"]
+    grid = _log_modulus_grid(options["log_modulus_lo"], options["log_modulus_hi"], options["step"])
     _, ratios = fock.kernel_norm(config.a, fock.LogPolarPoint(grid, np.zeros_like(grid)))
     header = ("log_modulus", "ratio")
     rows = list(zip(grid.tolist(), ratios.tolist()))
@@ -379,21 +312,16 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
            step=(0.1, _positive), n_angles=(8, _count), exclusion=(0.1, _positive),
            bracket=(None, _bracket))
 def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
-    a = config.a
-    lo = _option(config, "log_modulus_lo")
-    lo = a if lo is None else lo
-    hi = _option(config, "log_modulus_hi")
-    hi = 21.0 * a if hi is None else hi
-    step = _option(config, "step")
-    n_angles = _option(config, "n_angles")
-    exclusion = _option(config, "exclusion")
-    bracket = _option(config, "bracket")
+    a, options = config.a, config.options
+    lo = a if options["log_modulus_lo"] is None else options["log_modulus_lo"]
+    hi = 21.0 * a if options["log_modulus_hi"] is None else options["log_modulus_hi"]
+    n_angles, exclusion, bracket = options["n_angles"], options["exclusion"], options["bracket"]
 
-    lms = _log_modulus_grid(lo, hi, step, n_angles)
-    zeros = fock.GeneratingProduct.unperturbed(a, int(np.ceil((hi + 40) / (2 * a))))
+    lms = _log_modulus_grid(lo, hi, options["step"], n_angles)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     # every angle at each log-modulus, log-modulus major
     grid = fock.LogPolarPoint(np.repeat(lms, n_angles), np.tile(angles, len(lms)))
+    zeros = fock.GeneratingProduct.unperturbed(a, fock.certified_zero_count(a, grid))
     rel = fock.log_distance_to_zeros(grid, zeros.zero_log_moduli) - grid.log_modulus
     keep = rel >= np.log(exclusion)
     if not keep.any():
@@ -421,11 +349,11 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
            lambdas=(tuple(np.linspace(-5.0, 5.0, 11).tolist()), _some_floats),
            b_values=((0.0, 2.0), _some_floats), coeff_range=((1, 16), _coeff_range))
 def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
-    n_seeds = _option(config, "n_seeds")
-    lambdas = _option(config, "lambdas")
-    b_values = _option(config, "b_values")
-    n_lo, n_hi = _option(config, "coeff_range")
-    tol = _tolerance(config, "gap")
+    n_seeds = config.options["n_seeds"]
+    lambdas = config.options["lambdas"]
+    b_values = config.options["b_values"]
+    n_lo, n_hi = config.options["coeff_range"]
+    tol = config.tolerances["gap"]
 
     rows = []
     for i in range(n_seeds):
@@ -449,17 +377,13 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
            trials=(50, _count), window=(12, _count), coeff_start=(0, int), coeff_count=(5, _count),
            delta_amplitude=(0.2, _nonnegative), node_start=(-1, int))
 def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
-    trials = _option(config, "trials")
-    window = _option(config, "window")
+    options = config.options
+    trials, window = options["trials"], options["window"]
     if window < 2:
         # the dilated-node verdict compares neighbouring nodes
         raise ConfigInvalidError(f"option 'window': needs at least two nodes, got {window}")
-    coeff_start = _option(config, "coeff_start")
-    coeff_count = _option(config, "coeff_count")
-    amplitude = _option(config, "delta_amplitude")
-    node_start = _option(config, "node_start")
-    residual_tol = _tolerance(config, "residual")
-    match_tol = _tolerance(config, "match")
+    coeff_start, coeff_count = options["coeff_start"], options["coeff_count"]
+    amplitude, node_start = options["delta_amplitude"], options["node_start"]
 
     def run(t):
         rng = np.random.default_rng([config.seed, t])
@@ -470,8 +394,8 @@ def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
             config.a,
             CoefficientVector(coeff_start, vals.astype(complex)),
             seq,
-            residual_tol=residual_tol,
-            match_tol=match_tol,
+            residual_tol=config.tolerances["residual"],
+            match_tol=config.tolerances["match"],
         )
 
     results = [run(t) for t in range(trials)]

@@ -55,6 +55,7 @@ __all__ = [
     "node_transform",
     "consistency_identity",
     "log_distance_to_zeros",
+    "certified_zero_count",
     "generating_product_G0",
     "g0_estimate_ratio",
     "generating_product_perturbed",
@@ -513,15 +514,16 @@ def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli):
     return _out(np.min(log_abs_diff_exp(lm + 1j * arg, near), axis=0))
 
 
-def _certified_zero_count(a: float, p: LogPolarPoint) -> int:
-    """Zeros e^{2am} of G0 needed to certify the product tail at every point of p."""
+def certified_zero_count(a: float, p: LogPolarPoint) -> int:
+    """Zeros e^{2am} of G0, at least one, needed to certify the product tail
+    at every point of p; they also hold the zero nearest to each point."""
     top = float(np.max(p.log_modulus)) if np.size(p.log_modulus) else 0.0
     return max(int(np.ceil((top + 38.0) / (2.0 * a))) + 1, 1)
 
 
 def generating_product_G0(a: float, p: LogPolarPoint, m_terms: Optional[int] = None):
     """(log|G0(w)|, phase) for the unperturbed geometric zero set e^{2am}."""
-    auto = _certified_zero_count(a, p)
+    auto = certified_zero_count(a, p)
     if m_terms is not None and m_terms < auto:
         raise BadParameterError(
             f"m_terms={m_terms} below the certified count {auto} at this modulus"
@@ -538,7 +540,7 @@ def g0_estimate_ratio(a: float, p: LogPolarPoint):
     Bounded above and below on grids that avoid the zeros; the bracket is
     empirical.  One product serves every point of p.
     """
-    prod = GeneratingProduct.unperturbed(a, _certified_zero_count(a, p))
+    prod = GeneratingProduct.unperturbed(a, certified_zero_count(a, p))
     log_abs, _ = prod.evaluate(p)
     log_dist = log_distance_to_zeros(p, prod.zero_log_moduli)
     log_ratio = (

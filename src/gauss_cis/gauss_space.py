@@ -319,7 +319,8 @@ class FrameBoundReport:
 
     ``sigma_min_ratios`` pairs consecutive sizes; a stable ratio near 1
     indicates two-sided bounds surviving truncation growth, while a ratio
-    bounded away from 1 flags degeneration.
+    bounded away from 1 flags degeneration.  A ratio after a sigma_min of 0
+    (every entry underflowed) is None.
     """
 
     orientation: str
@@ -328,10 +329,10 @@ class FrameBoundReport:
     entries: tuple
 
     def sigma_min_ratios(self):
-        out = []
-        for prev, cur in zip(self.entries, self.entries[1:]):
-            out.append((prev.size, cur.size, cur.sigma_min / prev.sigma_min))
-        return tuple(out)
+        return tuple(
+            (prev.size, cur.size, cur.sigma_min / prev.sigma_min if prev.sigma_min > 0.0 else None)
+            for prev, cur in zip(self.entries, self.entries[1:])
+        )
 
     def to_json(self) -> dict:
         return {
@@ -580,14 +581,6 @@ def _definite(pairs, mid, nb: int, shifts, signs):
     return ok, phi
 
 
-def _band_matvec(diags, x):
-    y = diags[0] * x
-    for d, g in enumerate(diags[1:], 1):
-        y[:-d] += g * x[d:]
-        y[d:] += g.conj() * x[:-d]
-    return y
-
-
 def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
     """Extreme singular values of the section e^{-c (lam_i - n_j)^2}.
 
@@ -617,7 +610,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
       bracketed at once.  Elsewhere (the critical shift's lambda_min, where
       lambda_inf = 0) lambda_min starts from the smallest diagonal entry,
       with geometric steps down to the rounding radius, and lambda_max from
-      a power-iteration Rayleigh quotient and the Gershgorin bound.
+      the largest diagonal entry and the Gershgorin bound.
     * Slope bound.  Split G - mu I into the outer parts' block M_11 and the
       middle window's M_22; then S = M_22 - M_21 M_11^-1 M_12 has dS/dmu =
       -I - X^H X <= -I with X = M_11^-1 M_12, so phi' <= -1.  From a
@@ -642,7 +635,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
     Returns ``(values, lo, hi, diagnostics)``: (sigma_min, sigma_max), the
     square roots of the bracket midpoints, certified lower and upper ends,
     and the ``sweeps`` taken, the ``half_bandwidth`` P, each side's
-    ``start`` (``model``, ``diagonal`` or ``rayleigh``) and ``stop``
+    ``start`` (``model`` or ``diagonal``) and ``stop``
     (``width`` or ``resolution``), and ``below_resolution``: whether
     lambda_min's bracket stayed below twice the rounding radius, in which
     case sigma_min is its certified upper end.  An eigenvalue
@@ -683,24 +676,19 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
     top *= 1.0 + 1e-8
     factoring = _gamma(_WINDOW_BLOCKS * nb + len(mid) + nb + 2)
     rounding = _gamma(2 * width + 4) * norms + dropped + (2 * half + 1) * factoring * top
-    x = np.ones(len(p))
-    for _ in range(8):
-        x = _band_matvec(diags, x)
-        x /= np.linalg.norm(x)
-    quotient = float(np.vdot(x, _band_matvec(diags, x)).real)
     diag = diags[0].real
     # below this width a shift no longer changes the shifted matrix
     resolution = 2.0 * _EPS * float(diag.max())
     # side 0: G - mu I is definite for mu <= ends[0, 0] and not at ends[0, 1];
     # side 1: mu I - G is definite at ends[1, 1] and not at ends[1, 0];
     # phis holds phi at each end (nan while unknown)
-    ends = np.array([[0.0, float(diag.min())], [max(float(diag.max()), quotient), top]])
+    ends = np.array([[0.0, float(diag.min())], [float(diag.max()), top]])
     phis = np.full((2, 2), np.nan)
     # side k factors sign[k] * (G - mu I); sign[k] points from its success end to its failure end
     sign = np.array([1.0, -1.0])
     estimate, move = _edge_model(diags)
     modelled = np.isfinite(move)
-    start = tuple("model" if modelled[k] else ("diagonal", "rayleigh")[k] for k in (0, 1))
+    start = tuple("model" if m else "diagonal" for m in modelled)
     # a modelled side's first sweep puts one shift either side of its
     # estimate, the one toward its success end first
     queued = [[], []]
@@ -796,8 +784,11 @@ def _next_shift(ends, phis, floor: float, side: int) -> float:
 
 
 def _bisection_point(lo: float, hi: float) -> float:
-    """Geometric mean while the bracket spans more than a factor 2, then the midpoint."""
-    return float(np.sqrt(lo * hi)) if hi > 2.0 * lo else 0.5 * (lo + hi)
+    """Geometric mean while the bracket spans more than a factor 2, then the
+    midpoint; also the midpoint where lo * hi underflows (ends below about
+    1e-154), which would put the geometric mean at or below lo."""
+    mean = float(np.sqrt(lo * hi))
+    return mean if hi > 2.0 * lo and mean > lo else 0.5 * (lo + hi)
 
 
 def split_parts(coeffs: CoefficientVector):

@@ -1,6 +1,6 @@
-"""Check a frame-bound report.json from the CLI: every entry at the given
-sizes took the band solver, lies inside its certified brackets and took at
-most the given number of sweeps.
+"""Check a frame-bound report.json from the CLI: every leg's entries are at
+the given sizes, took the band solver, lie inside their certified brackets
+and took at most the given number of sweeps.
 
     python tests/data/check_band_report.py <report.json> <max sweeps> <size> ...
 """
@@ -9,12 +9,18 @@ import json
 import sys
 
 path, guard, *sizes = sys.argv[1:]
-entries = json.load(open(path, encoding="utf-8"))["summary"]["report"]["entries"]
-assert [e["size"] for e in entries] == [int(m) for m in sizes], entries
-for e in entries:
-    assert e["solver"] == "band", e
-    assert e["sigma_min_bracket"][0] <= e["sigma_min"] <= e["sigma_min_bracket"][1], e
-    assert e["sigma_max_bracket"][0] <= e["sigma_max"] <= e["sigma_max_bracket"][1], e
-    assert 0 < e["sweeps"] <= int(guard), e
-    print(f"M = {e['size']}: {e['sweeps']} sweeps (guard {guard}), start {e['start']}, "
-          f"stop {e['stop']}, half-bandwidth {e['half_bandwidth']}, sigma_min {e['sigma_min']:.12g}")
+checks = json.load(open(path, encoding="utf-8"))["summary"]["checks"]
+assert checks, path
+for check in checks:
+    labels = {k: check[k] for k in ("delta", "alpha", "orientation") if k in check}
+    where = f"{labels} " if labels else ""
+    entries = check["report"]["entries"]
+    assert [e["size"] for e in entries] == [int(m) for m in sizes], entries
+    for e in entries:
+        assert e["solver"] == "band", e
+        assert e["sigma_min_bracket"][0] <= e["sigma_min"] <= e["sigma_min_bracket"][1], e
+        assert e["sigma_max_bracket"][0] <= e["sigma_max"] <= e["sigma_max_bracket"][1], e
+        assert 0 < e["sweeps"] <= int(guard), e
+        print(f"{where}M = {e['size']}: {e['sweeps']} sweeps (guard {guard}), "
+              f"start {e['start']}, stop {e['stop']}, half-bandwidth {e['half_bandwidth']}, "
+              f"sigma_min {e['sigma_min']:.12g}")

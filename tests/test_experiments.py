@@ -27,6 +27,7 @@ from gauss_cis.experiments import (
     sign_retrieval_check,
 )
 from gauss_cis.experiments.cli import main as cli_main
+from gauss_cis.experiments.scenarios import OPTIONS, TOLERANCES
 from gauss_cis.experiments.sign_retrieval import _surviving_signs
 from gauss_cis.gauss_space import CoefficientVector
 
@@ -69,6 +70,12 @@ class TestConfig:
         with pytest.raises(ConfigInvalidError):
             load_config(path, scenario="classify")
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_options_and_tolerances_resolve_once(self, scenario):
+        cfg = ScenarioConfig(scenario=scenario, seed=1, out_dir="out")
+        assert cfg.options == {key: default for key, (default, _) in OPTIONS[scenario].items()}
+        assert cfg.tolerances == TOLERANCES[scenario]
+
 
 class TestRunner:
     def test_unknown_scenario_error(self, tmp_path):
@@ -93,7 +100,7 @@ class TestRunner:
         data = json.loads((tmp_path / "out" / "report.json").read_text())
         assert data["config"]["seed"] == 4
         assert data["passed"] is True
-        for entry in data["summary"]["report"]["entries"]:
+        for entry in data["summary"]["checks"][0]["report"]["entries"]:
             assert 0.0 <= entry["tail_bound"] < 1e-14
         header = (tmp_path / "out" / "frame_bounds.csv").read_text().splitlines()[0]
         assert header == "size,n_rows,n_cols,sigma_min,sigma_max"
@@ -105,8 +112,9 @@ class TestRunner:
         run_scenario(cfg)
         data = json.loads((tmp_path / "out" / "report.json").read_text())
         for check in data["summary"]["checks"]:
-            assert len(check["tail_bounds"]) == 2
-            assert all(0.0 <= t < 1e-14 for t in check["tail_bounds"])
+            tail_bounds = [e["tail_bound"] for e in check["report"]["entries"]]
+            assert len(tail_bounds) == 2
+            assert all(0.0 <= t < 1e-14 for t in tail_bounds)
         header = (tmp_path / "out" / f"{table}.csv").read_text().splitlines()[0]
         assert "tail_bound" not in header
 
@@ -479,3 +487,66 @@ def test_bad_option_value_fails_before_any_frame_bounds(tmp_path, capsys, monkey
     assert code == 2 and calls == []
     assert err.startswith("error: ") and err.count("\n") == 1 and "'stability_pct'" in err
     assert not (tmp_path / "out").exists()
+
+
+# frame-bound scenario -> (table, label columns, config fields beyond the seed)
+FRAME_SCENARIOS = {
+    "framebound-sweep": ("frame_bounds", (), {"sequence": {"kind": "periodic", "offsets": [0.5]}}),
+    "critical-half": ("frame_bounds", (), {}),
+    "kadets-sweep": ("kadets", ("delta",), {}),
+    "density-demo": ("density", ("alpha", "orientation"), {}),
+}
+
+
+@pytest.mark.parametrize("scenario", FRAME_SCENARIOS)
+def test_frame_legs_share_one_table_and_check_shape(tmp_path, scenario):
+    table, labels, fields = FRAME_SCENARIOS[scenario]
+    cfg = ScenarioConfig(scenario=scenario, seed=4, out_dir=tmp_path, sizes=(8, 16), **fields)
+    outcome = SCENARIOS[scenario](cfg)
+    checks = outcome.summary["checks"]
+    assert outcome.table == table
+    assert outcome.header == (*labels, "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
+    # the table is the legs' report entries, leg by leg and size by size
+    assert outcome.rows == [
+        (*(check[k] for k in labels), e["size"], e["n_rows"], e["n_cols"], e["sigma_min"],
+         e["sigma_max"])
+        for check in checks for e in check["report"]["entries"]
+    ]
+    for check in checks:
+        assert {*labels, "kind", "ok", "report"} <= check.keys()
+        assert ("ratios" if check["kind"] == "decay" else "stability_pct") in check
+        assert [e["size"] for e in check["report"]["entries"]] == [8, 16]
+    assert outcome.passed == all(check["ok"] for check in checks)
+    # report.json records every declared option, defaults included
+    run_scenario(cfg)
+    options = json.loads((tmp_path / "report.json").read_text())["config"]["options"]
+    assert options.keys() == OPTIONS[scenario].keys()
+    assert options["interior_fraction"] == OPTIONS[scenario]["interior_fraction"][0]
+
+
+@pytest.mark.parametrize("scenario", FRAME_SCENARIOS)
+def test_underflowed_sections_fail_their_check_without_a_traceback(tmp_path, capsys, scenario):
+    # at a = 3000 the entries of a shift of 1/2 underflow, so sigma_min is 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "a": 3000, "sizes": [16, 32],
+                                **FRAME_SCENARIOS[scenario][2]}))
+    code = cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    failed = [c for c in json.loads(text)["summary"]["checks"] if not c["ok"]]
+    assert failed
+    for check in failed:
+        assert None in check.get("ratios", [check.get("stability_pct")])
+        assert check["report"]["entries"][0]["sigma_min"] == 0.0
+
+
+def test_g0_zero_set_keeps_at_least_one_zero(tmp_path):
+    # a grid far below the first zero still gets one zero to measure distances to
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "a": 0.5, "options": {
+        "log_modulus_lo": -60.0, "log_modulus_hi": -50.0}}))
+    assert cli_main(["g0-estimate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
+    assert summary["n_points"] == 101 * 8

@@ -332,7 +332,7 @@ class TestBandSolver:
                 assert row["sweeps"] == e.sweeps > 0
                 assert row["half_bandwidth"] == e.half_bandwidth > 0
                 assert row["start"] == list(e.start)
-                assert set(e.start) <= {"model", "diagonal", "rayleigh"}
+                assert set(e.start) <= {"model", "diagonal"}
                 assert row["stop"] == list(e.stop) and set(e.stop) <= {"width", "resolution"}
                 assert row["below_resolution"] is e.below_resolution is False
             else:
@@ -521,8 +521,9 @@ class TestShiftSteering:
         assert e.sigma_max == pytest.approx(sigma_max, rel=1e-9)
 
     @pytest.mark.parametrize("b", [0.0, 2.0])
-    @pytest.mark.parametrize("scale", [0.7, 1.3])
+    @pytest.mark.parametrize("scale", [0.7, 1.3, None])
     def test_estimates_only_steer(self, monkeypatch, scale, b):
+        # scale None: no model is trusted, so both sides start from the diagonal
         c = GaussianParam(1.0, b)
         sub, lam, cols, buffer = _section(c, PeriodicPerturbation(PATTERN), 150, 1.0, 3.0,
                                           "interior_rows")
@@ -530,13 +531,27 @@ class TestShiftSteering:
         steered = gauss_space._extreme_singular_values(c, lam, cols, buffer)
         assert steered[3]["start"] == ("model", "model")
         model = gauss_space._edge_model
-        monkeypatch.setattr(gauss_space, "_edge_model",
-                            lambda diags: (scale * model(diags)[0], model(diags)[1]))
+        if scale is None:
+            monkeypatch.setattr(gauss_space, "_edge_model",
+                                lambda diags: (model(diags)[0], np.full(2, np.nan)))
+        else:
+            monkeypatch.setattr(gauss_space, "_edge_model",
+                                lambda diags: (scale * model(diags)[0], model(diags)[1]))
         values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer)
-        assert diagnostics["start"] == ("model", "model")
+        assert diagnostics["start"] == (("model",) * 2 if scale else ("diagonal",) * 2)
         assert diagnostics["sweeps"] > steered[3]["sweeps"]
         assert values == pytest.approx(steered[0], rel=1e-10)
         assert np.all(lo <= s) and np.all(s <= hi)
+
+    def test_geometric_shift_survives_underflow(self):
+        # lo * hi underflows to 0, which once froze the bracket of a section
+        # whose Gram entries are near 1e-235 (a = 3000, shift 0.3)
+        lo, hi = 6.7e-250, 3.0e-235
+        assert lo < gauss_space._bisection_point(lo, hi) < hi
+        e, = frame_bounds(GaussianParam(3000.0), PeriodicPerturbation((0.3,)), (512,),
+                          interior_fraction=1.0, edge_margin=3.0).entries
+        assert e.solver == "band" and e.stop == ("width", "width")
+        assert 0.0 < e.sigma_min <= e.sigma_max
 
     @given(
         offsets=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6),
