@@ -148,11 +148,11 @@ def _coeff_range(values) -> tuple:
 
 
 def _in_bracket(bracket, ratios) -> bool:
-    """True unless ``bracket`` is set and some ratio leaves it."""
-    if bracket is None:
-        return True
-    lo, hi = bracket
-    return bool(ratios.min() >= lo and ratios.max() <= hi)
+    """True when every ratio is finite and > 0 (an underflowed or overflowed
+    ratio measures nothing) and, if ``bracket`` is set, inside it."""
+    lo, hi = (0.0, np.inf) if bracket is None else bracket
+    measured = np.isfinite(ratios).all() and ratios.min() > 0.0
+    return bool(measured and ratios.min() >= lo and ratios.max() <= hi)
 
 
 def _require_sequence(config: ScenarioConfig):

@@ -235,10 +235,10 @@ def _sequence_from_spec(spec: dict) -> NodeSequence:
         if nodes is None:
             raise BadParameterError("explicit spec needs 'nodes'")
         rng = spec.get("index_range")
-        start = int(rng[0]) if rng is not None else 0
-        if rng is not None and int(rng[1]) - int(rng[0]) + 1 != len(nodes):
+        lo, hi = (0, len(nodes) - 1) if rng is None else rng
+        if int(hi) - int(lo) + 1 != len(nodes):
             raise BadParameterError("index_range does not match node count")
-        return ExplicitWindow(tuple(nodes), start)
+        return ExplicitWindow(tuple(nodes), int(lo))
     raise BadParameterError(f"unknown sequence kind {kind!r}")
 
 
@@ -312,24 +312,23 @@ def _best_offset(indices, lam, k_range):
 def canonical_enumeration(seq: NodeSequence, bound: float, window=None) -> Optional[Enumeration]:
     """Find an enumeration lambda_n = n + delta_n with sup|delta| <= bound.
 
-    The integer re-indexing k (|k| up to half the data span) minimizing
-    sup|delta_n| over the window is returned, or None when it misses the
-    bound.  k is closed form, the rounded mid-range of lambda_n - n, so the
-    cost is O(n).  Periodic and affine (alpha = 1) models are resolved
-    exactly.  Re-running on an already canonical window returns offset 0 and
+    The only code that knows how each model is enumerated.  The integer
+    re-indexing k minimizing sup|delta_n| is returned, or None when it misses
+    the bound.  k is closed form, the rounded mid-range of lambda_n - n, so
+    the cost is O(n).  Periodic models are exact over one period, and give
+    the deltas of ``window`` or, by default, of one period.  A unit-slope
+    grid is the periodic sequence (beta,); any other slope has no bounded
+    enumeration (None).  Explicit windows search |k| up to half the data
+    span.  Re-running on an already canonical window returns offset 0 and
     identical deltas.
     """
     if bound <= 0.0:
         raise BadParameterError("bound must be > 0")
 
-    if isinstance(seq, AffineGrid) and seq.alpha == 1.0:
-        lo, hi = seq._window(window)
-        k = int(np.round(seq.beta))
-        delta = seq.beta - k
-        if abs(delta) > bound:
+    if isinstance(seq, AffineGrid):
+        if seq.alpha != 1.0:
             return None
-        deltas = np.full(hi - lo + 1, delta, dtype=float)
-        return Enumeration(offset=k, start_index=lo + k, deltas=deltas)
+        seq = PeriodicPerturbation((seq.beta,))
 
     if isinstance(seq, PeriodicPerturbation):
         offs = np.asarray(seq.offsets)
@@ -444,12 +443,13 @@ def beurling_densities(seq: NodeSequence, r_values) -> DensityEstimate:
 class AvdoninVerdict:
     """Outcome of the averaged-perturbation test.
 
-    ``delta_star`` is the best (smallest over window lengths N) value of
-    sup_n |mean of N consecutive delta|; the verdict passes when the
-    sequence is separated, an enumeration exists, and
-    ``delta_star < 1/2 - margin``.  ``caveat`` distinguishes exact decisions
-    (periodic, affine) from the finite-window heuristic used on explicit
-    data.
+    ``delta_sup`` is sup|delta_n| of the canonical enumeration, the smallest
+    over integer re-indexings.  ``delta_star`` is the best (smallest over
+    window lengths N = ``window_len``) value of sup_n |mean of N consecutive
+    delta|; the verdict passes when the sequence is separated, an
+    enumeration exists, and ``delta_star < 1/2 - margin``.  ``caveat``
+    distinguishes exact decisions (periodic, affine) from the finite-window
+    heuristic used on explicit data.
     """
 
     separated: bool
@@ -506,54 +506,38 @@ def avdonin_verdict(
 ) -> AvdoninVerdict:
     """Classify a node sequence by the averaged-perturbation criterion.
 
-    Periodic model: exact.  The window average over one period is the mean
-    of the offsets, and no window length does better, so
-    ``delta_star = |mean(offsets)|`` with ``N = period``.
+    One path for every model (separation, :func:`canonical_enumeration`,
+    window statistic, threshold), so a node set gets one verdict whether it
+    is a periodic pattern, a unit-slope grid or an explicit window.
 
-    Affine model: exact.  For alpha = 1 the deltas are constant and reduce,
-    after integer re-indexing, to beta - round(beta); for alpha != 1 the
-    deltas grow linearly and no bounded enumeration exists.
+    Periodic and affine models: exact.  One period is enumerated, with no
+    bound.  Windows of whole periods average to the mean delta, no window
+    does better, and re-indexing by k moves the mean by k, so ``N =
+    period`` and ``delta_star`` is the mean's distance to the nearest
+    integer.
 
-    Explicit window: heuristic.  The best enumeration over the data is
-    found, then window averages are swept for N up to ``n_max``; the
-    verdict is labelled ``finite_window_heuristic``.
+    Explicit window: heuristic.  The enumeration over ``window`` must keep
+    sup|delta| within ``enumeration_bound``; window averages are then swept
+    for N up to ``n_max``.
 
     ``margin`` guards the strict inequality against rounding at the
     boundary case delta_star = 1/2.
     """
     min_gap, separated = check_separation(seq, window)
-
-    if isinstance(seq, PeriodicPerturbation):
-        offs = np.asarray(seq.offsets)
-        delta_star = abs(float(np.mean(offs)))
-        passes = separated and delta_star < 0.5 - margin
-        return AvdoninVerdict(
-            separated, min_gap, True, float(np.max(np.abs(offs))), seq.period,
-            delta_star, passes, "exact", margin,
-        )
-
-    if isinstance(seq, AffineGrid):
-        if seq.alpha != 1.0:
-            return AvdoninVerdict(
-                separated, min_gap, False, np.nan, 0, np.nan, False, "exact", margin
-            )
-        delta = seq.beta - int(np.round(seq.beta))
-        delta_star = abs(float(delta))
-        passes = separated and delta_star < 0.5 - margin
-        return AvdoninVerdict(
-            separated, min_gap, True, delta_star, 1, delta_star, passes,
-            "exact", margin,
-        )
-
-    enum = canonical_enumeration(seq, enumeration_bound, window)
+    exact = not isinstance(seq, ExplicitWindow)
+    caveat = "exact" if exact else "finite_window_heuristic"
+    enum = (canonical_enumeration(seq, np.inf) if exact
+            else canonical_enumeration(seq, enumeration_bound, window))
     if enum is None:
         return AvdoninVerdict(
-            separated, min_gap, False, np.nan, 0,
-            np.nan, False, "finite_window_heuristic", margin,
+            separated, min_gap, False, np.nan, 0, np.nan, False, caveat, margin
         )
-    best_n, best = best_window_average(enum.deltas, n_max)
+    if exact:
+        mean = float(np.mean(enum.deltas))
+        best_n, best = len(enum.deltas), abs(mean - round(mean))
+    else:
+        best_n, best = best_window_average(enum.deltas, n_max)
     passes = separated and best < 0.5 - margin
     return AvdoninVerdict(
-        separated, min_gap, True, enum.sup, best_n, best, passes,
-        "finite_window_heuristic", margin,
+        separated, min_gap, True, enum.sup, best_n, best, passes, caveat, margin
     )

@@ -237,6 +237,17 @@ class TestCli:
         ]) == 0
 
 
+@pytest.mark.parametrize("form", ["periodic", "affine", "explicit"])
+def test_three_forms_of_the_three_quarter_shift_pass_through_the_cli(tmp_path, form):
+    # {n + 3/4} re-enumerates as {m - 1/4}, whichever model describes it
+    path = Path(__file__).parent / "data" / f"classify_shift_{form}.json"
+    out = tmp_path / "out"
+    assert cli_main(["classify", "--config", str(path), "--out", str(out)]) == 0
+    verdict = json.loads((out / "report.json").read_text())["summary"]["verdict"]
+    assert verdict["passes"] and verdict["best_window"]["N"] == 1
+    assert verdict["best_window"]["delta_star"] == pytest.approx(0.25, abs=1e-12)
+
+
 def _exhaustive_survivors(a, coeffs, seq, residual_tol=1e-8, match_tol=1e-8):
     """Oracle: every one of the 2^W sign patterns solved in the least-squares
     sense, as sign_retrieval_check did before its pruned search."""
@@ -438,6 +449,10 @@ class TestSignRetrieval:
         ("framebound-sweep", {"sizes": [16, 10**9], "sequence": {"kind": "periodic", "offsets": [0.1]}}),
         ("kadets-sweep", {"sizes": [8, 16], "options": {"deltas": [], "critical_deltas": []}}),
         ("density-demo", {"sizes": [8, 16], "options": {"alphas": []}}),
+        ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0], "index_range": [0]}}),
+        ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0], "index_range": []}}),
+        ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0, 2.0],
+                                   "index_range": [0, 2, 9]}}),
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
@@ -542,11 +557,16 @@ def test_underflowed_sections_fail_their_check_without_a_traceback(tmp_path, cap
         assert check["report"]["entries"][0]["sigma_min"] == 0.0
 
 
-def test_g0_zero_set_keeps_at_least_one_zero(tmp_path):
-    # a grid far below the first zero still gets one zero to measure distances to
+def test_g0_zero_set_keeps_at_least_one_zero(tmp_path, capsys):
+    # a grid far below the first zero still gets one zero to measure distances
+    # to; every ratio there underflows to 0, so the run fails (exit 1, not a
+    # config error) and still writes its report
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 1, "a": 0.5, "options": {
         "log_modulus_lo": -60.0, "log_modulus_hi": -50.0}}))
-    assert cli_main(["g0-estimate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
-    assert summary["n_points"] == 101 * 8
+    assert cli_main(["g0-estimate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "error" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert not report["passed"]
+    assert report["summary"]["n_points"] == 101 * 8
+    assert report["summary"]["ratio_max"] == 0.0

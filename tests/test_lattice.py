@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauss_cis.errors import (
     BadParameterError,
@@ -143,6 +145,19 @@ class TestCanonicalEnumeration:
         with pytest.raises(BadParameterError):
             canonical_enumeration(AffineGrid(1.0), bound=0.0)
 
+    def test_non_unit_slope_has_no_enumeration_even_on_a_window(self):
+        assert canonical_enumeration(AffineGrid(0.95), 5.0) is None
+        assert canonical_enumeration(AffineGrid(0.95), 5.0, window=(-3, 3)) is None
+
+    def test_unit_slope_grid_is_the_one_offset_periodic_sequence(self):
+        for beta in (0.25, 0.75, 1.5, -2.5, 3.2):
+            grid = canonical_enumeration(AffineGrid(1.0, beta), bound=1.0)
+            periodic = canonical_enumeration(PeriodicPerturbation((beta,)), bound=1.0)
+            assert (grid.offset, grid.start_index) == (periodic.offset, periodic.start_index)
+            assert np.array_equal(grid.deltas, periodic.deltas) and len(grid.deltas) == 1
+        # at a half-integer shift the smaller |k| wins
+        assert canonical_enumeration(AffineGrid(1.0, 1.5), bound=1.0).offset == 1
+
 
 class TestBeurlingDensities:
     def test_affine_exact(self):
@@ -252,6 +267,52 @@ class TestAvdoninVerdict:
             for n in range(1, 9)
         )
         assert v.delta_star == pytest.approx(best, abs=1e-14)
+
+    def test_long_period_pattern_passes_past_the_enumeration_bound(self):
+        # best sup|delta| is 6.0 > enumeration_bound, but the bound is for
+        # explicit data only; the mean -5.85 lies 0.15 from an integer
+        v = avdonin_verdict(PeriodicPerturbation(tuple(-0.9 * i for i in range(14))))
+        assert v.passes and v.enumerable and v.caveat == "exact"
+        assert v.window_len == 14
+        assert v.delta_sup == pytest.approx(6.0, abs=1e-12)
+        assert v.delta_star == pytest.approx(0.15, abs=1e-12)
+
+    def test_three_forms_of_one_node_set_get_one_verdict(self):
+        rng = np.random.default_rng(31)
+        for beta in rng.uniform(-3.0, 3.0, 200):
+            forms = (
+                PeriodicPerturbation((beta,)),
+                AffineGrid(1.0, beta),
+                ExplicitWindow(tuple(np.arange(-20, 21) + beta), -20),
+            )
+            verdicts = [avdonin_verdict(seq) for seq in forms]
+            assert len({v.passes for v in verdicts}) == 1
+            stars = [v.delta_star for v in verdicts]
+            assert max(stars) - min(stars) <= 1e-12
+            assert stars[0] == pytest.approx(abs(beta - np.round(beta)), abs=1e-12)
+
+    def test_offsets_past_one_half_re_enumerate(self):
+        v = avdonin_verdict(PeriodicPerturbation((0.75,)))
+        assert v.passes and v.delta_star == pytest.approx(0.25, abs=1e-15)
+        assert v.delta_sup == pytest.approx(0.25, abs=1e-15)
+        v = avdonin_verdict(PeriodicPerturbation((0.9, 1.1)))
+        assert v.passes and v.delta_star == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        shift=st.floats(-0.5, 0.5),
+        wobble=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=8),
+        j=st.sampled_from([-2, -1, 1, 3]),
+    )
+    def test_integer_shift_of_every_offset_leaves_the_verdict(self, shift, wobble, j):
+        # offsets within 0.45 of a common shift always give an increasing
+        # sequence; adding j to each one only re-indexes it
+        offsets = np.asarray(wobble) + shift
+        base = avdonin_verdict(PeriodicPerturbation(tuple(offsets)))
+        moved = avdonin_verdict(PeriodicPerturbation(tuple(offsets + j)))
+        assert moved.passes == base.passes
+        assert moved.window_len == base.window_len
+        assert moved.delta_star == pytest.approx(base.delta_star, abs=1e-12)
 
     def test_verdict_json_fields(self):
         v = avdonin_verdict(PeriodicPerturbation((0.45, -0.35)))
