@@ -6,16 +6,18 @@ of every collocation matrix lie in (0, 1], so plain double precision is safe
 throughout this module; log-domain arithmetic is reserved for the power
 series side (module ``fock``).
 
-Frame bounds of small sections come from a dense SVD.  A large section is
+Frame bounds of sections with at most 128 rows or columns come from a
+dense SVD, which is the faster solver up to that size.  A larger section is
 never built densely: its entries fall below tol^2 beyond ``buffer`` of the
 diagonal, so the Gram matrix of its smaller side is banded, and its outer
 diagonals fall off fast enough to be trimmed to about half that width.  A
 twisted block Cholesky of the band, shifted by mu, succeeds exactly when mu
 lies below the smallest eigenvalue.  A bisection on mu brackets both
 extreme singular values, with a certificate for the dropped entries, the
-trimmed diagonals and the rounding.  It starts from the eigenvalues of a
-central block, extrapolated to the section's length, and is steered by the
-Schur complement of the middle window, whose slope is at most -1.
+trimmed diagonals and the rounding.  It starts from the eigenvalues of the
+central 128-row block, extrapolated to the section's length wherever the
+extrapolation stays positive, and is steered by the Schur complement of
+the middle window, whose slope is at most -1.
 """
 
 from dataclasses import asdict, dataclass
@@ -50,8 +52,9 @@ __all__ = [
 _RANK_RTOL = 1e-13
 # e^{-x} underflows to 0 in double precision for x above this
 _UNDERFLOW = 746.0
-# frame-bound sections with min(rows, cols) above this take the band solver
-_DENSE_MAX = 256
+# frame-bound sections with min(rows, cols) above this take the band solver;
+# it is the model block's size, so every band section has a central block
+_DENSE_MAX = 128
 # the band solver bisects until its eigenvalue brackets are this narrow
 _BRACKET_RTOL = 1e-10
 # a Cholesky window spans this many bandwidth-sized blocks
@@ -61,10 +64,8 @@ _EPS = np.finfo(float).eps
 # stays within this multiple of the Gershgorin bound
 _TRIM_RTOL = _EPS
 # the band solver models its extreme eigenvalues from a central block of
-# this many rows, trusts the model where it moves the block's value by less
-# than _MODEL_RTOL, and first shifts _MODEL_STEP of that move either side
-_MODEL_ROWS = 128
-_MODEL_RTOL = 0.05
+# this many rows and first shifts _MODEL_STEP of the model's move either side
+_MODEL_ROWS = _DENSE_MAX
 _MODEL_STEP = 0.01
 # a slope-bound shift steps this fraction past the bound
 _SLOPE_MARGIN = 1e-3
@@ -295,6 +296,7 @@ class FrameBoundEntry:
     sweeps: int | None = None          # band: Cholesky sweeps of the bisection
     half_bandwidth: int | None = None  # band: half-bandwidth of the trimmed Gram band
     start: tuple | None = None   # band: how the (sigma_min, sigma_max) brackets started
+    model_estimate: tuple | None = None  # band: each modelled side's start in sigma^2, else None
     stop: tuple | None = None    # band: why each of them stopped
     below_resolution: bool = False  # band: sigma_min is the upper end of its bracket
 
@@ -304,11 +306,12 @@ class FrameBoundEntry:
 
     def to_json(self) -> dict:
         """The entry as report.json records it: ``sweeps``,
-        ``half_bandwidth``, ``start``, ``stop`` and ``below_resolution``
-        only for a band entry."""
+        ``half_bandwidth``, ``start``, ``model_estimate``, ``stop`` and
+        ``below_resolution`` only for a band entry."""
         out = asdict(self)
         if self.solver != "band":
-            for key in ("sweeps", "half_bandwidth", "start", "stop", "below_resolution"):
+            for key in ("sweeps", "half_bandwidth", "start", "model_estimate", "stop",
+                        "below_resolution"):
                 del out[key]
         return out
 
@@ -370,22 +373,25 @@ def frame_bounds(
     The trim keeps |position| <= interior_fraction * span - edge_margin,
     where span is the smaller of |lambda_{-M}|, |lambda_M|.
 
-    Sections with min(rows, cols) <= 256 take a values-only dense SVD,
+    Sections with min(rows, cols) <= 128 take a values-only dense SVD,
     which runs in real arithmetic when b = 0 (the entries are then real);
     each bracket is the value +- max(rows, cols) * eps * sigma_max.  Larger
     sections are never built densely: the band solver trims the band of
     the smaller side's Gram matrix to a half-bandwidth of about 8 (from
     about 2 * buffer), bisects twisted Cholesky factorisations of it to a
     relative width of 1e-10 in sigma^2 or to the shifts' resolution,
-    starting near each eigenvalue from a central block's (about 10 to 15
-    sweeps at the critical shift for M = 1,024 to 16,384, 7 to 9 for a
-    period-4 pattern at M = 512), reports the square roots of the
-    midpoints, and certifies each bracket against the dropped entries, the
-    trimmed diagonals and the rounding (``_extreme_singular_values``).
-    Each entry records its ``solver``, both brackets and the ``tail_bound``
-    of the section's collocation matrix; a band entry also records its
-    ``sweeps``, ``half_bandwidth``, how each bracket started and stopped,
-    and whether sigma_min was ``below_resolution`` (its bracket never rose
+    starting near each eigenvalue from the central 128-row block's (6 to
+    11 sweeps at the critical shift for M = 128 to 1,024 and 15 at 16,384,
+    5 to 7 for a period-4 pattern at M = 128 to 512), reports the square
+    roots of the midpoints, and certifies each bracket against the dropped
+    entries, the trimmed diagonals and the rounding
+    (``_extreme_singular_values``).  Each entry records its ``solver``,
+    both brackets and the ``tail_bound`` of the section's collocation
+    matrix; a band entry also records its ``sweeps``, ``half_bandwidth``,
+    how each bracket started, the ``model_estimate`` (lambda_min,
+    lambda_max) in sigma^2 that each modelled side started from (None for
+    a side started from the diagonal), how each bracket stopped, and
+    whether sigma_min was ``below_resolution`` (its bracket never rose
     above twice the rounding radius), in which case sigma_min is the
     bracket's certified upper end.
     """
@@ -603,14 +609,16 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
       (``_edge_model``) bound lambda_min from above and lambda_max from
       below by Cauchy interlacing, and near a band edge theta_k ~
       lambda_inf + alpha k^2 / (L + 1)^2, so the two extreme ones
-      extrapolate to the band's length.  Where that moves the block value
-      by less than 5 % (pattern and affine sections, and the critical
-      shift's lambda_max), the first sweep takes one shift either side of
-      the estimate, 1 % of the move away, so that a good estimate is
-      bracketed at once.  Elsewhere (the critical shift's lambda_min, where
-      lambda_inf = 0) lambda_min starts from the smallest diagonal entry,
-      with geometric steps down to the rounding radius, and lambda_max from
-      the largest diagonal entry and the Gershgorin bound.
+      extrapolate to the band's length.  Wherever the extrapolated
+      estimate stays positive, the first sweep takes one shift either side
+      of it, 1 % of the move away, so that a good estimate is bracketed at
+      once.  Only a side without such a model starts from the diagonal:
+      lambda_min from the smallest diagonal entry, with geometric steps
+      down to the rounding radius, and lambda_max from the largest diagonal
+      entry and the Gershgorin bound.  That is the critical shift's
+      lambda_min at a = 1 beyond about 4,700 rows, where lambda_inf = 0 and
+      the extrapolation overshoots below 0, and any band no longer than
+      the block.
     * Slope bound.  Split G - mu I into the outer parts' block M_11 and the
       middle window's M_22; then S = M_22 - M_21 M_11^-1 M_12 has dS/dmu =
       -I - X^H X <= -I with X = M_11^-1 M_12, so phi' <= -1.  From a
@@ -629,13 +637,15 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
       rounding radius.
 
     Each sweep takes one shift a side, the first two on a modelled side.
-    About 7 sweeps bring a period-4 pattern at M = 512 to width, and 10 to
-    15 the critical shift at M = 1,024 to 16,384.
+    About 7 sweeps bring a period-4 pattern at M = 512 to width, 7 to 11 a
+    constant shift of 0.1 to 0.5 at M = 512 and 1,024, and 14 to 15 the
+    critical shift at M = 4,096 to 16,384.
 
     Returns ``(values, lo, hi, diagnostics)``: (sigma_min, sigma_max), the
     square roots of the bracket midpoints, certified lower and upper ends,
     and the ``sweeps`` taken, the ``half_bandwidth`` P, each side's
-    ``start`` (``model`` or ``diagonal``) and ``stop``
+    ``start`` (``model`` or ``diagonal``), ``model_estimate`` (the modelled
+    start, or None) and ``stop``
     (``width`` or ``resolution``), and ``below_resolution``: whether
     lambda_min's bracket stayed below twice the rounding radius, in which
     case sigma_min is its certified upper end.  An eigenvalue
@@ -730,8 +740,9 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
     if below:
         values[0] = upper[0]
     return values, lower, upper, {
-        "sweeps": sweeps, "half_bandwidth": half, "start": start, "stop": tuple(stop),
-        "below_resolution": below,
+        "sweeps": sweeps, "half_bandwidth": half, "start": start,
+        "model_estimate": tuple(float(x) if m else None for x, m in zip(estimate, modelled)),
+        "stop": tuple(stop), "below_resolution": below,
     }
 
 
@@ -744,9 +755,11 @@ def _edge_model(diags):
     1)^2 for a block of L rows, so the two extreme ones extrapolate to the
     band's length.  Returns ``(estimate, move)``, (lambda_min, lambda_max)
     each: ``move`` is how far the estimate lies from the block value, below
-    it for lambda_min and above it for lambda_max, and nan where that is
-    ``_MODEL_RTOL`` of the block value or more, or no model (a positive
-    block value and a positive move) holds.
+    it for lambda_min and above it for lambda_max, and nan where no model
+    holds: unless 0 < move < block value, which keeps each estimate
+    positive and within a factor 2 of its block value.  A block of the
+    whole band (a section of at most ``_MODEL_ROWS`` rows) has no room to
+    extrapolate and so no model.
     """
     n = len(diags[0])
     size = min(_MODEL_ROWS, n)
@@ -756,7 +769,7 @@ def _edge_model(diags):
     shrink = 1.0 - ((size + 1.0) / (n + 1.0)) ** 2
     move = np.array([theta[1] - theta[0], theta[-1] - theta[-2]]) * shrink / 3.0
     estimate = block + np.array([-1.0, 1.0]) * move
-    trusted = (block > 0.0) & (move > 0.0) & (move < _MODEL_RTOL * block)
+    trusted = (0.0 < move) & (move < block)
     return estimate, np.where(trusted, move, np.nan)
 
 

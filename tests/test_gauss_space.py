@@ -208,6 +208,9 @@ def _inside(value, bracket):
     return bracket[0] <= value <= bracket[1]
 
 
+PATTERN = (0.7, -0.1, -0.7, 0.1)
+
+
 class TestFrameBoundSolver:
     @pytest.mark.parametrize("b", [0.0, 2.0])
     @pytest.mark.parametrize("orientation", ["interior_rows", "interior_cols"])
@@ -327,16 +330,57 @@ class TestBandSolver:
             assert row["solver"] == e.solver
             assert row["sigma_min_bracket"] == list(e.sigma_min_bracket)
             assert row["sigma_max_bracket"] == list(e.sigma_max_bracket)
-            band_keys = ("sweeps", "half_bandwidth", "start", "stop", "below_resolution")
+            band_keys = ("sweeps", "half_bandwidth", "start", "model_estimate", "stop",
+                         "below_resolution")
             if e.solver == "band":
                 assert row["sweeps"] == e.sweeps > 0
                 assert row["half_bandwidth"] == e.half_bandwidth > 0
                 assert row["start"] == list(e.start)
                 assert set(e.start) <= {"model", "diagonal"}
+                # a modelled side records the sigma^2 it started from
+                assert row["model_estimate"] == list(e.model_estimate)
+                assert [x is None for x in e.model_estimate] == [s == "diagonal" for s in e.start]
                 assert row["stop"] == list(e.stop) and set(e.stop) <= {"width", "resolution"}
                 assert row["below_resolution"] is e.below_resolution is False
             else:
                 assert not set(band_keys) & set(row)
+
+    def test_dense_svd_up_to_128_rows(self):
+        critical = PeriodicPerturbation((0.5,))
+        svd, band = frame_bounds(A1, critical, (64, 96), interior_fraction=1.0,
+                                 edge_margin=3.0).entries
+        assert (svd.solver, svd.n_rows) == ("svd", 122)
+        assert (band.solver, band.n_rows) == ("band", 186)
+
+    @pytest.mark.parametrize("orientation", ["interior_rows", "interior_cols"])
+    @pytest.mark.parametrize("seq, b, m", [
+        (PeriodicPerturbation((0.5,)), 0.0, 96),
+        (PeriodicPerturbation((0.5,)), 0.0, 128),
+        (PeriodicPerturbation((0.5,)), 2.0, 96),
+        (PeriodicPerturbation(PATTERN), 0.0, 96),
+        (PeriodicPerturbation(PATTERN), 2.0, 96),
+        (PeriodicPerturbation(PATTERN), 2.0, 128),
+        (AffineGrid(0.75), 0.0, 96),
+        (AffineGrid(4.0 / 3.0), 0.0, 96),
+    ], ids=repr)
+    def test_band_sections_just_above_the_cutoff(self, seq, b, m, orientation):
+        # the band solver's smallest sections: min side 129 to 256
+        c = GaussianParam(1.0, b)
+        sub, *_ = _section(c, seq, m, 1.0, 3.0, orientation)
+        s = np.linalg.svd(sub, compute_uv=False)
+        e, = frame_bounds(c, seq, (m,), interior_fraction=1.0, edge_margin=3.0,
+                          orientation=orientation).entries
+        assert e.solver == "band" and (e.n_rows, e.n_cols) == sub.shape
+        assert gauss_space._DENSE_MAX < min(sub.shape) <= 256
+        assert _inside(s[-1], e.sigma_min_bracket) and _inside(s[0], e.sigma_max_bracket)
+        assert e.sigma_max == pytest.approx(s[0], rel=1e-9)
+        # a grid trimmed on its denser side leaves columns (or rows) it does
+        # not sample, so sigma_min is about 0 and only its bracket is certain
+        by_rows = orientation == "interior_rows"
+        deficient = isinstance(seq, AffineGrid) and (seq.alpha < 1.0) == by_rows
+        assert e.below_resolution is deficient
+        if not deficient:
+            assert e.sigma_min == pytest.approx(s[-1], rel=1e-9)
 
     def test_critical_shift_at_m_4096(self):
         e, = frame_bounds(A1, PeriodicPerturbation((0.5,)), (4096,)).entries
@@ -400,9 +444,6 @@ def _trimmed_band(c, seq, m, orientation):
     return gauss_space._gram_band(c, p, q, buffer)[0]
 
 
-PATTERN = (0.7, -0.1, -0.7, 0.1)
-
-
 class TestTwistedSweep:
     """The twisted Cholesky sweep, its steering and the trimmed band."""
 
@@ -455,16 +496,24 @@ class TestTwistedSweep:
                                 interior_fraction=1.0, edge_margin=3.0).entries
         tall, = frame_bounds(A1, AffineGrid(0.75), (320,), orientation="interior_cols").entries
         wide, = frame_bounds(A1, AffineGrid(4.0 / 3.0), (256,)).entries
-        entries = (critical, wider, pattern, tall, wide)
+        shifted = frame_bounds(A1, PeriodicPerturbation((0.45,)), (512, 1024),
+                               interior_fraction=1.0, edge_margin=3.0).entries
+        entries = (critical, wider, pattern, tall, wide, *shifted)
         assert {e.solver for e in entries} == {"band"}
         assert min(tall.n_cols, wide.n_rows) > gauss_space._DENSE_MAX
-        assert critical.sweeps <= 12 and critical.half_bandwidth == 8
-        assert wider.sweeps <= 16
-        assert pattern.sweeps <= 10 and pattern.half_bandwidth <= 9
-        assert tall.sweeps <= 12 and wide.sweeps <= 12
-        # the critical shift's lambda_min has no band-edge model (its limit is 0)
-        assert critical.start == ("diagonal", "model")
-        assert pattern.start == tall.start == wide.start == ("model", "model")
+        assert critical.sweeps <= 11 and critical.half_bandwidth == 8
+        assert wider.sweeps <= 14
+        assert pattern.sweeps <= 7 and pattern.half_bandwidth <= 9
+        assert tall.sweeps <= 10 and wide.sweeps <= 7
+        # delta = 0.45: the model moves the block's lambda_min by 5.6 to 5.7 %,
+        # to within 4.4e-5 relative of lambda_min
+        assert max(e.sweeps for e in shifted) <= 12
+        assert all(e.start == ("model", "model") for e in shifted)
+        assert critical.start == pattern.start == tall.start == wide.start == ("model", "model")
+        # from about 4,700 rows the critical shift's extrapolated lambda_min
+        # overshoots its limit 0, so that side starts from the diagonal
+        assert wider.start == ("diagonal", "model")
+        assert wider.model_estimate[0] is None and wider.model_estimate[1] > 0.0
 
     def test_trimmed_diagonals_widen_the_radius(self, monkeypatch):
         # trimming far past the fixed rule moves the eigenvalues by much more
