@@ -31,13 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.scenario not in SCENARIO_NAMES:
-        print(
-            f"error: unknown scenario {args.scenario!r}; "
-            f"choose from: {', '.join(SCENARIO_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         config = load_config(
             args.config,

@@ -28,7 +28,7 @@ class ScenarioConfig:
 
     scenario: str
     seed: int
-    out_dir: Path
+    out_dir: Path = Path("out")
     a: float = 1.0
     b: float = 0.0
     sequence: dict | None = None
@@ -38,7 +38,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_NAMES:
-            raise ConfigInvalidError(f"unknown scenario {self.scenario!r}")
+            names = ", ".join(SCENARIO_NAMES)
+            raise ConfigInvalidError(f"unknown scenario {self.scenario!r}; choose from: {names}")
         if self.seed is None:
             raise ConfigInvalidError("a seed is required")
         self.seed = coerce(int, self.seed, "seed")
@@ -102,6 +103,7 @@ def load_config(
     """Load a config file and apply CLI overrides.
 
     The file may name its scenario; it must then match the CLI argument.
+    Its other fields pass through, so every default is ScenarioConfig's.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -120,14 +122,8 @@ def load_config(
         raise ConfigInvalidError(
             f"config names scenario {named!r} but {scenario!r} was requested"
         )
-    return ScenarioConfig(
-        scenario=scenario,
-        seed=seed if seed is not None else raw.get("seed"),
-        out_dir=out_dir if out_dir is not None else raw.get("out", "out"),
-        a=raw.get("a", 1.0),
-        b=raw.get("b", 0.0),
-        sequence=raw.get("sequence"),
-        sizes=raw.get("sizes", ()),
-        tolerances=raw.get("tolerances", {}),
-        options=raw.get("options", {}),
-    )
+    given = {"out_dir" if key == "out" else key: value for key, value in raw.items()}
+    given.update(scenario=scenario, seed=seed if seed is not None else raw.get("seed"))
+    if out_dir is not None:
+        given["out_dir"] = out_dir
+    return ScenarioConfig(**given)

@@ -63,9 +63,10 @@ class SignRetrievalResult:
     prefixes_checked: int
 
 
-def _surviving_signs(mat, samples, residual_tol: float):
+def _surviving_signs(mat, q, samples, residual_tol: float):
     """Sign patterns whose relative least-squares residual is below
-    ``residual_tol``, their residuals, and the number of residuals evaluated.
+    ``residual_tol``, their residuals, and the number of residuals evaluated;
+    ``q`` is the orthonormal factor of ``mat``'s reduced QR.
 
     The survivors are those of trying all 2^W patterns.  The residual of the
     first k rows is a lower bound on the residual of all rows, so once k
@@ -89,7 +90,6 @@ def _surviving_signs(mat, samples, residual_tol: float):
             checked += len(live)
             live = live[resid < limit]
     signs = np.vstack([live, -live])
-    q = np.linalg.qr(mat)[0]
     targets = signs * samples[None, :]
     resid = np.linalg.norm(targets - (targets @ q) @ q.T, axis=1)
     rel = resid / scale if scale > 0.0 else resid
@@ -101,21 +101,19 @@ def sign_retrieval_check(
     a: float,
     coeffs: CoefficientVector,
     seq: NodeSequence,
-    window: int | None = None,
     residual_tol: float = 1e-8,
     match_tol: float = 1e-8,
 ) -> SignRetrievalResult:
     """Try to recover real coefficients from unsigned samples.
 
-    The first ``window`` stored nodes are used (all of them by default).
-    Magnitudes s_m = |f(lambda_m)| are computed exactly from the
-    coefficients, then the sign assignments are solved in the least-squares
-    sense for real coefficients over the same index range by an exact
-    pruned search over the 2^W assignments (same survivors as trying every
-    one).  Assignments with relative residual below ``residual_tol``
-    survive; the verdict passes when the survivors' coefficient vectors are
-    exactly the two global-sign copies of the input (the zero vector
-    passes trivially).
+    Every stored node is used.  Magnitudes s_m = |f(lambda_m)| are computed
+    exactly from the coefficients, then the sign assignments are solved in
+    the least-squares sense for real coefficients over the same index range
+    by an exact pruned search over the 2^W assignments (same survivors as
+    trying every one), on one QR factorisation.  Assignments with relative
+    residual below ``residual_tol`` survive; the verdict passes when the
+    survivors' coefficient vectors are exactly the two global-sign copies
+    of the input (the zero vector passes trivially).
     """
     if a <= 0.0:
         raise BadParameterError("a must be > 0")
@@ -125,13 +123,9 @@ def sign_retrieval_check(
         raise BadParameterError("empty coefficient vector")
 
     lam = seq.positions()
-    if window is not None:
-        lam = lam[: int(window)]
     w = len(lam)
     if w > _MAX_WINDOW:
         raise WindowTooLargeError(f"window {w} exceeds limit {_MAX_WINDOW}")
-    if w < 1:
-        raise BadParameterError("need at least one node")
 
     c = coeffs.values.real.astype(float)
     n = coeffs.indices.astype(float)
@@ -150,8 +144,8 @@ def sign_retrieval_check(
     dverdict = avdonin_verdict(dilated)
     dilated_ok = bool(dverdict.passes)
 
-    signs, rel, checked = _surviving_signs(mat, samples, residual_tol)
     q, r = np.linalg.qr(mat)
+    signs, rel, checked = _surviving_signs(mat, q, samples, residual_tol)
     proj = (signs * samples[None, :]) @ q  # (survivors, ncols) of q^T y
     sols = np.linalg.solve(r, proj.T).T if len(signs) else np.empty((0, len(c)))
     cnorm = np.linalg.norm(c)

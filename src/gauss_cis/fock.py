@@ -39,6 +39,12 @@ from .logdomain import (
 
 # points per block of GeneratingProduct.evaluate and kernel_norm
 _BLOCK = 64
+# log-units from |w| past which a zero's product factor is 1 (zeros above)
+# or -w/z_m (zeros below), to relative 1e-16 and 1e-19
+_TAIL_CUTOFF, _BULK_CUTOFF = 37.0, 45.0
+# default_radial_grid's step over sqrt(a), and fock_norm_quadrature's
+# largest relative gap to its half-resolution estimate
+_RADIAL_STEP, _QUADRATURE_RTOL = 0.25, 1e-8
 
 __all__ = [
     "FockSeries",
@@ -175,12 +181,6 @@ class FockSeries:
     def degree(self) -> int:
         return len(self.log_magnitude) - 1
 
-    def coefficient(self, k: int) -> complex:
-        """b_k as a complex number; may overflow for extreme magnitudes."""
-        if k < 0 or k > self.degree:
-            return 0.0 + 0.0j
-        return complex(np.exp(self.log_magnitude[k]) * np.exp(1j * self.phase[k]))
-
     def evaluate_log(self, p: LogPolarPoint):
         """(log|F(w)|, arg F(w)) at log-polar points, one value per point.
 
@@ -259,13 +259,11 @@ class RadialGrid:
         return self.t_lo + self.step * np.arange(n)
 
 
-def default_radial_grid(a: float, degree: int, step: Optional[float] = None) -> RadialGrid:
+def default_radial_grid(a: float, degree: int) -> RadialGrid:
     """Grid wide enough that the integrand tail is far below 1e-10 of the
-    total for polynomials up to the given degree."""
+    total for polynomials up to the given degree, in steps of sqrt(a) / 4."""
     pad = 8.0 * np.sqrt(a) + 2.0
-    if step is None:
-        step = 0.25 * np.sqrt(a)
-    return RadialGrid(-pad, 2.0 * a * (degree + 1.0) + pad, step)
+    return RadialGrid(-pad, 2.0 * a * (degree + 1.0) + pad, _RADIAL_STEP * np.sqrt(a))
 
 
 def _quadrature_log(series: FockSeries, a: float, t: np.ndarray, n_theta: int) -> float:
@@ -291,19 +289,14 @@ def _quadrature_log(series: FockSeries, a: float, t: np.ndarray, n_theta: int) -
     return float(logsumexp(log_integrand + np.log(w)) + log_prefactor)
 
 
-def fock_norm_quadrature(
-    series: FockSeries,
-    a: float,
-    grid: Optional[RadialGrid] = None,
-    rel_tol: float = 1e-8,
-) -> float:
+def fock_norm_quadrature(series: FockSeries, a: float, grid: Optional[RadialGrid] = None) -> float:
     """Weighted-area-integral norm of a polynomial, evaluated numerically.
 
     The integral is taken in log-radial coordinates where the weight is a
     Gaussian in t = log r; the angular average is a trapezoid rule with
     enough points to integrate the trig polynomial |F|^2 exactly.  The
     result is cross-checked on the half-resolution grid and
-    GridTooCoarseError is raised when the two disagree beyond ``rel_tol``.
+    GridTooCoarseError is raised when the two differ by more than 1e-8.
     """
     if a <= 0.0:
         raise BadParameterError("a must be > 0")
@@ -319,7 +312,7 @@ def fock_norm_quadrature(
     half = _quadrature_log(series, a, t[::2], n_theta)
     if full == -np.inf:
         return 0.0
-    if abs(np.expm1(half - full)) > rel_tol:
+    if abs(np.expm1(half - full)) > _QUADRATURE_RTOL:
         raise GridTooCoarseError(
             f"half-resolution estimate differs by {abs(np.expm1(half - full)):.2e}"
         )
@@ -454,7 +447,7 @@ class GeneratingProduct:
 
     def tail_count_for(self, log_modulus):
         """Zeros needed so the omitted factors differ from 1 by < 1e-16."""
-        need = np.asarray(log_modulus, dtype=float) + 37.0
+        need = np.asarray(log_modulus, dtype=float) + _TAIL_CUTOFF
         return _out(np.searchsorted(self.zero_log_moduli, need, side="right"))
 
     def evaluate(self, p: LogPolarPoint):
@@ -479,8 +472,8 @@ class GeneratingProduct:
     def _evaluate_block(self, lm, arg):
         """``evaluate`` on 1-d arrays of at most ``_BLOCK`` points."""
         z = self.zero_log_moduli
-        n_low = np.searchsorted(z, lm - 45.0)
-        n_top = np.searchsorted(z, lm + 37.0, side="right")
+        n_low = np.searchsorted(z, lm - _BULK_CUTOFF)
+        n_top = np.searchsorted(z, lm + _TAIL_CUTOFF, side="right")
         # bulk block: each factor is -w/z_m up to relative 1e-19
         log_abs = n_low * lm - self.prefix_sums[n_low]
         phase = n_low * (np.pi + arg)
@@ -516,20 +509,22 @@ def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli):
 
 def certified_zero_count(a: float, p: LogPolarPoint) -> int:
     """Zeros e^{2am} of G0, at least one, needed to certify the product tail
-    at every point of p; they also hold the zero nearest to each point."""
+    at every point of p, one log-unit and one zero past the tail cut-off;
+    they also hold the zero nearest to each point."""
     top = float(np.max(p.log_modulus)) if np.size(p.log_modulus) else 0.0
-    return max(int(np.ceil((top + 38.0) / (2.0 * a))) + 1, 1)
+    return max(int(np.ceil((top + (_TAIL_CUTOFF + 1.0)) / (2.0 * a))) + 1, 1)
 
 
-def generating_product_G0(a: float, p: LogPolarPoint, m_terms: Optional[int] = None):
+def generating_product_G0(a: float, p: LogPolarPoint):
     """(log|G0(w)|, phase) for the unperturbed geometric zero set e^{2am}."""
-    auto = certified_zero_count(a, p)
-    if m_terms is not None and m_terms < auto:
-        raise BadParameterError(
-            f"m_terms={m_terms} below the certified count {auto} at this modulus"
-        )
-    prod = GeneratingProduct.unperturbed(a, max(auto, m_terms or 0))
-    return prod.evaluate(p)
+    return GeneratingProduct.unperturbed(a, certified_zero_count(a, p)).evaluate(p)
+
+
+def _with_estimate_ratio(prod: GeneratingProduct, p: LogPolarPoint, log_growth):
+    """(log|G(w)|, phase, |G(w)| e^{log_growth} / (e^{phi(w)} dist(w, zeros)))."""
+    log_abs, phase = prod.evaluate(p)
+    log_dist = log_distance_to_zeros(p, prod.zero_log_moduli)
+    return log_abs, phase, _out(np.exp(log_abs + log_growth - phi(prod.a, p) - log_dist))
 
 
 def g0_estimate_ratio(a: float, p: LogPolarPoint):
@@ -541,15 +536,7 @@ def g0_estimate_ratio(a: float, p: LogPolarPoint):
     empirical.  One product serves every point of p.
     """
     prod = GeneratingProduct.unperturbed(a, certified_zero_count(a, p))
-    log_abs, _ = prod.evaluate(p)
-    log_dist = log_distance_to_zeros(p, prod.zero_log_moduli)
-    log_ratio = (
-        log_abs
-        + np.logaddexp(0.0, 1.5 * np.asarray(p.log_modulus))
-        - phi(a, p)
-        - log_dist
-    )
-    return _out(np.exp(log_ratio))
+    return _with_estimate_ratio(prod, p, np.logaddexp(0.0, 1.5 * np.asarray(p.log_modulus)))[2]
 
 
 def generating_product_perturbed(prod: GeneratingProduct, p: LogPolarPoint):
@@ -560,15 +547,8 @@ def generating_product_perturbed(prod: GeneratingProduct, p: LogPolarPoint):
     satisfies the averaged-perturbation condition; ``delta`` is
     ``prod.delta_exponent``.
     """
-    log_abs, phase = prod.evaluate(p)
-    log_dist = log_distance_to_zeros(p, prod.zero_log_moduli)
-    log_ratio = (
-        log_abs
-        + (1.5 + prod.delta_exponent) * np.logaddexp(0.0, np.asarray(p.log_modulus))
-        - phi(prod.a, p)
-        - log_dist
-    )
-    return log_abs, phase, _out(np.exp(log_ratio))
+    growth = (1.5 + prod.delta_exponent) * np.logaddexp(0.0, np.asarray(p.log_modulus))
+    return _with_estimate_ratio(prod, p, growth)
 
 
 @dataclass(frozen=True)
@@ -588,17 +568,6 @@ class FockCisVerdict:
     threshold: float
     passes: bool
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "separated": self.separated,
-            "delta_sup": self.delta_sup,
-            "best_window": {"N": self.window_len, "delta_star": self.delta_star},
-            "threshold": self.threshold,
-            "passes": self.passes,
-            "arguments_ignored": True,
-        }
-
 
 def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> FockCisVerdict:
     """Check points w_n = e^{2an} e^{delta_n} e^{i theta_n} for n >= 1.
@@ -607,7 +576,8 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     on moduli (the best gamma over adjacent pairs is reported), (ii)
     bounded delta_n over the data, (iii) some window length N <= n_max has
     sup of |window averages of delta| below a - margin.  The arguments
-    theta_n never enter.
+    theta_n never enter.  Unlike ``avdonin_verdict``, averages are measured
+    from 0: on this one-sided index set, re-indexing drops or adds a point.
     """
     if a <= 0.0:
         raise BadParameterError("a must be > 0")

@@ -55,6 +55,8 @@ _UNDERFLOW = 746.0
 # frame-bound sections with min(rows, cols) above this take the band solver;
 # it is the model block's size, so every band section has a central block
 _DENSE_MAX = 128
+# collocation_matrix's ``tol`` for every frame_bounds section
+_FRAME_TOL = 1e-14
 # the band solver bisects until its eigenvalue brackets are this narrow
 _BRACKET_RTOL = 1e-10
 # a Cholesky window spans this many bandwidth-sized blocks
@@ -69,6 +71,8 @@ _MODEL_ROWS = _DENSE_MAX
 _MODEL_STEP = 0.01
 # a slope-bound shift steps this fraction past the bound
 _SLOPE_MARGIN = 1e-3
+# l2_norm_squared's padding either side of the support, and its step
+_L2_PAD, _L2_STEP = 8.0, 0.01
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,6 @@ def frame_bounds(
     c: GaussianParam,
     seq: NodeSequence,
     sizes,
-    tol: float = 1e-14,
     interior_fraction: float = 2.0 / 3.0,
     edge_margin: float = 0.0,
     orientation: str = "interior_rows",
@@ -361,7 +364,8 @@ def frame_bounds(
     """Empirical frame/Riesz bounds from truncated collocation sections.
 
     For each size M the matrix is built on nodes [-M, M] with a coefficient
-    buffer, then restricted to the interior before taking singular values:
+    buffer (``tol`` 1e-14), then restricted to the interior before taking
+    singular values:
 
     * ``interior_rows``: keep node rows with |lambda| inside the trimmed
       span (a wide matrix; sigma_min estimates the Riesz-sequence bound of
@@ -406,7 +410,7 @@ def frame_bounds(
         raise BadParameterError(f"edge_margin must be finite, got {edge_margin}")
     entries = []
     for m in sizes:
-        lam, buffer, col_lo, col_hi, tail = _section_frame(c, seq, (-m, m), tol)
+        lam, buffer, col_lo, col_hi, tail = _section_frame(c, seq, (-m, m), _FRAME_TOL)
         cols = np.arange(col_lo, col_hi + 1, dtype=float)
         span = min(abs(lam[0]), abs(lam[-1]))
         cutoff = interior_fraction * span - edge_margin
@@ -417,7 +421,7 @@ def frame_bounds(
         if min(shape) == 0:
             raise EmptyWindowError(f"interior trim removed everything at size {m}")
         if min(shape) <= _DENSE_MAX:
-            full = collocation_matrix(c, seq, (-m, m), tol).entries
+            full = collocation_matrix(c, seq, (-m, m), _FRAME_TOL).entries
             s = np.linalg.svd(full[keep, :] if by_rows else full[:, keep], compute_uv=False)
             solver, values, diagnostics = "svd", s[[-1, 0]], {}
             err = max(shape) * _EPS * s[0]
@@ -849,13 +853,11 @@ def compact_block_hsnorm(c: GaussianParam, seq: NodeSequence, window: int):
     return float(np.sqrt(hs_sq)), tail
 
 
-def l2_norm_squared(
-    c: GaussianParam, coeffs: CoefficientVector, pad: float = 8.0, step: float = 0.01
-) -> float:
+def l2_norm_squared(c: GaussianParam, coeffs: CoefficientVector) -> float:
     """Numerically integrate |f|^2 over a wide interval around the support."""
     if len(coeffs) == 0:
         return 0.0
     lo, hi = coeffs.index_range
-    x = np.arange(lo - pad, hi + pad + step, step)
+    x = np.arange(lo - _L2_PAD, hi + _L2_PAD + _L2_STEP, _L2_STEP)
     vals = np.exp(-c.c * (x[:, None] - coeffs.indices[None, :]) ** 2) @ coeffs.values
     return float(np.trapezoid(np.abs(vals) ** 2, x))

@@ -47,6 +47,8 @@ __all__ = [
 
 # default index window for conceptually infinite sequences
 _DEFAULT_WINDOW = (-32, 32)
+# an explicit window must enumerate within this sup|delta| to be classified
+_ENUMERATION_BOUND = 5.0
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def sequence_to_json(seq: NodeSequence) -> dict:
     raise BadParameterError(f"cannot serialize {type(seq).__name__}")
 
 
-def check_separation(seq: NodeSequence, window=None):
+def check_separation(seq: NodeSequence):
     """Smallest gap between adjacent nodes.
 
     Returns ``(min_gap, separated)`` where ``separated`` means the gap is
@@ -264,9 +266,8 @@ def check_separation(seq: NodeSequence, window=None):
     """
     if isinstance(seq, AffineGrid):
         return float(seq.alpha), True
-    if isinstance(seq, PeriodicPerturbation):
-        window = (0, seq.period)  # one period and the step across its end
-    lam = seq.positions(window)
+    # a periodic model needs one period and the step across its end
+    lam = seq.positions((0, seq.period) if isinstance(seq, PeriodicPerturbation) else None)
     if len(lam) < 2:
         raise EmptyWindowError("separation needs at least two nodes")
     gap = float(np.min(np.diff(lam)))
@@ -445,9 +446,10 @@ class AvdoninVerdict:
 
     ``delta_sup`` is sup|delta_n| of the canonical enumeration, the smallest
     over integer re-indexings.  ``delta_star`` is the best (smallest over
-    window lengths N = ``window_len``) value of sup_n |mean of N consecutive
-    delta|; the verdict passes when the sequence is separated, an
-    enumeration exists, and ``delta_star < 1/2 - margin``.  ``caveat``
+    window lengths N = ``window_len``) value of sup_n of the distance from
+    the mean of N consecutive deltas to one integer, the best for that N;
+    the verdict passes when the sequence is separated, an enumeration
+    exists, and ``delta_star < 1/2 - margin``.  ``caveat``
     distinguishes exact decisions (periodic, affine) from the finite-window
     heuristic used on explicit data.
     """
@@ -477,57 +479,65 @@ class AvdoninVerdict:
         }
 
 
-def window_average_sup(deltas: np.ndarray, n: int) -> float:
-    """sup over full windows of |mean of n consecutive deltas|."""
+def _window_means(deltas: np.ndarray, n: int) -> np.ndarray:
+    """Means of every n consecutive deltas."""
     if n < 1 or n > len(deltas):
         raise BadParameterError(f"window length {n} not in [1, {len(deltas)}]")
     csum = np.concatenate([[0.0], np.cumsum(deltas)])
-    sums = csum[n:] - csum[:-n]
-    return float(np.max(np.abs(sums))) / n
+    return (csum[n:] - csum[:-n]) / n
 
 
-def best_window_average(deltas: np.ndarray, n_max: int):
-    """(N, sup) minimizing window_average_sup over N <= n_max; a longer
-    window wins only when better by more than 1e-15."""
+def window_average_sup(deltas: np.ndarray, n: int) -> float:
+    """sup over full windows of |mean of n consecutive deltas|."""
+    return float(np.max(np.abs(_window_means(deltas, n))))
+
+
+def _best_window(deltas: np.ndarray, n_max: int, from_integer: bool):
+    """(N, sup) minimizing over N <= n_max the sup over full windows of the
+    distance from the mean of N consecutive deltas to 0 or, ``from_integer``,
+    to the integer nearest their mid-range, which minimizes that sup; a
+    longer window wins only when better by more than 1e-15."""
     best_n, best = 1, np.inf
     for n in range(1, min(n_max, len(deltas)) + 1):
-        sup = window_average_sup(deltas, n)
+        means = _window_means(deltas, n)
+        k = np.round((means.max() + means.min()) / 2.0) if from_integer else 0.0
+        sup = float(np.max(np.abs(means - k)))
         if sup < best - 1e-15:
             best_n, best = n, sup
     return best_n, best
 
 
-def avdonin_verdict(
-    seq: NodeSequence,
-    n_max: int = 8,
-    margin: float = 1e-9,
-    window=None,
-    enumeration_bound: float = 5.0,
-) -> AvdoninVerdict:
+def best_window_average(deltas: np.ndarray, n_max: int):
+    """(N, sup) minimizing window_average_sup over N <= n_max."""
+    return _best_window(deltas, n_max, False)
+
+
+def avdonin_verdict(seq: NodeSequence, n_max: int = 8, margin: float = 1e-9) -> AvdoninVerdict:
     """Classify a node sequence by the averaged-perturbation criterion.
 
     One path for every model (separation, :func:`canonical_enumeration`,
     window statistic, threshold), so a node set gets one verdict whether it
-    is a periodic pattern, a unit-slope grid or an explicit window.
+    is a periodic pattern, a unit-slope grid or an explicit window.  Each
+    window length's averages are measured from the nearest integer, one
+    integer per length, as re-indexing by k moves every average by k.
 
     Periodic and affine models: exact.  One period is enumerated, with no
     bound.  Windows of whole periods average to the mean delta, no window
-    does better, and re-indexing by k moves the mean by k, so ``N =
-    period`` and ``delta_star`` is the mean's distance to the nearest
-    integer.
+    does better, so ``N = period`` and ``delta_star`` is the mean's
+    distance to the nearest integer.
 
-    Explicit window: heuristic.  The enumeration over ``window`` must keep
-    sup|delta| within ``enumeration_bound``; window averages are then swept
-    for N up to ``n_max``.
+    Explicit window: heuristic over the stored data.  The enumeration must
+    keep sup|delta| within 5; window averages are then swept for N up to
+    ``n_max``, so the pattern (0.7, 0.7, 0.7, 0.7, -0.1) passes at N = 5
+    with delta_star 0.46 in either form.
 
     ``margin`` guards the strict inequality against rounding at the
     boundary case delta_star = 1/2.
     """
-    min_gap, separated = check_separation(seq, window)
+    min_gap, separated = check_separation(seq)
     exact = not isinstance(seq, ExplicitWindow)
     caveat = "exact" if exact else "finite_window_heuristic"
-    enum = (canonical_enumeration(seq, np.inf) if exact
-            else canonical_enumeration(seq, enumeration_bound, window))
+    enum = canonical_enumeration(seq, np.inf if exact else _ENUMERATION_BOUND)
     if enum is None:
         return AvdoninVerdict(
             separated, min_gap, False, np.nan, 0, np.nan, False, caveat, margin
@@ -536,7 +546,7 @@ def avdonin_verdict(
         mean = float(np.mean(enum.deltas))
         best_n, best = len(enum.deltas), abs(mean - round(mean))
     else:
-        best_n, best = best_window_average(enum.deltas, n_max)
+        best_n, best = _best_window(enum.deltas, n_max, True)
     passes = separated and best < 0.5 - margin
     return AvdoninVerdict(
         separated, min_gap, True, enum.sup, best_n, best, passes, caveat, margin

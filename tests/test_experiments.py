@@ -209,6 +209,14 @@ class TestCli:
     def test_unknown_scenario_exit_2(self, capsys):
         assert cli_main(["warp", "--config", "missing.json"]) == 2
 
+    def test_unknown_scenario_names_the_choices(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1}))
+        assert cli_main(["warp", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown scenario 'warp'; choose from: " + ", ".join(SCENARIOS) in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli_main(["classify", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -248,6 +256,17 @@ def test_three_forms_of_the_three_quarter_shift_pass_through_the_cli(tmp_path, f
     assert verdict["best_window"]["delta_star"] == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("form", ["periodic", "explicit"])
+def test_both_forms_of_a_pattern_averaging_past_one_half_pass_through_the_cli(tmp_path, form):
+    # (0.7, 0.7, 0.7, 0.7, -0.1) averages 0.54 over a period, 0.46 from 1
+    path = Path(__file__).parent / "data" / f"classify_pattern_{form}.json"
+    out = tmp_path / "out"
+    assert cli_main(["classify", "--config", str(path), "--out", str(out)]) == 0
+    verdict = json.loads((out / "report.json").read_text())["summary"]["verdict"]
+    assert verdict["passes"] and verdict["best_window"]["N"] == 5
+    assert verdict["best_window"]["delta_star"] == pytest.approx(0.46, abs=1e-12)
+
+
 def _exhaustive_survivors(a, coeffs, seq, residual_tol=1e-8, match_tol=1e-8):
     """Oracle: every one of the 2^W sign patterns solved in the least-squares
     sense, as sign_retrieval_check did before its pruned search."""
@@ -275,6 +294,7 @@ def _exhaustive_survivors(a, coeffs, seq, residual_tol=1e-8, match_tol=1e-8):
         matched = matched and has_plus and has_minus
     return SimpleNamespace(
         mat=mat,
+        q=q,
         samples=samples,
         patterns={tuple(p) for p in signs[surviving]},
         n_survivors=len(surviving),
@@ -286,7 +306,7 @@ def _exhaustive_survivors(a, coeffs, seq, residual_tol=1e-8, match_tol=1e-8):
 
 def _assert_matches_oracle(a, coeffs, seq):
     oracle = _exhaustive_survivors(a, coeffs, seq)
-    signs, _, _ = _surviving_signs(oracle.mat, oracle.samples, 1e-8)
+    signs, _, _ = _surviving_signs(oracle.mat, oracle.q, oracle.samples, 1e-8)
     assert {tuple(p) for p in signs} == oracle.patterns
     if len(oracle.samples) == 1:
         # the verdict on the doubled nodes needs two of them

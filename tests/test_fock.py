@@ -270,10 +270,6 @@ class TestGeneratingProduct:
         with pytest.raises(OnZeroError):
             generating_product_G0(a, LogPolarPoint(2 * a * 5, 0.0))
 
-    def test_explicit_term_count_validated(self):
-        with pytest.raises(BadParameterError):
-            generating_product_G0(0.5, LogPolarPoint(8.0, 0.5), m_terms=3)
-
     def test_bulk_path_matches_naive(self):
         # far above many zeros, the cached prefix-sum block must agree with
         # the factor-by-factor evaluation

@@ -159,6 +159,13 @@ class TestInterpolate:
         with pytest.raises(BadParameterError):
             interpolate(A1, AffineGrid(1.0), np.ones(3), (-8, 8))
 
+    def test_zero_samples_give_zero_coefficients(self):
+        mat = collocation_matrix(A1, AffineGrid(1.0), (-8, 8))
+        coeffs, residual = interpolate(A1, AffineGrid(1.0), np.zeros(17), (-8, 8))
+        assert residual == 0.0
+        assert coeffs.index_range == mat.col_range
+        assert not np.any(coeffs.values)
+
 
 class TestFrameBounds:
     def test_integer_lattice_stabilizes(self):

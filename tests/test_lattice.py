@@ -291,6 +291,36 @@ class TestAvdoninVerdict:
             assert max(stars) - min(stars) <= 1e-12
             assert stars[0] == pytest.approx(abs(beta - np.round(beta)), abs=1e-12)
 
+    def test_pattern_averaging_past_one_half_gets_one_verdict(self):
+        # window means of 5 lie at 0.54, 0.46 from the integer 1; the
+        # explicit form measures them from there too, not from 0
+        seq = PeriodicPerturbation((0.7, 0.7, 0.7, 0.7, -0.1))
+        for form in (seq, ExplicitWindow(tuple(seq.positions((-40, 39))), -40)):
+            v = avdonin_verdict(form)
+            assert v.passes and v.enumerable and v.window_len == 5
+            assert v.delta_star == pytest.approx(0.46, abs=1e-12)
+
+    def test_periodic_and_explicit_forms_agree(self):
+        # for N <= n_max, some N-window mean is at least as far from each
+        # integer as the period mean, so whole periods are the best window
+        rng = np.random.default_rng(14)
+        for period in range(1, 9):
+            for _ in range(25):
+                seq = PeriodicPerturbation(tuple(rng.uniform(0.0, 0.95, period)))
+                exact = avdonin_verdict(seq)
+                window = avdonin_verdict(ExplicitWindow(tuple(seq.positions((-40, 39))), -40))
+                assert window.passes == exact.passes
+                assert window.delta_star == pytest.approx(exact.delta_star, abs=1e-12)
+
+    def test_explicit_window_without_enumeration(self):
+        # a stretched grid drifts past the enumeration bound within the window
+        n = np.arange(-100, 100)
+        v = avdonin_verdict(ExplicitWindow(tuple(1.1 * n), -100))
+        assert v.separated and not v.enumerable and not v.passes
+        data = v.to_json()
+        assert data["enumerable"] is False and data["passes"] is False
+        assert data["delta_sup"] is None and data["best_window"]["delta_star"] is None
+
     def test_offsets_past_one_half_re_enumerate(self):
         v = avdonin_verdict(PeriodicPerturbation((0.75,)))
         assert v.passes and v.delta_star == pytest.approx(0.25, abs=1e-15)
