@@ -384,10 +384,12 @@ def frame_bounds(
     the smaller side's Gram matrix to a half-bandwidth of about 8 (from
     about 2 * buffer), bisects twisted Cholesky factorisations of it to a
     relative width of 1e-10 in sigma^2 or to the shifts' resolution,
-    starting near each eigenvalue from the central 128-row block's (6 to
-    11 sweeps at the critical shift for M = 128 to 1,024 and 15 at 16,384,
-    5 to 7 for a period-4 pattern at M = 128 to 512), reports the square
-    roots of the midpoints, and certifies each bracket against the dropped
+    starting near each eigenvalue from the central 128-row block's and
+    closing a bracket with one shift half that width past its success end
+    once phi there says the root is nearer (6, 7, 9 and 11 sweeps at the
+    critical shift for M = 128 to 1,024 and 15 at 16,384, 5 to 7 for a
+    period-4 pattern at M = 128 to 512), reports the square roots of the
+    midpoints, and certifies each bracket against the dropped
     entries, the trimmed diagonals and the rounding
     (``_extreme_singular_values``).  Each entry records its ``solver``,
     both brackets and the ``tail_bound`` of the section's collocation
@@ -402,6 +404,8 @@ def frame_bounds(
     sizes = [int(m) for m in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise BadParameterError("sizes must be increasing")
+    if sizes and sizes[0] < 1:
+        raise BadParameterError(f"sizes must be >= 1, got {sizes[0]}")
     if orientation not in ("interior_rows", "interior_cols"):
         raise BadParameterError(f"unknown orientation {orientation!r}")
     if not (np.isfinite(interior_fraction) and interior_fraction > 0.0):
@@ -462,18 +466,26 @@ def _gram_band(c: GaussianParam, p, q, radius: float):
     width = int(kept.max())
     t = np.arange(width)
     cols = first[:, None] + t
-    band = np.where(t < kept[:, None], _entries(c, p[:, None], q[np.minimum(cols, len(q) - 1)]), 0.0)
+    # each row of the band is followed by `width` zeros, so that row i read
+    # from column s on is views[i, s], zero-filled past the band's end
+    padded = np.zeros((len(p), 2 * width), dtype=complex if c.b else float)
+    band = padded[:, :width]
+    np.copyto(band, _entries(c, p[:, None], q[np.minimum(cols, len(q) - 1)]),
+              where=t < kept[:, None])
+    views = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
     mag = np.abs(band)
     norms = float(mag.sum(axis=1).max() * np.bincount(cols.ravel(), mag.ravel()).max())
-    # row i + d meets row i where its band starts `shift` columns further on
+    # row i + d meets row i where its band starts `shift` columns further on;
+    # the gathered rows stay an unnamed left operand, because numpy may
+    # compute into a temporary operand, and which operand comes first moves
+    # the fused rounding of a complex product
     diags = [np.sum(band * band.conj(), axis=1)]
     for d in range(1, len(p)):
         shift = first[d:] - first[:-d]
         if shift.min() >= width:
             break
-        idx = shift[:, None] + t
-        mine = np.take_along_axis(band[:-d], np.minimum(idx, width - 1), axis=1)
-        diags.append(np.sum(np.where(idx < width, mine, 0.0) * band[d:].conj(), axis=1))
+        diags.append(np.sum(views[np.arange(len(p) - d), np.minimum(shift, width)]
+                            * band[d:].conj(), axis=1))
     rowsum = np.abs(diags[0])
     for d, g in enumerate(diags[1:], 1):
         rowsum[:-d] += np.abs(g)
@@ -537,17 +549,15 @@ def _cholesky_or_none(mat):
         return None
 
 
-def _factor(mats):
-    """Cholesky factors of a stack of matrices and which of them exist;
-    a matrix without one gets zeros."""
-    try:
-        return np.linalg.cholesky(mats), np.ones(mats.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:
-        flat = mats.reshape(-1, *mats.shape[-2:])
-        factors = [_cholesky_or_none(x) for x in flat]
-        low = np.stack([np.zeros_like(x) if f is None else f for x, f in zip(flat, factors)])
-        fine = np.array([f is not None for f in factors])
-        return low.reshape(mats.shape), fine.reshape(mats.shape[:-2])
+def _factor_each(mats):
+    """Cholesky factors of a stack of matrices, one matrix at a time, and
+    which of them exist; a matrix without one gets zeros.  The fallback for
+    a batch that ``np.linalg.cholesky`` rejects as a whole."""
+    flat = mats.reshape(-1, *mats.shape[-2:])
+    factors = [_cholesky_or_none(x) for x in flat]
+    low = np.stack([np.zeros_like(x) if f is None else f for x, f in zip(flat, factors)])
+    fine = np.array([f is not None for f in factors])
+    return low.reshape(mats.shape), fine.reshape(mats.shape[:-2])
 
 
 def _definite(pairs, mid, nb: int, shifts, signs):
@@ -560,8 +570,9 @@ def _definite(pairs, mid, nb: int, shifts, signs):
     with both carried blocks in place.  The rows before and after the
     middle window are more than a bandwidth apart, so the matrix is
     definite exactly when both outer parts and the middle Schur complement
-    are.  A pair whose outer part breaks down leaves the batch, with phi
-    left nan.
+    are.  Each step is one ``np.linalg.cholesky`` call on the batch; only a
+    batch it rejects is factored matrix by matrix, to find the pairs whose
+    outer part broke down.  Those leave the batch, with phi left nan.
     """
     ok = np.ones(len(shifts), dtype=bool)
     phi = np.full(len(shifts), np.nan)
@@ -573,9 +584,11 @@ def _definite(pairs, mid, nb: int, shifts, signs):
         mats = scale * win - offset
         if carry is not None:
             mats[..., :nb, :nb] = carry
-        low, fine = _factor(mats)
-        fine = fine.all(axis=1)
-        if not fine.all():
+        try:
+            low = np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError:
+            low, fine = _factor_each(mats)
+            fine = fine.all(axis=1)
             ok[live[~fine]] = False
             live, low, scale, offset = live[fine], low[fine], scale[fine], offset[fine]
             if live.size == 0:
@@ -586,7 +599,10 @@ def _definite(pairs, mid, nb: int, shifts, signs):
     if carry is not None:
         mats[:, :nb, :nb] = carry[:, 0]
         mats[:, -nb:, -nb:] = carry[:, 1, ::-1, ::-1]
-    ok[live] = _factor(mats)[1]
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        ok[live] = _factor_each(mats)[1]
     phi[live] = np.linalg.eigvalsh(mats)[:, 0]
     return ok, phi
 
@@ -634,7 +650,13 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
       regula falsi point (Illinois variant: the phi of an end kept twice in
       a row is halved, once the other end's is known, so that the slope
       bound sees the true phi_s), and otherwise the geometric or halving
-      step.
+      step.  Ahead of these comes the closing shift: once phi_s (1 + 1e-3)
+      is below half the stopping width, 0.5e-10 hi, the shift is that half
+      width from the success end.  It lies past the root, so it fails and
+      closes the bracket; where rounding lets it succeed, the success end
+      still moves.  It is never taken where that half width is below the
+      shifts' resolution.  Without it, regula falsi lands on a success end
+      whose phi is rounding and the end crawls by bisection.
     * Resolution stop.  A bracket stops at a relative width of 1e-10, or
       once it is narrower than 2 eps max G_ii, below which a shift no longer
       changes the shifted matrix, or once lambda_min's lies below twice the
@@ -642,8 +664,9 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
 
     Each sweep takes one shift a side, the first two on a modelled side.
     About 7 sweeps bring a period-4 pattern at M = 512 to width, 7 to 11 a
-    constant shift of 0.1 to 0.5 at M = 512 and 1,024, and 14 to 15 the
-    critical shift at M = 4,096 to 16,384.
+    constant shift of 0.1 to 0.5 at M = 512 and 1,024, 6, 7, 9 and 11 the
+    critical shift at M = 128, 256, 512 and 1,024, and 14 to 15 at M =
+    4,096 to 16,384.
 
     Returns ``(values, lo, hi, diagnostics)``: (sigma_min, sigma_max), the
     square roots of the bracket midpoints, certified lower and upper ends,
@@ -720,7 +743,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
         if not todo:
             break
         shifts = [(k, mu) for k in todo
-                  for mu in (queued[k] or [_next_shift(ends[k], phis[k], rounding, k)])]
+                  for mu in (queued[k] or [_next_shift(ends[k], phis[k], rounding, resolution, k)])]
         queued = [[], []]
         side, mus = np.array(shifts).T
         ok, phi = _definite(pairs, mid, nb, mus, sign[side.astype(int)])
@@ -777,18 +800,27 @@ def _edge_model(diags):
     return estimate, np.where(trusted, move, np.nan)
 
 
-def _next_shift(ends, phis, floor: float, side: int) -> float:
+def _next_shift(ends, phis, floor: float, resolution: float, side: int) -> float:
     """The next shift inside the bracket ``ends`` of ``side`` (0: lambda_min,
     whose success end is the lower; 1: lambda_max, the upper).
 
-    The regula falsi point of phi when phi has opposite signs at the ends
-    and the point falls strictly inside; else, while phi is unknown at the
-    failure end, the slope bound mu_s + phi_s (1 + ``_SLOPE_MARGIN``) from
-    the success end, taken toward the failure end; else the bisection point
-    above ``floor``.
+    A closing shift, half the stopping width 1e-10 * hi from the success
+    end toward the failure end, when the slope bound phi_s (1 +
+    ``_SLOPE_MARGIN``) is shorter and that half width is at least
+    ``resolution``: it fails, which closes the bracket, unless rounding
+    lets it succeed.  Else the regula falsi point of phi when phi has
+    opposite signs at the ends and the point falls strictly inside; else,
+    while phi is unknown at the failure end, the slope bound mu_s + phi_s
+    (1 + ``_SLOPE_MARGIN``) from the success end, taken toward the failure
+    end; else the bisection point above ``floor``.
     """
     lo, hi = ends
     phi_lo, phi_hi = phis
+    close = 0.5 * _BRACKET_RTOL * hi
+    if close >= resolution and 0.0 < phis[side] * (1.0 + _SLOPE_MARGIN) < close:
+        mu = ends[side] + (1.0 - 2.0 * side) * close
+        if lo < mu < hi:
+            return mu
     if phi_lo * phi_hi < 0.0:
         mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
         if lo < mu < hi:

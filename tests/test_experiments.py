@@ -217,6 +217,19 @@ class TestCli:
         assert "unknown scenario 'warp'; choose from: " + ", ".join(SCENARIOS) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario, config", [
+        ("framebound-sweep", {"sizes": [-5, 16],
+                              "sequence": {"kind": "periodic", "offsets": [0.3]}}),
+        ("critical-half", {"sizes": [0, 16]}),
+    ])
+    def test_size_below_one_exit_2(self, tmp_path, capsys, scenario, config):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, **config}))
+        assert cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        size = config["sizes"][0]
+        assert capsys.readouterr().err == f"error: sizes must be >= 1, got {size}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli_main(["classify", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -197,6 +197,12 @@ class TestFrameBounds:
         with pytest.raises(BadParameterError):
             frame_bounds(A1, AffineGrid(1.0), (16,), orientation="middle")
 
+    @pytest.mark.parametrize("sizes", [(-5,), (0, 16), (-5, 16)])
+    def test_sizes_must_be_positive(self, sizes):
+        # a size below 1 once failed as an empty index window or an empty trim
+        with pytest.raises(BadParameterError, match=f"sizes must be >= 1, got {sizes[0]}$"):
+            frame_bounds(A1, AffineGrid(1.0), sizes)
+
 
 def _section(c, seq, m, interior_fraction, edge_margin, orientation, tol=1e-14):
     """The interior section frame_bounds takes singular values of, with the
@@ -451,6 +457,94 @@ def _trimmed_band(c, seq, m, orientation):
     return gauss_space._gram_band(c, p, q, buffer)[0]
 
 
+def _band_rows(p, q, radius):
+    """Where each row's band starts and the most entries a row keeps: row i
+    keeps the columns j with p_i - radius <= q_j <= p_i + radius."""
+    first = np.searchsorted(q, p - radius, "left")
+    return first, int((np.searchsorted(q, p + radius, "right") - first).max())
+
+
+def _take_along_diagonals(c, p, q, radius):
+    """Every diagonal of the band's Gram matrix, from a ``take_along_axis``
+    gather on the unpadded band: a second oracle for ``_gram_band``."""
+    first, width = _band_rows(p, q, radius)
+    kept = np.searchsorted(q, p + radius, "right") - first
+    t = np.arange(width)
+    cols = first[:, None] + t
+    band = np.where(t < kept[:, None],
+                    gauss_space._entries(c, p[:, None], q[np.minimum(cols, len(q) - 1)]), 0.0)
+    diags = [np.sum(band * band.conj(), axis=1)]
+    for d in range(1, len(p)):
+        shift = first[d:] - first[:-d]
+        if shift.min() >= width:
+            break
+        idx = shift[:, None] + t
+        mine = np.take_along_axis(band[:-d], np.minimum(idx, width - 1), axis=1)
+        diags.append(np.sum(np.where(idx < width, mine, 0.0) * band[d:].conj(), axis=1))
+    return diags
+
+
+class TestGramBand:
+    """The Gram band against a dense B B^H built from ``_entries``."""
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("seq, orientation, m", [
+        (PeriodicPerturbation(PATTERN), "interior_rows", 200),    # wide: A A^H
+        (PeriodicPerturbation(PATTERN), "interior_cols", 200),    # tall: A^H A
+        (AffineGrid(0.75), "interior_cols", 200),
+        (AffineGrid(4.0 / 3.0), "interior_rows", 200),
+        # large enough that numpy may reuse a temporary of the product
+        (PeriodicPerturbation(PATTERN), "interior_rows", 512),
+    ], ids=repr)
+    def test_diagonals_match_the_dense_product(self, monkeypatch, seq, orientation, m, b):
+        c = GaussianParam(1.0, b)
+        _, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, orientation)
+        p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
+        diags, width, norms, top, dropped = gauss_space._gram_band(c, p, q, buffer)
+        first, band_width = _band_rows(p, q, buffer)
+        assert width == band_width
+        n = len(p)
+        inside = (q >= p[:, None] - buffer) & (q <= p[:, None] + buffer)
+        dense = np.where(inside, gauss_space._entries(c, p[:, None], q[None, :]), 0.0)
+        mag = np.abs(dense)
+        assert norms == pytest.approx(mag.sum(axis=1).max() * mag.sum(axis=0).max(), rel=1e-14)
+        # the dense rows' products summed over row i + d's band, in column
+        # order, are the band's sums term for term; at b != 0 numpy may
+        # order a complex product's operands either way, which moves the
+        # fused rounding by an ulp
+        padded = np.concatenate([dense, np.zeros((n, width))], axis=1)
+        full = np.zeros((n, n), dtype=dense.dtype)
+        for d in range(n):
+            rows = np.arange(n - d)[:, None]
+            window = first[d:, None] + np.arange(width)
+            full[rows[:, 0], rows[:, 0] + d] = np.sum(
+                padded[rows, window] * padded[rows + d, window].conj(), axis=1)
+        full += np.triu(full, 1).conj().T
+        bound = 2.0 * gauss_space._gamma(width) * (mag @ mag.T)
+        assert np.all(np.abs(dense @ dense.conj().T - full) <= bound)
+        oracle = _take_along_diagonals(c, p, q, buffer)
+        # with no trim every diagonal up to the last nonzero one is kept,
+        # those whose rows' bands only partly meet too
+        monkeypatch.setattr(gauss_space, "_TRIM_RTOL", 0.0)
+        untrimmed = gauss_space._gram_band(c, p, q, buffer)[0]
+        assert len(diags) < len(untrimmed) <= len(oracle)
+        assert all(np.array_equal(g, h) for g, h in zip(diags, untrimmed))
+        for d, g in enumerate(untrimmed):
+            assert np.array_equal(g, oracle[d])
+            if b == 0.0:
+                assert np.array_equal(g, np.diagonal(full, d))
+            else:
+                assert np.all(np.abs(g - np.diagonal(full, d)) <= np.diagonal(bound, d))
+        assert not any(g.any() for g in oracle[len(untrimmed):])
+        assert not np.triu(full, len(untrimmed)).any()
+        # the trim: a Gershgorin bound and dropped row sums of the dense matrix
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        assert top == pytest.approx(np.abs(full).sum(axis=1).max(), rel=1e-14)
+        outer = np.where(offset >= len(diags), np.abs(full), 0.0).sum(axis=1)
+        assert dropped == pytest.approx(outer.max(), rel=1e-13, abs=1e-300)
+        assert dropped <= np.finfo(float).eps * top
+
+
 class TestTwistedSweep:
     """The twisted Cholesky sweep, its steering and the trimmed band."""
 
@@ -478,6 +572,58 @@ class TestTwistedSweep:
         known = ~np.isnan(phi)
         assert known.any() and not known.all()
         assert np.array_equal(phi[known] > 0, twisted[known])
+
+    @staticmethod
+    def _sweep(b=0.0):
+        """The critical shift's windows at M = 200 and the dense band's
+        extreme eigenvalues."""
+        diags = _trimmed_band(GaussianParam(1.0, b), PeriodicPerturbation((0.5,)), 200,
+                              "interior_rows")
+        nb = len(diags) - 1
+        pairs, mid = gauss_space._cholesky_windows(diags, nb)
+        return pairs, mid, nb, np.linalg.eigvalsh(_dense_gram(diags))[[0, -1]]
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    def test_all_failing_in_the_first_window_return_at_once(self, b):
+        # past lambda_max every diagonal entry of G - mu I is negative (and
+        # below lambda_min every one of mu I - G), so the first pivot fails
+        pairs, mid, nb, eig = self._sweep(b)
+        shifts = np.array([1.5 * eig[1], 2.0 * eig[1], 0.5 * eig[0]])
+        signs = np.array([1.0, 1.0, -1.0])
+        cholesky, eigvalsh = mock.Mock(wraps=np.linalg.cholesky), mock.Mock()
+        with mock.patch.object(np.linalg, "cholesky", cholesky), \
+                mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
+            ok, phi = gauss_space._definite(pairs, mid, nb, shifts, signs)
+        assert not ok.any() and np.isnan(phi).all()
+        # one batch over the first pair of windows, then each of its matrices
+        batches = [call for call in cholesky.call_args_list if call.args[0].ndim > 2]
+        assert len(batches) == 1 and batches[0].args[0].shape[:2] == (3, 2)
+        assert cholesky.call_count == 1 + 2 * len(shifts)
+        eigvalsh.assert_not_called()
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    def test_failing_in_the_middle_window_knows_phi(self, b):
+        # the critical shift's lambda_min falls like 1 / n^2, so just past it
+        # the outer parts, each about half the band, still factor, and only
+        # the middle Schur complement fails
+        pairs, mid, nb, eig = self._sweep(b)
+        ok, phi = gauss_space._definite(pairs, mid, nb, eig[0] * np.array([1.0 + 1e-4, 1.0 - 1e-4]),
+                                        np.ones(2))
+        assert np.array_equal(ok, [False, True])
+        assert np.isfinite(phi).all() and phi[0] <= 0.0 < phi[1]
+
+    def test_no_fallback_when_the_batch_factors(self):
+        pairs, mid, nb, eig = self._sweep(2.0)
+        with mock.patch.object(gauss_space, "_cholesky_or_none",
+                               mock.Mock(side_effect=gauss_space._cholesky_or_none)) as fallback:
+            ok, phi = gauss_space._definite(pairs, mid, nb, np.array([0.5 * eig[0], 1.5 * eig[1]]),
+                                            np.array([1.0, -1.0]))
+            assert ok.all() and np.all(phi > 0.0)
+            fallback.assert_not_called()
+            # the same sweep with one shift past lambda_min takes the fallback
+            ok, _ = gauss_space._definite(pairs, mid, nb, np.array([0.5 * eig[0], 1.5 * eig[0]]),
+                                          np.array([1.0, 1.0]))
+            assert np.array_equal(ok, [True, False]) and fallback.call_count > 0
 
     @given(
         offsets=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6),
@@ -521,6 +667,22 @@ class TestTwistedSweep:
         # overshoots its limit 0, so that side starts from the diagonal
         assert wider.start == ("diagonal", "model")
         assert wider.model_estimate[0] is None and wider.model_estimate[1] > 0.0
+        # the closing shift: once phi at the success end is below half the
+        # stopping width, one shift that far on fails and closes the bracket;
+        # without it these ends crawl by bisection, to 11, 12 and 10 sweeps
+        for seq, m, trim, orientation, most in [
+            (PeriodicPerturbation((0.5,)), 256, (1.0, 3.0), "interior_rows", 7),
+            (AffineGrid(0.9), 512, (2.0 / 3.0, 0.0), "interior_cols", 6),
+            (AffineGrid(4.0 / 3.0), 256, (2.0 / 3.0, 0.0), "interior_cols", 6),
+        ]:
+            e, = frame_bounds(A1, seq, (m,), *trim, orientation=orientation).entries
+            assert e.solver == "band" and e.sweeps <= most
+            s = np.linalg.svd(_section(A1, seq, m, *trim, orientation)[0], compute_uv=False)
+            assert _inside(s[-1], e.sigma_min_bracket) and _inside(s[0], e.sigma_max_bracket)
+            assert e.sigma_max == pytest.approx(s[0], rel=1e-9)
+            # 4/3 n trimmed on its columns leaves columns it does not sample
+            if not e.below_resolution:
+                assert e.sigma_min == pytest.approx(s[-1], rel=1e-9)
 
     def test_trimmed_diagonals_widen_the_radius(self, monkeypatch):
         # trimming far past the fixed rule moves the eigenvalues by much more
