@@ -147,12 +147,23 @@ def _coeff_range(values) -> tuple:
     return lo, hi
 
 
-def _in_bracket(bracket, ratios) -> bool:
-    """True when every ratio is finite and > 0 (an underflowed or overflowed
-    ratio measures nothing) and, if ``bracket`` is set, inside it."""
+def _ratio_outcome(table: str, columns: dict, ratios, bracket, passed=True, **summary):
+    """A ratio over a grid as one outcome, table ``table`` plotted whole:
+    the grid's ``columns`` (name -> values) and ``ratio``, and the ratio's
+    range, ``bracket`` and ``summary`` in the summary.  It passes when
+    ``passed`` does, every ratio is finite and > 0 (an underflowed or
+    overflowed ratio measures nothing) and, if ``bracket`` is set, inside it."""
     lo, hi = (0.0, np.inf) if bracket is None else bracket
     measured = np.isfinite(ratios).all() and ratios.min() > 0.0
-    return bool(measured and ratios.min() >= lo and ratios.max() <= hi)
+    header = (*columns, "ratio")
+    return ScenarioOutcome(
+        passed=bool(passed and measured and ratios.min() >= lo and ratios.max() <= hi),
+        summary={"ratio_min": float(ratios.min()), "ratio_max": float(ratios.max()),
+                 "bracket": bracket, **summary},
+        table=table, header=header,
+        rows=list(zip(*(v.tolist() for v in columns.values()), ratios.tolist())),
+        plot=(table, header),
+    )
 
 
 def _require_sequence(config: ScenarioConfig):
@@ -289,22 +300,9 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
     max_spread, bracket = options["max_spread"], options["bracket"]
     grid = _log_modulus_grid(options["log_modulus_lo"], options["log_modulus_hi"], options["step"])
     _, ratios = fock.kernel_norm(config.a, fock.LogPolarPoint(grid, np.zeros_like(grid)))
-    header = ("log_modulus", "ratio")
-    rows = list(zip(grid.tolist(), ratios.tolist()))
     spread = float(ratios.max() / ratios.min())
-    passed = spread <= max_spread and _in_bracket(bracket, ratios)
-    return ScenarioOutcome(
-        passed=passed,
-        summary={
-            "ratio_min": float(ratios.min()),
-            "ratio_max": float(ratios.max()),
-            "spread": spread,
-            "max_spread": max_spread,
-            "bracket": bracket,
-        },
-        table="kernel_ratio", header=header, rows=rows,
-        plot=("kernel_ratio", header),
-    )
+    return _ratio_outcome("kernel_ratio", {"log_modulus": grid}, ratios, bracket,
+                          spread <= max_spread, spread=spread, max_spread=max_spread)
 
 
 # log_modulus_lo and log_modulus_hi default to a and 21a
@@ -329,20 +327,8 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
 
     points = fock.LogPolarPoint(grid.log_modulus[keep], grid.argument[keep])
     ratios = fock.g0_estimate_ratio(a, points)
-    header = ("log_modulus", "argument", "ratio")
-    rows = list(zip(points.log_modulus.tolist(), points.argument.tolist(), ratios.tolist()))
-    summary = {
-        "ratio_min": float(ratios.min()),
-        "ratio_max": float(ratios.max()),
-        "n_points": len(rows),
-        "bracket": bracket,
-    }
-    return ScenarioOutcome(
-        passed=_in_bracket(bracket, ratios),
-        summary=summary,
-        table="g0_ratio", header=header, rows=rows,
-        plot=("g0_ratio", header),
-    )
+    columns = {"log_modulus": points.log_modulus, "argument": points.argument}
+    return _ratio_outcome("g0_ratio", columns, ratios, bracket, n_points=len(ratios))
 
 
 @_scenario("fock-consistency", tolerances={"gap": 1e-9}, n_seeds=(5, _count),

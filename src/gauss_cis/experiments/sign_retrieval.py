@@ -137,10 +137,7 @@ def sign_retrieval_check(
     samples = np.abs(mat @ c)
 
     # the condition at half-integer density, checked on the doubled nodes
-    start = 0
-    if isinstance(seq, ExplicitWindow):
-        start = seq.index_range[0]
-    dilated = ExplicitWindow(tuple(2.0 * lam), start)
+    dilated = ExplicitWindow(tuple(2.0 * lam), seq.default_window()[0])
     dverdict = avdonin_verdict(dilated)
     dilated_ok = bool(dverdict.passes)
 
@@ -150,13 +147,10 @@ def sign_retrieval_check(
     sols = np.linalg.solve(r, proj.T).T if len(signs) else np.empty((0, len(c)))
     cnorm = np.linalg.norm(c)
     tol = match_tol * max(cnorm, 1.0)
-    matched = all(
-        min(np.linalg.norm(d - c), np.linalg.norm(d + c)) <= tol for d in sols
-    )
-    if cnorm > 0.0 and len(sols):
-        has_plus = any(np.linalg.norm(d - c) <= tol for d in sols)
-        has_minus = any(np.linalg.norm(d + c) <= tol for d in sols)
-        matched = matched and has_plus and has_minus
+    plus = np.linalg.norm(sols - c, axis=1) <= tol
+    minus = np.linalg.norm(sols + c, axis=1) <= tol
+    # every survivor is +-c, and with survivors both signs are among them
+    matched = bool(np.all(plus | minus)) and (len(sols) == 0 or (plus.any() and minus.any()))
     passes = matched and len(signs) > 0
     max_res = float(np.max(rel)) if len(rel) else float("nan")
     return SignRetrievalResult(

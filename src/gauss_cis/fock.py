@@ -9,10 +9,12 @@ coordinates.
 
 Point-valued functions are array-valued: a ``LogPolarPoint`` may hold a
 whole grid, and ``evaluate``, ``kernel_norm``, ``g0_estimate_ratio`` and
-the rest return one value per point (a float for a single point).  A grid
-is one call, not a loop; ``GeneratingProduct.evaluate`` and ``kernel_norm``
-walk it in blocks of ``_BLOCK`` points, so their (points x zeros) and
-(points x terms) temporaries stay small however large the grid.
+the rest return one value per point (a float for a single point, by
+``logdomain``'s one 0-d rule).  A grid is one call, not a loop, and the
+modulus-side classifier ``fock_cis_verdict`` reads one grid of points too;
+``GeneratingProduct.evaluate`` and ``kernel_norm`` walk a grid in blocks
+of ``_BLOCK`` points, so their (points x zeros) and (points x terms)
+temporaries stay small however large the grid.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .lattice import GaussianParam, best_window_average
 from .logdomain import (
+    _out,
     log_abs_diff_exp,
     log_abs_one_minus_exp,
     logsumexp,
@@ -69,12 +72,6 @@ __all__ = [
     "fock_delta_from_lattice",
     "fock_points_from_sequence",
 ]
-
-
-def _out(x):
-    """A 0-d result as a Python scalar; arrays pass through."""
-    x = np.asarray(x)
-    return x.item() if x.ndim == 0 else x
 
 
 def _blockwise(fn, n_out, *arrays):
@@ -243,7 +240,7 @@ def fock_norm(series: FockSeries, a: float) -> float:
         return -np.inf
     k = np.arange(len(series.log_magnitude))
     terms = 2.0 * series.log_magnitude + 2.0 * a * (k + 1.0) ** 2
-    return float(logsumexp(terms))
+    return logsumexp(terms)
 
 
 @dataclass(frozen=True)
@@ -570,7 +567,8 @@ class FockCisVerdict:
 
 
 def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> FockCisVerdict:
-    """Check points w_n = e^{2an} e^{delta_n} e^{i theta_n} for n >= 1.
+    """Check points w_n = e^{2an} e^{delta_n} e^{i theta_n} for n >= 1,
+    given in order as one ``LogPolarPoint`` grid.
 
     Conditions: (i) relative separation |w_m - w_n| >= gamma |w_n| measured
     on moduli (the best gamma over adjacent pairs is reported), (ii)
@@ -581,7 +579,7 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     """
     if a <= 0.0:
         raise BadParameterError("a must be > 0")
-    lms = np.array([p.log_modulus for p in points], dtype=float)
+    lms = np.ravel(points.log_modulus)
     if len(lms) < 2:
         raise BadParameterError("need at least two points")
     gaps = np.diff(lms)
@@ -609,6 +607,6 @@ def fock_delta_from_lattice(a: float, delta: float) -> float:
 
 
 def fock_points_from_sequence(c: GaussianParam, seq, count: int):
-    """First ``count`` transformed nodes w_m = e^{2c lambda_m}, m = 1..count."""
-    lam = seq.positions((1, count))
-    return [node_transform(c, x) for x in lam]
+    """First ``count`` transformed nodes w_m = e^{2c lambda_m}, m = 1..count,
+    as one grid of points."""
+    return node_transform(c, seq.positions((1, count)))

@@ -71,8 +71,6 @@ _MODEL_ROWS = _DENSE_MAX
 _MODEL_STEP = 0.01
 # a slope-bound shift steps this fraction past the bound
 _SLOPE_MARGIN = 1e-3
-# l2_norm_squared's padding either side of the support, and its step
-_L2_PAD, _L2_STEP = 8.0, 0.01
 
 
 @dataclass(frozen=True)
@@ -644,19 +642,19 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int):
       -I - X^H X <= -I with X = M_11^-1 M_12, so phi' <= -1.  From a
       success end mu_s with phi_s > 0, phi therefore has its root by
       mu_s + phi_s, and G - mu I is not definite there (nor mu I - G at
-      mu_s - phi_s, for lambda_max).  While phi is unknown at the failure
-      end (an outer part failed first), the shift is that point, taken
-      1e-3 of phi_s further; once phi is known at both ends it is phi's
-      regula falsi point (Illinois variant: the phi of an end kept twice in
-      a row is halved, once the other end's is known, so that the slope
-      bound sees the true phi_s), and otherwise the geometric or halving
-      step.  Ahead of these comes the closing shift: once phi_s (1 + 1e-3)
-      is below half the stopping width, 0.5e-10 hi, the shift is that half
-      width from the success end.  It lies past the root, so it fails and
-      closes the bracket; where rounding lets it succeed, the success end
-      still moves.  It is never taken where that half width is below the
-      shifts' resolution.  Without it, regula falsi lands on a success end
-      whose phi is rounding and the end crawls by bisection.
+      mu_s - phi_s, for lambda_max).  One rule steps from the success end:
+      while phi is unknown at the failure end (an outer part failed
+      first), or once half the stopping width, 0.5e-10 hi, is the longer
+      step, the shift is the longer of phi_s (1 + 1e-3) and that half
+      width, which counts only where it is at least the shifts'
+      resolution.  Both lie past the root, so the shift fails; a closing
+      half width closes the bracket, and where rounding lets it succeed,
+      the success end still moves.  Without the half width, regula falsi
+      lands on a success end whose phi is rounding and the end crawls by
+      bisection.  Otherwise the shift is phi's regula falsi point once phi
+      is known at both ends (Illinois variant: the phi of an end kept twice
+      in a row is halved, once the other end's is known, so that the slope
+      bound sees the true phi_s), and else the geometric or halving step.
     * Resolution stop.  A bracket stops at a relative width of 1e-10, or
       once it is narrower than 2 eps max G_ii, below which a shift no longer
       changes the shifted matrix, or once lambda_min's lies below twice the
@@ -804,29 +802,27 @@ def _next_shift(ends, phis, floor: float, resolution: float, side: int) -> float
     """The next shift inside the bracket ``ends`` of ``side`` (0: lambda_min,
     whose success end is the lower; 1: lambda_max, the upper).
 
-    A closing shift, half the stopping width 1e-10 * hi from the success
-    end toward the failure end, when the slope bound phi_s (1 +
-    ``_SLOPE_MARGIN``) is shorter and that half width is at least
-    ``resolution``: it fails, which closes the bracket, unless rounding
-    lets it succeed.  Else the regula falsi point of phi when phi has
-    opposite signs at the ends and the point falls strictly inside; else,
-    while phi is unknown at the failure end, the slope bound mu_s + phi_s
-    (1 + ``_SLOPE_MARGIN``) from the success end, taken toward the failure
-    end; else the bisection point above ``floor``.
+    A step from the success end toward the failure end when phi_s > 0
+    and either phi is unknown at the failure end or the closing half width,
+    half the stopping width 1e-10 * hi, is the longer step; the step is the
+    longer of the slope bound phi_s (1 + ``_SLOPE_MARGIN``) and that half
+    width, which counts only where it is at least ``resolution``.  A
+    closing step fails, which closes the bracket, unless rounding lets it
+    succeed.  Else the regula falsi point of phi when phi has opposite
+    signs at the ends and the point falls strictly inside; else the
+    bisection point above ``floor``.
     """
     lo, hi = ends
     phi_lo, phi_hi = phis
+    slope = phis[side] * (1.0 + _SLOPE_MARGIN)
     close = 0.5 * _BRACKET_RTOL * hi
-    if close >= resolution and 0.0 < phis[side] * (1.0 + _SLOPE_MARGIN) < close:
-        mu = ends[side] + (1.0 - 2.0 * side) * close
+    close = close if close >= resolution else 0.0
+    if phis[side] > 0.0 and (np.isnan(phis[1 - side]) or close > slope):
+        mu = ends[side] + (1.0 - 2.0 * side) * max(slope, close)
         if lo < mu < hi:
             return mu
     if phi_lo * phi_hi < 0.0:
         mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
-        if lo < mu < hi:
-            return mu
-    if np.isnan(phis[1 - side]) and phis[side] > 0.0:
-        mu = ends[side] + (1.0 - 2.0 * side) * phis[side] * (1.0 + _SLOPE_MARGIN)
         if lo < mu < hi:
             return mu
     return _bisection_point(max(lo, floor), hi)
@@ -886,10 +882,8 @@ def compact_block_hsnorm(c: GaussianParam, seq: NodeSequence, window: int):
 
 
 def l2_norm_squared(c: GaussianParam, coeffs: CoefficientVector) -> float:
-    """Numerically integrate |f|^2 over a wide interval around the support."""
-    if len(coeffs) == 0:
-        return 0.0
-    lo, hi = coeffs.index_range
-    x = np.arange(lo - _L2_PAD, hi + _L2_PAD + _L2_STEP, _L2_STEP)
-    vals = np.exp(-c.c * (x[:, None] - coeffs.indices[None, :]) ** 2) @ coeffs.values
-    return float(np.trapezoid(np.abs(vals) ** 2, x))
+    """||f||^2 over the real line, in closed form from the translates' Gram
+    matrix: sqrt(pi / 2a) sum_{m,n} c_m conj(c_n) e^{-|c|^2 (m - n)^2 / (2a)}."""
+    d = coeffs.indices[:, None] - coeffs.indices[None, :]
+    gram = np.exp(-(c.a**2 + c.b**2) * d * d / (2.0 * c.a))
+    return float(np.sqrt(np.pi / (2.0 * c.a)) * (coeffs.values @ gram @ coeffs.values.conj()).real)

@@ -5,7 +5,9 @@ precision quickly, so everything modulus-like is kept as a logarithm and
 phases are tracked separately.
 
 Every helper works elementwise on arrays (``logsumexp`` along an axis),
-and a scalar input gives a scalar, so a grid of points is one call.
+so a grid of points is one call.  One rule, ``_out``, makes a 0-d result
+a Python scalar, here and in ``fock``: a scalar input gives a scalar, an
+array input (one element too) an array.
 """
 
 import numpy as np
@@ -25,13 +27,16 @@ _SMALL = 1e-4
 _BIG = 50.0
 
 
+def _out(x):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 def wrap_angle(x):
     """Reduce an angle (or array of angles) to (-pi, pi]."""
     r = np.mod(np.asarray(x, dtype=float), 2.0 * np.pi)
-    r = np.where(r > np.pi, r - 2.0 * np.pi, r)
-    if np.ndim(x) == 0:
-        return float(r)
-    return r
+    return _out(np.where(r > np.pi, r - 2.0 * np.pi, r))
 
 
 def modulus(z):
@@ -42,7 +47,7 @@ def modulus(z):
     would make an array result differ from the same point evaluated alone.
     """
     z = np.asarray(z, dtype=complex)
-    return np.hypot(z.real, z.imag)
+    return _out(np.hypot(z.real, z.imag))
 
 
 def expm1_complex(v):
@@ -51,10 +56,7 @@ def expm1_complex(v):
     # horner form of v + v^2/2 + v^3/6 + v^4/24
     series = v * (1.0 + v / 2.0 * (1.0 + v / 3.0 * (1.0 + v / 4.0)))
     direct = np.exp(v) - 1.0
-    out = np.where(np.abs(v) < _SMALL, series, direct)
-    if np.ndim(v) == 0:
-        return complex(out)
-    return out
+    return _out(np.where(np.abs(v) < _SMALL, series, direct))
 
 
 def log_abs_one_minus_exp(v):
@@ -66,10 +68,6 @@ def log_abs_one_minus_exp(v):
     """
     v = np.asarray(v, dtype=complex)
     re = v.real
-    scalar = np.ndim(v) == 0
-    v = np.atleast_1d(v)
-    re = np.atleast_1d(re)
-
     log_abs = np.zeros(v.shape)
     phase = np.zeros(v.shape)
 
@@ -92,9 +90,7 @@ def log_abs_one_minus_exp(v):
             log_abs[mid] = np.log(az)
         phase[mid] = np.angle(z)
 
-    if scalar:
-        return float(log_abs[0]), float(phase[0])
-    return log_abs, phase
+    return _out(log_abs), _out(phase)
 
 
 def log_abs_diff_exp(u, s):
@@ -109,8 +105,7 @@ def log_abs_diff_exp(u, s):
     big = np.maximum(u.real, s)
     d = np.exp(u - big) - np.exp(s - big)
     with np.errstate(divide="ignore"):
-        out = big + np.log(modulus(d))
-    return float(out) if out.ndim == 0 else out
+        return _out(big + np.log(modulus(d)))
 
 
 def logsumexp(x, axis=None):
@@ -128,5 +123,4 @@ def logsumexp(x, axis=None):
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.sum(np.exp(np.where(is_top, -np.inf, x) - top), axis=axis, keepdims=True)
         out = np.where(top == -np.inf, -np.inf, np.log1p(s / m) + np.log(m) + top)
-    out = out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
-    return float(out) if out.ndim == 0 else out
+    return _out(out.reshape(()) if axis is None else np.squeeze(out, axis=axis))

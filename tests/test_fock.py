@@ -118,6 +118,36 @@ class TestFockNorm:
         with pytest.raises(BadParameterError):
             fock_norm(monomial(0), 0.0)
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("degree", [0, 5, 17, 40])
+    def test_matches_a_50_digit_sum(self, degree, seed):
+        # degrees up to 40 put the weights e^{2a(k+1)^2} far past 1e308;
+        # about a quarter of the coefficients are exact zeros (-inf)
+        import mpmath
+
+        rng = np.random.default_rng([31, degree, seed])
+        a = float(rng.uniform(0.1, 2.0))
+        lm = rng.uniform(-50.0, 10.0, degree + 1)
+        lm[rng.random(degree + 1) < 0.25] = -np.inf
+        series = FockSeries(lm, rng.uniform(-np.pi, np.pi, degree + 1))
+        terms = 2.0 * lm + 2.0 * a * (np.arange(degree + 1) + 1.0) ** 2
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(
+                mpmath.exp(2 * mpmath.mpf(x) + 2 * mpmath.mpf(a) * (k + 1) ** 2)
+                for k, x in enumerate(lm) if x > -np.inf
+            )
+            exact = float(mpmath.log(exact)) if exact else -np.inf
+        got = fock_norm(series, a)
+        if exact == -np.inf:
+            assert got == -np.inf
+        else:
+            # the double-precision terms carry eps of their size
+            scale = max(1.0, float(np.max(np.abs(terms[np.isfinite(terms)]))))
+            assert abs(got - exact) <= 8.0 * np.finfo(float).eps * scale
+
+    def test_all_zero_coefficients(self):
+        assert fock_norm(FockSeries(np.full(5, -np.inf), np.zeros(5)), 0.7) == -np.inf
+
 
 class TestQuadratureNorm:
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
@@ -336,10 +366,7 @@ class TestFockCisVerdict:
     @staticmethod
     def geometric_points(a, n, deltas=None):
         deltas = np.zeros(n) if deltas is None else np.asarray(deltas)
-        return [
-            LogPolarPoint(2 * a * (m + 1) + float(d), 0.0)
-            for m, d in enumerate(deltas)
-        ]
+        return LogPolarPoint(2 * a * np.arange(1, n + 1) + deltas, np.zeros(n))
 
     def test_reference_sequence_passes(self):
         a = 0.6
@@ -357,15 +384,15 @@ class TestFockCisVerdict:
     def test_arguments_ignored(self):
         a = 0.6
         pts = self.geometric_points(a, 16)
-        rotated = [LogPolarPoint(p.log_modulus, 0.8) for p in pts]
-        mixed = [LogPolarPoint(p.log_modulus, 0.1 * i) for i, p in enumerate(pts)]
+        rotated = LogPolarPoint(pts.log_modulus, np.full(16, 0.8))
+        mixed = LogPolarPoint(pts.log_modulus, 0.1 * np.arange(16))
         base = fock_cis_verdict(a, pts)
         for other in (rotated, mixed):
             v = fock_cis_verdict(a, other)
             assert v == base
 
     def test_unsorted_rejected(self):
-        pts = [LogPolarPoint(2.0, 0.0), LogPolarPoint(1.0, 0.0)]
+        pts = LogPolarPoint([2.0, 1.0], [0.0, 0.0])
         with pytest.raises(UnsortedInputError):
             fock_cis_verdict(1.0, pts)
 

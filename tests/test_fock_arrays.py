@@ -25,14 +25,17 @@ from gauss_cis.fock import (
     kernel_norm,
     log_distance_to_zeros,
     node_transform,
+    phi,
     to_fock,
 )
 from gauss_cis.gauss_space import CoefficientVector, split_parts
 from gauss_cis.lattice import GaussianParam
 from gauss_cis.logdomain import (
+    expm1_complex,
     log_abs_diff_exp,
     log_abs_one_minus_exp,
     logsumexp,
+    modulus,
     wrap_angle,
 )
 
@@ -464,3 +467,33 @@ class TestArrayPoints:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+# -- one 0-d rule: a scalar in gives a Python scalar out, an array an array --
+
+_POINT, _GRID = LogPolarPoint(1.3, 0.4), LogPolarPoint([1.3], [0.4])
+# name: (function of one argument, scalar input, one-element array input)
+_ZERO_D_CASES = {
+    "wrap_angle": (wrap_angle, 4.0, np.array([4.0])),
+    "modulus": (modulus, 3.0 + 4.0j, np.array([3.0 + 4.0j])),
+    "expm1_complex": (expm1_complex, 0.1 + 0.2j, np.array([0.1 + 0.2j])),
+    "log_abs_one_minus_exp": (log_abs_one_minus_exp, 0.1 + 0.2j, np.array([0.1 + 0.2j])),
+    "log_abs_diff_exp": (lambda u: log_abs_diff_exp(u, 0.3), 1.0 + 0.5j, np.array([1.0 + 0.5j])),
+    "logsumexp": (lambda x: logsumexp(x, axis=-1), [0.1, 0.2], [[0.1, 0.2]]),
+    "phi": (lambda p: phi(0.5, p), _POINT, _GRID),
+    "kernel_norm": (lambda p: kernel_norm(0.5, p), _POINT, _GRID),
+    "g0_estimate_ratio": (lambda p: g0_estimate_ratio(0.5, p), _POINT, _GRID),
+    "log_distance_to_zeros": (lambda p: log_distance_to_zeros(p, [1.0, 2.0, 3.0]), _POINT, _GRID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_D_CASES))
+def test_zero_d_results_are_python_scalars(name):
+    fn, scalar_in, array_in = _ZERO_D_CASES[name]
+    for out, shaped in ((fn(scalar_in), False), (fn(array_in), True)):
+        for value in out if isinstance(out, tuple) else (out,):
+            if shaped:
+                assert isinstance(value, np.ndarray) and value.shape == (1,)
+            else:
+                # numpy.float64 subclasses float, so the type is compared
+                assert type(value) in (float, complex)

@@ -802,6 +802,45 @@ class TestShiftSteering:
             checked += clear.sum()
         assert checked > 0
 
+    def test_one_success_end_rule_takes_the_two_rules_shifts(self):
+        # the closing shift and the slope bound were two rules, the closing
+        # shift first; on brackets still running (wider than 1e-10 hi) the
+        # one rule takes the same shift, bit for bit
+        def two_rules(ends, phis, floor, resolution, side):
+            lo, hi = ends
+            phi_lo, phi_hi = phis
+            close = 0.5 * gauss_space._BRACKET_RTOL * hi
+            if close >= resolution and 0.0 < phis[side] * (1.0 + gauss_space._SLOPE_MARGIN) < close:
+                mu = ends[side] + (1.0 - 2.0 * side) * close
+                if lo < mu < hi:
+                    return mu
+            if phi_lo * phi_hi < 0.0:
+                mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
+                if lo < mu < hi:
+                    return mu
+            if np.isnan(phis[1 - side]) and phis[side] > 0.0:
+                mu = ends[side] + (1.0 - 2.0 * side) * phis[side] * (1.0 + gauss_space._SLOPE_MARGIN)
+                if lo < mu < hi:
+                    return mu
+            return gauss_space._bisection_point(max(lo, floor), hi)
+
+        rng = np.random.default_rng(2024)
+        closing = 0
+        for _ in range(4000):
+            hi = 10.0 ** rng.uniform(-3.0, 3.0)
+            lo = hi * (1.0 - 10.0 ** rng.uniform(-9.9, 0.0)) if rng.random() < 0.8 else 0.0
+            width, side = hi - lo, int(rng.integers(2))
+            phis = np.empty(2)
+            phis[side] = rng.choice([np.nan, -width * rng.random(),
+                                     hi * 10.0 ** rng.uniform(-25.0, -8.0),
+                                     width * 10.0 ** rng.uniform(-6.0, 0.0)])
+            phis[1 - side] = rng.choice([np.nan, -width * rng.random(), width * rng.random()])
+            args = (np.array([lo, hi]), phis, 0.0, hi * 10.0 ** rng.uniform(-20.0, -8.0), side)
+            assert gauss_space._next_shift(*args) == two_rules(*args)
+            close = 0.5 * gauss_space._BRACKET_RTOL * hi
+            closing += args[3] <= close and 0.0 < phis[side] < close
+        assert closing > 100
+
     def test_below_resolution_reports_the_upper_end(self):
         # oversampled rows: lambda_min is about 1e-32, far below the radius
         c, seq = A1, AffineGrid(0.9)
@@ -901,6 +940,27 @@ class TestNormEquivalence:
 
     def test_zero_coefficients(self):
         assert l2_norm_squared(A1, CoefficientVector(0, [])) == 0.0
+
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_l2_matches_the_integral(self, b):
+        # at a = 0.02 a translate is about 7 wide, and an integral cut off
+        # 8 past the support misses about 2e-3 of the norm
+        import mpmath
+
+        a = 0.02
+        rng = np.random.default_rng([41, int(10 * b)])
+        vals = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        coeffs = CoefficientVector(-2, vals)
+        with mpmath.workdps(30):
+            c = mpmath.mpc(a, b)
+            cs = [(int(n), mpmath.mpc(v)) for n, v in zip(coeffs.indices, vals)]
+
+            def f2(x):
+                return abs(mpmath.fsum(v * mpmath.exp(-c * (x - n) ** 2) for n, v in cs)) ** 2
+
+            exact = mpmath.quad(f2, [-mpmath.inf, *range(-80, 81, 10), mpmath.inf])
+        got = l2_norm_squared(GaussianParam(a, b), coeffs)
+        assert got == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_interpolation_json():
