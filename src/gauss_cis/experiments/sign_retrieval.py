@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BadParameterError, ComplexInputError, WindowTooLargeError
-from ..gauss_space import CoefficientVector
-from ..lattice import ExplicitWindow, NodeSequence, avdonin_verdict
+from ..gauss_space import CoefficientVector, _entries
+from ..lattice import ExplicitWindow, GaussianParam, NodeSequence, avdonin_verdict
 
 __all__ = ["SignRetrievalResult", "half_grid", "sign_retrieval_check"]
 
@@ -115,8 +115,7 @@ def sign_retrieval_check(
     survivors' coefficient vectors are exactly the two global-sign copies
     of the input (the zero vector passes trivially).
     """
-    if a <= 0.0:
-        raise BadParameterError("a must be > 0")
+    param = GaussianParam(a)
     if np.any(coeffs.values.imag != 0.0):
         raise ComplexInputError("sign retrieval needs real coefficients")
     if len(coeffs) == 0:
@@ -128,8 +127,7 @@ def sign_retrieval_check(
         raise WindowTooLargeError(f"window {w} exceeds limit {_MAX_WINDOW}")
 
     c = coeffs.values.real.astype(float)
-    n = coeffs.indices.astype(float)
-    mat = np.exp(-a * (lam[:, None] - n[None, :]) ** 2)
+    mat = _entries(param, lam[:, None], coeffs.indices.astype(float)[None, :])
     if mat.shape[0] < mat.shape[1]:
         raise BadParameterError(
             f"{w} nodes cannot overdetermine {mat.shape[1]} coefficients"
@@ -149,8 +147,8 @@ def sign_retrieval_check(
     tol = match_tol * max(cnorm, 1.0)
     plus = np.linalg.norm(sols - c, axis=1) <= tol
     minus = np.linalg.norm(sols + c, axis=1) <= tol
-    # every survivor is +-c, and with survivors both signs are among them
-    matched = bool(np.all(plus | minus)) and (len(sols) == 0 or (plus.any() and minus.any()))
+    # every survivor is +-c; survivors come in +- pairs (``_surviving_signs``)
+    matched = bool(np.all(plus | minus))
     passes = matched and len(signs) > 0
     max_res = float(np.max(rel)) if len(rel) else float("nan")
     return SignRetrievalResult(

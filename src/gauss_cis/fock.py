@@ -195,17 +195,6 @@ class FockSeries:
             log_abs = top[..., 0] + np.log(modulus(s))
         return _out(log_abs), _out(np.where(s == 0, 0.0, np.angle(s)))
 
-    def to_json(self) -> dict:
-        lm = [None if np.isneginf(v) else float(v) for v in self.log_magnitude]
-        return {"log_magnitude": lm, "phase": [float(v) for v in self.phase]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FockSeries":
-        lm = np.array(
-            [-np.inf if v is None else float(v) for v in data["log_magnitude"]]
-        )
-        return cls(lm, np.asarray(data["phase"], dtype=float))
-
 
 def to_fock(c: GaussianParam, coeffs: gauss_space.CoefficientVector):
     """Split a coefficient vector into its two power series and center value.
@@ -234,8 +223,7 @@ def to_fock(c: GaussianParam, coeffs: gauss_space.CoefficientVector):
 
 def fock_norm(series: FockSeries, a: float) -> float:
     """Log of the squared weighted norm sum_k |b_k|^2 e^{2a(k+1)^2}."""
-    if a <= 0.0:
-        raise BadParameterError("a must be > 0")
+    GaussianParam(a)
     if len(series.log_magnitude) == 0:
         return -np.inf
     k = np.arange(len(series.log_magnitude))
@@ -259,6 +247,7 @@ class RadialGrid:
 def default_radial_grid(a: float, degree: int) -> RadialGrid:
     """Grid wide enough that the integrand tail is far below 1e-10 of the
     total for polynomials up to the given degree, in steps of sqrt(a) / 4."""
+    GaussianParam(a)
     pad = 8.0 * np.sqrt(a) + 2.0
     return RadialGrid(-pad, 2.0 * a * (degree + 1.0) + pad, _RADIAL_STEP * np.sqrt(a))
 
@@ -295,8 +284,7 @@ def fock_norm_quadrature(series: FockSeries, a: float, grid: Optional[RadialGrid
     result is cross-checked on the half-resolution grid and
     GridTooCoarseError is raised when the two differ by more than 1e-8.
     """
-    if a <= 0.0:
-        raise BadParameterError("a must be > 0")
+    GaussianParam(a)
     if len(series.log_magnitude) == 0:
         return 0.0
     if grid is None:
@@ -318,8 +306,7 @@ def fock_norm_quadrature(series: FockSeries, a: float, grid: Optional[RadialGrid
 
 def phi(a: float, p: LogPolarPoint):
     """Radial growth exponent (log|w|)^2 / (4a)."""
-    if a <= 0.0:
-        raise BadParameterError("a must be > 0")
+    GaussianParam(a)
     return p.log_modulus**2 / (4.0 * a)
 
 
@@ -340,8 +327,7 @@ def kernel_norm(a: float, p: LogPolarPoint, n_terms: Optional[int] = None):
     past its own term count, and every point's tail is certified on its
     own (TooFewTermsError names the first point that fails).
     """
-    if a <= 0.0:
-        raise BadParameterError("a must be > 0")
+    GaussianParam(a)
     lm = np.asarray(p.log_modulus, dtype=float)
     peak = np.maximum(0.0, lm / (2.0 * a) - 1.0)
     needed = np.ceil(peak + np.sqrt(40.0 / a) + 4.0).astype(int)
@@ -424,8 +410,7 @@ class GeneratingProduct:
             raise BadParameterError("need at least one zero")
         if np.any(np.diff(z) <= 0.0):
             raise BadParameterError("zero log-moduli must be strictly increasing")
-        if self.a <= 0.0:
-            raise BadParameterError("a must be > 0")
+        GaussianParam(self.a)
         z.setflags(write=False)
         ps = np.concatenate([[0.0], np.cumsum(z)])
         ps.setflags(write=False)
@@ -508,6 +493,7 @@ def certified_zero_count(a: float, p: LogPolarPoint) -> int:
     """Zeros e^{2am} of G0, at least one, needed to certify the product tail
     at every point of p, one log-unit and one zero past the tail cut-off;
     they also hold the zero nearest to each point."""
+    GaussianParam(a)
     top = float(np.max(p.log_modulus)) if np.size(p.log_modulus) else 0.0
     return max(int(np.ceil((top + (_TAIL_CUTOFF + 1.0)) / (2.0 * a))) + 1, 1)
 
@@ -577,8 +563,7 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     theta_n never enter.  Unlike ``avdonin_verdict``, averages are measured
     from 0: on this one-sided index set, re-indexing drops or adds a point.
     """
-    if a <= 0.0:
-        raise BadParameterError("a must be > 0")
+    GaussianParam(a)
     lms = np.ravel(points.log_modulus)
     if len(lms) < 2:
         raise BadParameterError("need at least two points")
@@ -603,6 +588,7 @@ def fock_delta_from_lattice(a: float, delta: float) -> float:
     threshold a on the modulus side.  Kept explicit so the factor 2a never
     hides inside a formula.
     """
+    GaussianParam(a)
     return 2.0 * a * delta
 
 

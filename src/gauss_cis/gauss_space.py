@@ -40,7 +40,6 @@ __all__ = [
     "evaluate",
     "collocation_matrix",
     "interpolate",
-    "interpolation_to_json",
     "frame_bounds",
     "split_parts",
     "compact_block_hsnorm",
@@ -117,13 +116,6 @@ class CoefficientVector:
         if len(self.values) == 0 or n < lo or n > hi:
             return 0.0 + 0.0j
         return complex(self.values[n - lo])
-
-    def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "real": [float(v.real) for v in self.values],
-            "imag": [float(v.imag) for v in self.values],
-        }
 
 
 def _gaussian_tail_terms(a: float, d0) -> np.ndarray:
@@ -278,10 +270,6 @@ def interpolate(
     else:
         residual = float(np.linalg.norm(mat.entries @ x - samples) / norm_s)
     return CoefficientVector(mat.col_start, x), residual
-
-
-def interpolation_to_json(coeffs: CoefficientVector, residual: float) -> dict:
-    return {"coefficients": coeffs.to_json(), "residual": residual}
 
 
 @dataclass(frozen=True)
@@ -502,21 +490,18 @@ def _gram_band(c: GaussianParam, p, q, radius: float):
     return diags[:keep], width, norms, top, float(dropped.max())
 
 
-def _band_windows(diags, rows):
-    """Dense windows ``G[rows[..., i], rows[..., j]]`` of the Hermitian band.
-
-    The rows of each window are consecutive, running up or down.
-    """
-    span = rows.shape[-1]
-    wins = np.zeros(rows.shape + (span,), dtype=diags[0].dtype)
+def _band_windows(diags, starts, span: int):
+    """Principal blocks ``G[r:r + span, r:r + span]`` of the Hermitian band,
+    one for each start row r in ``starts`` (any shape), in ascending rows."""
+    starts = np.asarray(starts)
+    wins = np.zeros(starts.shape + (span, span), dtype=diags[0].dtype)
     for d, g in enumerate(diags[:span]):
         r = np.arange(span - d)
-        i, j = rows[..., : span - d], rows[..., d:]
-        # the band stores G[i, j] at the smaller index; below it is the conjugate
-        v = g[np.minimum(i, j)]
-        v = np.where(i < j, v, v.conj())
-        wins[..., r, r + d] = v
+        v = g[starts[..., None] + r]
+        # the band stores G[i, i + d]; its conjugate goes below first, so the
+        # diagonal keeps the band's entries (their imaginary parts are rounding)
         wins[..., r + d, r] = v.conj()
+        wins[..., r, r + d] = v
     return wins
 
 
@@ -524,27 +509,22 @@ def _cholesky_windows(diags, nb: int):
     """The band as dense windows of a twisted block Cholesky sweep.
 
     Windows of ``_WINDOW_BLOCKS`` blocks of ``nb`` rows run in from both
-    ends, in pairs: a forward one from the first row and a backward one,
-    flipped, from the last.  Each shares one block with the next window in.
-    The middle window, of 3 to 7 blocks when the windows hold 3, shares its
-    first block with the last forward window and its last block with the
-    last backward one.  Returns the pairs, shape (h, 2, s, s), and the
-    middle window.
+    ends, in pairs: a forward one, the block from start row j * step, and a
+    backward one, the block ending j * step before the last row, flipped
+    ([::-1, ::-1]) so that its rows run up.  Each shares one block with the
+    next window in.  The middle window, of 3 to 7 blocks when the windows
+    hold 3, shares its first block with the last forward window and its
+    last block with the last backward one.  Returns the pairs, shape (h, 2,
+    s, s), and the middle window.
     """
     n = len(diags[0])
     span = _WINDOW_BLOCKS * nb
     step = span - nb
     count = max(0, (n - span) // (2 * step))
-    ahead = np.arange(count)[:, None] * step + np.arange(span)
-    rows = np.stack([ahead, n - 1 - ahead], axis=1)
-    return _band_windows(diags, rows), _band_windows(diags, np.arange(count * step, n - count * step))
-
-
-def _cholesky_or_none(mat):
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
+    ahead = np.arange(count) * step
+    pairs = _band_windows(diags, np.stack([ahead, n - span - ahead], axis=1), span)
+    pairs[:, 1] = pairs[:, 1, ::-1, ::-1]
+    return pairs, _band_windows(diags, [count * step], n - 2 * count * step)[0]
 
 
 def _factor_each(mats):
@@ -552,9 +532,14 @@ def _factor_each(mats):
     which of them exist; a matrix without one gets zeros.  The fallback for
     a batch that ``np.linalg.cholesky`` rejects as a whole."""
     flat = mats.reshape(-1, *mats.shape[-2:])
-    factors = [_cholesky_or_none(x) for x in flat]
-    low = np.stack([np.zeros_like(x) if f is None else f for x, f in zip(flat, factors)])
-    fine = np.array([f is not None for f in factors])
+    low = np.zeros_like(flat)
+    fine = np.zeros(len(flat), dtype=bool)
+    for i, x in enumerate(flat):
+        try:
+            low[i] = np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            continue
+        fine[i] = True
     return low.reshape(mats.shape), fine.reshape(mats.shape[:-2])
 
 
@@ -789,7 +774,7 @@ def _edge_model(diags):
     n = len(diags[0])
     size = min(_MODEL_ROWS, n)
     first = (n - size) // 2
-    theta = np.linalg.eigvalsh(_band_windows(diags, np.arange(first, first + size)))
+    theta = np.linalg.eigvalsh(_band_windows(diags, [first], size)[0])
     block = theta[[0, -1]]
     shrink = 1.0 - ((size + 1.0) / (n + 1.0)) ** 2
     move = np.array([theta[1] - theta[0], theta[-1] - theta[-2]]) * shrink / 3.0

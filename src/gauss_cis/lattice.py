@@ -38,7 +38,6 @@ __all__ = [
     "AvdoninVerdict",
     "DensityEstimate",
     "build_sequence",
-    "sequence_to_json",
     "check_separation",
     "canonical_enumeration",
     "beurling_densities",
@@ -242,18 +241,6 @@ def _sequence_from_spec(spec: dict) -> NodeSequence:
             raise BadParameterError("index_range does not match node count")
         return ExplicitWindow(tuple(nodes), int(lo))
     raise BadParameterError(f"unknown sequence kind {kind!r}")
-
-
-def sequence_to_json(seq: NodeSequence) -> dict:
-    """Inverse of :func:`build_sequence`."""
-    if isinstance(seq, AffineGrid):
-        return {"kind": "affine", "alpha": seq.alpha, "beta": seq.beta}
-    if isinstance(seq, PeriodicPerturbation):
-        return {"kind": "periodic", "period": seq.period, "offsets": list(seq.offsets)}
-    if isinstance(seq, ExplicitWindow):
-        lo, hi = seq.index_range
-        return {"kind": "explicit", "nodes": seq.nodes.tolist(), "index_range": [lo, hi]}
-    raise BadParameterError(f"cannot serialize {type(seq).__name__}")
 
 
 def check_separation(seq: NodeSequence):

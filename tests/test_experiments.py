@@ -433,6 +433,25 @@ class TestSignRetrieval:
         res = _assert_matches_oracle(1.0, CoefficientVector(0, [1.0, -1.0]), seq)
         assert res.passes and res.n_survivors == 4
 
+    def test_survivors_come_in_sign_pairs(self):
+        # why the verdict needs no check that both signs survive: a pattern
+        # and its negation have bitwise-equal residuals, so they survive together
+        paired = 0
+        for t in range(60):
+            rng = np.random.default_rng([2026, t])
+            vals = rng.standard_normal(int(rng.integers(1, 6)))
+            vals[rng.random(len(vals)) < (1.0 if t % 10 == 0 else 0.3)] = 0.0
+            window = int(rng.integers(len(vals), 13))
+            seq = half_grid(rng.uniform(-0.2, 0.2, window), -1)
+            oracle = _exhaustive_survivors(1.0, CoefficientVector(0, vals), seq)
+            signs, rel, _ = _surviving_signs(oracle.mat, oracle.q, oracle.samples, 1e-8)
+            residual = {tuple(p): r for p, r in zip(signs, rel)}
+            assert len(residual) == len(signs)
+            for p, r in residual.items():
+                assert residual[tuple(-np.array(p))].tobytes() == r.tobytes()
+            paired += len(signs) > 0
+        assert paired > 50
+
     def test_window_16_has_no_cliff(self):
         trials = [_benchmark_shape_trial(772, t) for t in range(20)]
         start = time.perf_counter()

@@ -9,12 +9,15 @@ from gauss_cis.errors import (
     TooFewTermsError,
     UnsortedInputError,
 )
+from gauss_cis.experiments import half_grid, sign_retrieval_check
 from gauss_cis.fock import (
     FockSeries,
     GeneratingProduct,
     LogPolarPoint,
     RadialGrid,
+    certified_zero_count,
     consistency_identity,
+    default_radial_grid,
     fock_cis_verdict,
     fock_delta_from_lattice,
     fock_norm,
@@ -38,6 +41,34 @@ def monomial(n: int) -> FockSeries:
     return FockSeries(np.array([-np.inf] * n + [0.0]), np.zeros(n + 1))
 
 
+_TWO_POINTS = LogPolarPoint(np.array([1.0, 3.0]), np.zeros(2))
+# every public function that takes a raw decay rate a, its other arguments valid
+_RAW_A = {
+    "fock_norm": lambda a: fock_norm(monomial(2), a),
+    "fock_norm_quadrature": lambda a: fock_norm_quadrature(monomial(2), a),
+    "default_radial_grid": lambda a: default_radial_grid(a, 3),
+    "phi": lambda a: phi(a, _TWO_POINTS),
+    "kernel_norm": lambda a: kernel_norm(a, _TWO_POINTS),
+    "GeneratingProduct": lambda a: GeneratingProduct(a, [1.0, 2.0]),
+    "certified_zero_count": lambda a: certified_zero_count(a, _TWO_POINTS),
+    "generating_product_G0": lambda a: generating_product_G0(a, _TWO_POINTS),
+    "g0_estimate_ratio": lambda a: g0_estimate_ratio(a, _TWO_POINTS),
+    "fock_cis_verdict": lambda a: fock_cis_verdict(a, _TWO_POINTS),
+    "fock_delta_from_lattice": lambda a: fock_delta_from_lattice(a, 0.25),
+    "sign_retrieval_check": lambda a: sign_retrieval_check(
+        a, CoefficientVector.basis(0), half_grid(np.zeros(8), -4)),
+}
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call", _RAW_A.values(), ids=_RAW_A.keys())
+def test_every_raw_decay_rate_is_checked(call, a):
+    # GaussianParam owns the rule; a = 1 shows the other arguments are valid
+    call(1.0)
+    with pytest.raises(BadParameterError, match="decay rate a must be finite and > 0"):
+        call(a)
+
+
 class TestLogPolarPoint:
     def test_round_trip(self):
         p = LogPolarPoint.from_complex(0.5 - 0.25j)
@@ -58,12 +89,6 @@ class TestFockSeries:
     def test_shape_mismatch(self):
         with pytest.raises(BadParameterError):
             FockSeries(np.zeros(2), np.zeros(3))
-
-    def test_json_round_trip(self):
-        s = FockSeries.from_coefficients([0.5, 0.0, 1j])
-        back = FockSeries.from_json(s.to_json())
-        assert np.array_equal(back.log_magnitude, s.log_magnitude)
-        assert np.array_equal(back.phase, s.phase)
 
     def test_evaluate_log_matches_direct(self):
         s = FockSeries.from_coefficients([1.0, -0.5, 0.25j])

@@ -442,11 +442,13 @@ def _forward_definite(wins, sizes, nb, shifts, signs):
 
 
 def _dense_gram(diags):
+    """G from its band; the diagonal keeps the band's own entries, whose
+    imaginary parts at b != 0 are rounding."""
     n = len(diags[0])
     gram = np.zeros((n, n), dtype=diags[0].dtype)
     for d, g in enumerate(diags):
-        gram[np.arange(n - d), np.arange(d, n)] = g
         gram[np.arange(d, n), np.arange(n - d)] = g.conj()
+        gram[np.arange(n - d), np.arange(d, n)] = g
     return gram
 
 
@@ -614,16 +616,42 @@ class TestTwistedSweep:
 
     def test_no_fallback_when_the_batch_factors(self):
         pairs, mid, nb, eig = self._sweep(2.0)
-        with mock.patch.object(gauss_space, "_cholesky_or_none",
-                               mock.Mock(side_effect=gauss_space._cholesky_or_none)) as fallback:
+        cholesky = mock.Mock(wraps=np.linalg.cholesky)
+
+        def one_at_a_time():
+            # the batches are 3-d or 4-d; only the fallback factors single matrices
+            return sum(call.args[0].ndim == 2 for call in cholesky.call_args_list)
+
+        with mock.patch.object(np.linalg, "cholesky", cholesky):
             ok, phi = gauss_space._definite(pairs, mid, nb, np.array([0.5 * eig[0], 1.5 * eig[1]]),
                                             np.array([1.0, -1.0]))
             assert ok.all() and np.all(phi > 0.0)
-            fallback.assert_not_called()
+            assert one_at_a_time() == 0
             # the same sweep with one shift past lambda_min takes the fallback
             ok, _ = gauss_space._definite(pairs, mid, nb, np.array([0.5 * eig[0], 1.5 * eig[0]]),
                                           np.array([1.0, 1.0]))
-            assert np.array_equal(ok, [True, False]) and fallback.call_count > 0
+            assert np.array_equal(ok, [True, False]) and one_at_a_time() > 0
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    def test_windows_are_blocks_of_the_dense_band(self, b):
+        diags = _trimmed_band(GaussianParam(1.0, b), PeriodicPerturbation(PATTERN), 200,
+                              "interior_rows")
+        nb = len(diags) - 1
+        pairs, mid = gauss_space._cholesky_windows(diags, nb)
+        gram, n, s = _dense_gram(diags), len(diags[0]), 3 * nb
+
+        def same_bits(x, y):
+            return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+        assert len(pairs) > 1
+        # forward window j is the block from row 2 nb j, backward window j
+        # the block ending 2 nb j before the last row, flipped
+        for j, (ahead, back) in enumerate(pairs):
+            r = 2 * nb * j
+            assert same_bits(ahead, gram[r:r + s, r:r + s])
+            assert same_bits(back, gram[n - r - s:n - r, n - r - s:n - r][::-1, ::-1])
+        r = 2 * nb * len(pairs)
+        assert same_bits(mid, gram[r:n - r, r:n - r])
 
     @given(
         offsets=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6),
@@ -961,14 +989,6 @@ class TestNormEquivalence:
             exact = mpmath.quad(f2, [-mpmath.inf, *range(-80, 81, 10), mpmath.inf])
         got = l2_norm_squared(GaussianParam(a, b), coeffs)
         assert got == pytest.approx(float(exact), rel=1e-14)
-
-
-def test_interpolation_json():
-    coeffs = CoefficientVector(-1, [1.0, 2.0 + 1j])
-    data = gauss_space.interpolation_to_json(coeffs, 1e-12)
-    assert data["residual"] == 1e-12
-    assert data["coefficients"]["start"] == -1
-    assert data["coefficients"]["imag"] == [0.0, 1.0]
 
 
 # -- the vectorised Gaussian tail against the loops it replaced --------------

@@ -21,7 +21,6 @@ from gauss_cis.lattice import (
     build_sequence,
     canonical_enumeration,
     check_separation,
-    sequence_to_json,
     window_average_sup,
 )
 from gauss_cis.lattice import _best_offset
@@ -55,6 +54,12 @@ class TestBuildSequence:
     def test_periodic_valid(self):
         seq = build_sequence({"kind": "periodic", "offsets": [0.3, -0.3]})
         assert np.allclose(seq.positions((0, 2)), [0.3, 0.7, 2.3])
+        assert build_sequence({"kind": "periodic", "period": 2, "offsets": [0.3, -0.3]}) == seq
+
+    def test_explicit_index_range(self):
+        seq = build_sequence({"kind": "explicit", "nodes": [0.0, 1.5, 2.0], "index_range": [-1, 1]})
+        assert seq.index_range == (-1, 1)
+        assert np.array_equal(seq.positions((0, 1)), [1.5, 2.0])
 
     def test_explicit_duplicate_rejected(self):
         with pytest.raises(NonIncreasingError):
@@ -71,19 +76,6 @@ class TestBuildSequence:
     def test_bad_alpha(self):
         with pytest.raises(BadParameterError):
             build_sequence({"kind": "affine", "alpha": -2.0})
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {"kind": "affine", "alpha": 0.9, "beta": 0.25},
-            {"kind": "periodic", "period": 2, "offsets": [0.3, -0.3]},
-            {"kind": "explicit", "nodes": [0.0, 1.5, 2.0], "index_range": [-1, 1]},
-        ],
-    )
-    def test_json_round_trip(self, spec):
-        seq = build_sequence(spec)
-        again = build_sequence(sequence_to_json(seq))
-        assert sequence_to_json(again) == sequence_to_json(seq)
 
 
 class TestSeparation:
