@@ -1,6 +1,8 @@
 """Check a frame-bound report.json from the CLI: every leg's entries are at
 the given sizes, took the band solver, lie inside their certified brackets
-and took at most the given number of sweeps.
+and took at most the given number of sweeps.  A leg of a periodic sequence
+trimmed on its rows keeps every row's whole band, so both its brackets
+must start from the symbol.
 
     python tests/data/check_band_report.py <report.json> <max sweeps> <size> ...
 """
@@ -9,18 +11,25 @@ import json
 import sys
 
 path, guard, *sizes = sys.argv[1:]
-checks = json.load(open(path, encoding="utf-8"))["summary"]["checks"]
+report = json.load(open(path, encoding="utf-8"))
+config, checks = report["config"], report["summary"]["checks"]
 assert checks, path
+# critical-half defaults to the shift 1/2; kadets-sweep's legs are all shifts
+sequence = config["sequence"] or {"kind": "periodic"}
+periodic = config["scenario"] == "kadets-sweep" or sequence["kind"] == "periodic"
 for check in checks:
     labels = {k: check[k] for k in ("delta", "alpha", "orientation") if k in check}
     where = f"{labels} " if labels else ""
     entries = check["report"]["entries"]
     assert [e["size"] for e in entries] == [int(m) for m in sizes], entries
+    by_rows = check["report"]["orientation"] == "interior_rows"
     for e in entries:
         assert e["solver"] == "band", e
         assert e["sigma_min_bracket"][0] <= e["sigma_min"] <= e["sigma_min_bracket"][1], e
         assert e["sigma_max_bracket"][0] <= e["sigma_max"] <= e["sigma_max_bracket"][1], e
         assert 0 < e["sweeps"] <= int(guard), e
+        if periodic and by_rows:
+            assert e["start"] == ["symbol", "symbol"], e
         print(f"{where}M = {e['size']}: {e['sweeps']} sweeps (guard {guard}), "
               f"start {e['start']}, stop {e['stop']}, half-bandwidth {e['half_bandwidth']}, "
               f"sigma_min {e['sigma_min']:.12g}")

@@ -217,6 +217,11 @@ def _section(c, seq, m, interior_fraction, edge_margin, orientation, tol=1e-14):
     return mat.entries[:, keep], lam, cols[keep], mat.buffer
 
 
+def _first_index(seq, m, lam):
+    """The node index of ``lam[0]`` among the nodes -m ... m of ``seq``."""
+    return -m + int(np.searchsorted(seq.positions((-m, m)), lam[0]))
+
+
 def _inside(value, bracket):
     return bracket[0] <= value <= bracket[1]
 
@@ -316,11 +321,17 @@ class TestBandSolver:
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_brackets_contain_svd_values(self, offsets, b, orientation):
-        c = GaussianParam(1.0, b)
-        sub, lam, cols, buffer = _section(
-            c, PeriodicPerturbation(tuple(offsets)), 40, 1.0, 3.0, orientation)
+        # a wide section keeps every row's band and is built from one
+        # period; a tall one lacks nodes near its outer columns, and at
+        # about 75 columns has no room for the central block's model
+        c, seq = GaussianParam(1.0, b), PeriodicPerturbation(tuple(offsets))
+        sub, lam, cols, buffer = _section(c, seq, 40, 1.0, 3.0, orientation)
         s = np.linalg.svd(sub, compute_uv=False)
-        values, lo, hi, _ = gauss_space._extreme_singular_values(c, lam, cols, buffer)
+        period = (seq.offsets, _first_index(seq, 40, lam))
+        values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer,
+                                                                           period)
+        wide = orientation == "interior_rows"
+        assert diagnostics["start"][1] == ("symbol" if wide else "diagonal")
         for k, exact in enumerate(s[[-1, 0]]):
             assert lo[k] <= exact <= hi[k]
             assert lo[k] <= values[k] <= hi[k]
@@ -349,7 +360,7 @@ class TestBandSolver:
                 assert row["sweeps"] == e.sweeps > 0
                 assert row["half_bandwidth"] == e.half_bandwidth > 0
                 assert row["start"] == list(e.start)
-                assert set(e.start) <= {"model", "diagonal"}
+                assert set(e.start) <= {"symbol", "model", "diagonal"}
                 # a modelled side records the sigma^2 it started from
                 assert row["model_estimate"] == list(e.model_estimate)
                 assert [x is None for x in e.model_estimate] == [s == "diagonal" for s in e.start]
@@ -410,7 +421,7 @@ def _forward_windows(diags, nb):
     span, step = 3 * nb, 2 * nb
     count = 1 + max(0, -(-(n - span) // step))
     rows = np.arange(count)[:, None] * step + np.arange(span)
-    wins = np.zeros((count, span, span), dtype=diags[0].dtype)
+    wins = np.zeros((count, span, span), dtype=np.result_type(*diags))
     for d, g in enumerate(diags[:span]):
         r = np.arange(span - d)
         i = rows[:, : span - d]
@@ -442,10 +453,9 @@ def _forward_definite(wins, sizes, nb, shifts, signs):
 
 
 def _dense_gram(diags):
-    """G from its band; the diagonal keeps the band's own entries, whose
-    imaginary parts at b != 0 are rounding."""
+    """G from its band."""
     n = len(diags[0])
-    gram = np.zeros((n, n), dtype=diags[0].dtype)
+    gram = np.zeros((n, n), dtype=np.result_type(*diags))
     for d, g in enumerate(diags):
         gram[np.arange(d, n), np.arange(n - d)] = g.conj()
         gram[np.arange(n - d), np.arange(d, n)] = g
@@ -475,7 +485,7 @@ def _take_along_diagonals(c, p, q, radius):
     cols = first[:, None] + t
     band = np.where(t < kept[:, None],
                     gauss_space._entries(c, p[:, None], q[np.minimum(cols, len(q) - 1)]), 0.0)
-    diags = [np.sum(band * band.conj(), axis=1)]
+    diags = [np.sum(band * band.conj(), axis=1).real]
     for d in range(1, len(p)):
         shift = first[d:] - first[:-d]
         if shift.min() >= width:
@@ -547,6 +557,142 @@ class TestGramBand:
         assert dropped <= np.finfo(float).eps * top
 
 
+def _one_period_section(c, seq, m, interior_fraction, edge_margin, orientation):
+    """A periodic section's Gram side p, other side q, buffer, and its
+    band from one period (None where it takes the generic build)."""
+    _, lam, cols, buffer = _section(c, seq, m, interior_fraction, edge_margin, orientation)
+    band = gauss_space._one_period_band(c, lam, cols, buffer, seq.offsets,
+                                        _first_index(seq, m, lam))
+    p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
+    return p, q, buffer, band
+
+
+class TestOnePeriodBand:
+    """A periodic section's band from one period against the generic build."""
+
+    @pytest.mark.parametrize("seed", [None, *range(6)])
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("orientation, trim", [("interior_rows", (1.0, 3.0)),
+                                                   ("interior_cols", (2.0 / 3.0, 0.0))])
+    def test_matches_the_generic_band(self, seed, b, orientation, trim):
+        # seed None: the critical shift; else offsets on a 1/1024 grid.
+        # Both keep every position exact, so the two builds differ only in
+        # how a sum is rounded, and at the critical shift not at all
+        if seed is None:
+            offsets, m = (0.5,), 300
+        else:
+            rng = np.random.default_rng([seed, 19])
+            offsets = tuple(np.sort(rng.integers(-400, 400, int(rng.integers(1, 9)))) / 1024.0)
+            m = int(rng.integers(150, 400))
+        c, seq, period = GaussianParam(1.0, b), PeriodicPerturbation(offsets), len(offsets)
+        p, q, buffer, band = _one_period_section(c, seq, m, *trim, orientation)
+        diags, width, norms, top, dropped = gauss_space._gram_band(c, p, q, buffer)
+        assert band is not None
+        one, one_width, one_norms, one_top, one_dropped, tail = band
+        assert len(one) == len(diags) and one_width == width
+        ulps = 0.0 if seed is None else 4.0 * np.finfo(float).eps * diags[0].max()
+        for d, g in enumerate(diags):
+            assert np.all(np.abs(one[d][np.arange(len(g)) % period] - g) <= ulps)
+        assert one_norms == pytest.approx(norms, rel=1e-14)
+        assert one_top == pytest.approx(top, rel=1e-14)
+        assert one_dropped == pytest.approx(dropped, rel=1e-12, abs=1e-300)
+        lam = p if orientation == "interior_rows" else q
+        generic = gauss_space._integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer))
+        assert tail == pytest.approx(generic, rel=1e-12)
+
+    def test_incomplete_edge_columns_take_the_generic_build(self):
+        # trimmed to fraction 1 and margin 3, the outer kept columns lack
+        # nodes within the buffer, so their Gram rows are not all alike
+        c, seq = GaussianParam(1.0, 2.0), PeriodicPerturbation(PATTERN)
+        assert _one_period_section(c, seq, 200, 1.0, 3.0, "interior_cols")[3] is None
+        e, = frame_bounds(c, seq, (200,), interior_fraction=1.0, edge_margin=3.0,
+                          orientation="interior_cols").entries
+        assert e.solver == "band" and e.start == ("model", "model")
+
+    def test_brackets_hold_the_positions_section(self):
+        # offsets that are not binary fractions round differently at every
+        # node, so the section from seq.positions() differs from the one
+        # period's; the band's Weyl term covers the difference
+        c, seq, m = A1, PeriodicPerturbation((0.3, 0.7)), 1024
+        sub, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, "interior_rows")
+        first = _first_index(seq, m, lam)
+        tail = gauss_space._one_period_band(c, lam, cols, buffer, seq.offsets, first)[5]
+        # the one-period section: node n at exactly n + its offset, which
+        # differs from a column by a few units plus a binary offset here
+        n = first + np.arange(len(lam))
+        spacing = 2.0 ** -47
+        rounded = np.round(np.array(seq.offsets) / spacing) * spacing
+        near = np.subtract.outer(n, cols) + rounded[n % 2][:, None]
+        one = np.where(np.abs(near) < 40.0, np.exp(-near * near), 0.0)
+        assert 0.0 < np.linalg.norm(sub - one) <= tail
+        s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
+        e, = frame_bounds(c, seq, (m,), interior_fraction=1.0, edge_margin=3.0).entries
+        assert e.start == ("symbol", "symbol") and s[0] < 1e-3
+        assert _inside(s[0], e.sigma_min_bracket) and _inside(s[1], e.sigma_max_bracket)
+
+    def test_real_main_diagonal(self):
+        # a Hermitian diagonal is real; at b != 0 the complex product left
+        # imaginary parts of about 1e-17 in it
+        c, seq = GaussianParam(1.0, 2.0), PeriodicPerturbation(PATTERN)
+        sub, lam, cols, buffer = _section(c, seq, 200, 1.0, 3.0, "interior_rows")
+        for band in (gauss_space._gram_band(c, lam, cols, buffer)[0],
+                     _one_period_section(c, seq, 200, 1.0, 3.0, "interior_rows")[3][0]):
+            assert band[0].dtype == float
+            nb = len(band) - 1
+            pairs, mid = gauss_space._cholesky_windows(band, nb, len(lam))
+            for win in (pairs, mid):
+                assert np.iscomplexobj(win)
+                assert not np.diagonal(win, axis1=-2, axis2=-1).imag.any()
+        s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
+        e, = frame_bounds(c, seq, (200,), interior_fraction=1.0, edge_margin=3.0).entries
+        assert _inside(s[0], e.sigma_min_bracket) and _inside(s[1], e.sigma_max_bracket)
+
+    @pytest.mark.parametrize("b, sigma_min, sigma_max", [
+        # the values before the main diagonal was made real
+        (0.0, 0.2035119747284433, 1.8115144874788178),
+        (2.0, 0.5225497937705949, 1.5472612792412597),
+    ])
+    def test_generic_sections_keep_their_values(self, b, sigma_min, sigma_max):
+        idx = np.arange(-300, 301)
+        window = ExplicitWindow(tuple(idx + np.random.default_rng(3).uniform(-0.3, 0.3, len(idx))),
+                                -300)
+        e, = frame_bounds(GaussianParam(1.0, b), window, (250,), interior_fraction=1.0,
+                          edge_margin=3.0).entries
+        assert (e.solver, e.start) == ("band", ("model", "model"))
+        assert (e.sigma_min, e.sigma_max) == (sigma_min, sigma_max)
+
+
+class TestSymbolLaw:
+    """Starts from the symbol of a periodic band."""
+
+    def test_critical_curvature(self):
+        # at a = 1 and offset 1/2 the symbol S of a row vanishes at pi, so
+        # lambda_min ~ |S'(pi)|^2 (pi / (n + 1))^2, and |S'(pi)| =
+        # |sum_k k e^{-(k - 1/2)^2} (-1)^k| = 0.4722219, theta_1'(0) / 2 at nome e^{-1}
+        c, seq = A1, PeriodicPerturbation((0.5,))
+        p, _, _, band = _one_period_section(c, seq, 512, 1.0, 3.0, "interior_rows")
+        n = len(p)
+        estimate, step = gauss_space._symbol_law(band[0], n)
+        assert np.sqrt(estimate[0]) * (n + 1) / np.pi == pytest.approx(0.4722219, abs=1e-7)
+        k = np.arange(-40.0, 41.0)
+        assert np.sqrt(estimate[0]) * (n + 1) / np.pi == pytest.approx(
+            abs(np.sum(k * np.exp(-(k - 0.5) ** 2) * (-1.0) ** k)), rel=1e-9)
+        assert np.all(step > 0.0)
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("offsets", [(0.5,), (0.3,), PATTERN, (0.45, -0.35)], ids=repr)
+    def test_starts_bracket_the_extreme_eigenvalues(self, offsets, b):
+        # the law's error scales like its move over N_b + 1; the first two
+        # shifts of each side sit _LAW_STEP such units either side
+        c, seq = GaussianParam(1.0, b), PeriodicPerturbation(offsets)
+        p, _, _, band = _one_period_section(c, seq, 200, 1.0, 3.0, "interior_rows")
+        estimate, step = gauss_space._symbol_law(band[0], len(p))
+        period = len(offsets)
+        full = [g[np.arange(len(p) - d) % period] for d, g in enumerate(band[0])]
+        eig = np.linalg.eigvalsh(_dense_gram(full))[[0, -1]]
+        assert np.all(np.abs(estimate - eig) < step)
+
+
 class TestTwistedSweep:
     """The twisted Cholesky sweep, its steering and the trimmed band."""
 
@@ -565,8 +711,8 @@ class TestTwistedSweep:
         rel = rng.choice([-1.0, 1.0], (2, 16)) * 10.0 ** rng.uniform(-7.0, 0.5, (2, 16))
         shifts = (eig[:, None] * (1.0 + rel)).ravel()
         signs = np.repeat([1.0, -1.0], 16)
-        twisted, phi = gauss_space._definite(*gauss_space._cholesky_windows(diags, nb), nb,
-                                             shifts, signs)
+        twisted, phi = gauss_space._definite(
+            *gauss_space._cholesky_windows(diags, nb, len(diags[0])), nb, shifts, signs)
         assert np.array_equal(twisted, _forward_definite(*_forward_windows(diags, nb), nb,
                                                          shifts, signs))
         assert np.array_equal(twisted, np.where(signs > 0, shifts < eig[0], shifts > eig[1]))
@@ -582,7 +728,7 @@ class TestTwistedSweep:
         diags = _trimmed_band(GaussianParam(1.0, b), PeriodicPerturbation((0.5,)), 200,
                               "interior_rows")
         nb = len(diags) - 1
-        pairs, mid = gauss_space._cholesky_windows(diags, nb)
+        pairs, mid = gauss_space._cholesky_windows(diags, nb, len(diags[0]))
         return pairs, mid, nb, np.linalg.eigvalsh(_dense_gram(diags))[[0, -1]]
 
     @pytest.mark.parametrize("b", [0.0, 2.0])
@@ -637,7 +783,7 @@ class TestTwistedSweep:
         diags = _trimmed_band(GaussianParam(1.0, b), PeriodicPerturbation(PATTERN), 200,
                               "interior_rows")
         nb = len(diags) - 1
-        pairs, mid = gauss_space._cholesky_windows(diags, nb)
+        pairs, mid = gauss_space._cholesky_windows(diags, nb, len(diags[0]))
         gram, n, s = _dense_gram(diags), len(diags[0]), 3 * nb
 
         def same_bits(x, y):
@@ -682,19 +828,18 @@ class TestTwistedSweep:
         entries = (critical, wider, pattern, tall, wide, *shifted)
         assert {e.solver for e in entries} == {"band"}
         assert min(tall.n_cols, wide.n_rows) > gauss_space._DENSE_MAX
-        assert critical.sweeps <= 11 and critical.half_bandwidth == 8
-        assert wider.sweeps <= 14
-        assert pattern.sweeps <= 7 and pattern.half_bandwidth <= 9
+        assert critical.sweeps <= 4 and critical.half_bandwidth == 8
+        assert wider.sweeps <= 3
+        assert pattern.sweeps <= 4 and pattern.half_bandwidth <= 9
         assert tall.sweeps <= 10 and wide.sweeps <= 7
-        # delta = 0.45: the model moves the block's lambda_min by 5.6 to 5.7 %,
-        # to within 4.4e-5 relative of lambda_min
-        assert max(e.sweeps for e in shifted) <= 12
-        assert all(e.start == ("model", "model") for e in shifted)
-        assert critical.start == pattern.start == tall.start == wide.start == ("model", "model")
-        # from about 4,700 rows the critical shift's extrapolated lambda_min
-        # overshoots its limit 0, so that side starts from the diagonal
-        assert wider.start == ("diagonal", "model")
-        assert wider.model_estimate[0] is None and wider.model_estimate[1] > 0.0
+        assert max(e.sweeps for e in shifted) <= 4
+        # periodic sections start from their symbol, grids of other slopes
+        # from the central block's model
+        assert all(e.start == ("symbol", "symbol") for e in (critical, wider, pattern, *shifted))
+        assert tall.start == wide.start == ("model", "model")
+        # the critical shift's lambda_min tends to 0, yet the symbol law's
+        # lowest mode stays positive at 5,460 rows
+        assert 0.0 < wider.model_estimate[0] < critical.model_estimate[0]
         # the closing shift: once phi at the success end is below half the
         # stopping width, one shift that far on fails and closes the bracket;
         # without it these ends crawl by bisection, to 11, 12 and 10 sweeps
@@ -769,22 +914,26 @@ class TestShiftSteering:
     @pytest.mark.parametrize("b", [0.0, 2.0])
     @pytest.mark.parametrize("scale", [0.7, 1.3, None])
     def test_estimates_only_steer(self, monkeypatch, scale, b):
-        # scale None: no model is trusted, so both sides start from the diagonal
-        c = GaussianParam(1.0, b)
-        sub, lam, cols, buffer = _section(c, PeriodicPerturbation(PATTERN), 150, 1.0, 3.0,
-                                          "interior_rows")
+        # scale None: neither the symbol nor the central block gives a
+        # start, so both sides start from the diagonal
+        c, seq = GaussianParam(1.0, b), PeriodicPerturbation(PATTERN)
+        sub, lam, cols, buffer = _section(c, seq, 150, 1.0, 3.0, "interior_rows")
         s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
-        steered = gauss_space._extreme_singular_values(c, lam, cols, buffer)
-        assert steered[3]["start"] == ("model", "model")
-        model = gauss_space._edge_model
+        period = (PATTERN, _first_index(seq, 150, lam))
+        steered = gauss_space._extreme_singular_values(c, lam, cols, buffer, period)
+        assert steered[3]["start"] == ("symbol", "symbol")
+        law = gauss_space._symbol_law
         if scale is None:
+            monkeypatch.setattr(gauss_space, "_symbol_law",
+                                lambda diags, n: (law(diags, n)[0], np.full(2, np.nan)))
             monkeypatch.setattr(gauss_space, "_edge_model",
-                                lambda diags: (model(diags)[0], np.full(2, np.nan)))
+                                lambda diags, n: (np.ones(2), np.full(2, np.nan)))
         else:
-            monkeypatch.setattr(gauss_space, "_edge_model",
-                                lambda diags: (scale * model(diags)[0], model(diags)[1]))
-        values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer)
-        assert diagnostics["start"] == (("model",) * 2 if scale else ("diagonal",) * 2)
+            monkeypatch.setattr(gauss_space, "_symbol_law",
+                                lambda diags, n: (scale * law(diags, n)[0], law(diags, n)[1]))
+        values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer,
+                                                                           period)
+        assert diagnostics["start"] == (("symbol",) * 2 if scale else ("diagonal",) * 2)
         assert diagnostics["sweeps"] > steered[3]["sweeps"]
         assert values == pytest.approx(steered[0], rel=1e-10)
         assert np.all(lo <= s) and np.all(s <= hi)
