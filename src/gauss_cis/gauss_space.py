@@ -11,19 +11,20 @@ dense SVD, which is the faster solver up to that size.  A larger section is
 never built densely: its entries fall below tol^2 beyond ``buffer`` of the
 diagonal, so the Gram matrix of its smaller side is banded, and its outer
 diagonals fall off fast enough to be trimmed to about half that width.  A
-twisted block Cholesky of the band, shifted by mu, succeeds exactly when mu
-lies below the smallest eigenvalue.  A bisection on mu brackets both
-extreme singular values, with a certificate for the dropped entries, the
-trimmed diagonals and the rounding.  There is one start rule per input
-kind.  A periodic section (n + offsets[n mod P], the grids n + beta
-among them) whose Gram rows all keep their whole band is block Toeplitz: its
-band, windows and tail come from one period, and it starts from its
-block symbol's extreme eigenvalues and their curvature, with a Weyl term
-for the rounding of its node positions.  Any other section starts from
-the eigenvalues of its central 128-row block, extrapolated to the
-section's length wherever the extrapolation stays positive.  The
-bisection is then steered by the Schur complement of the middle window,
-whose slope is at most -1.
+block Cholesky of the band, shifted by mu, succeeds exactly when mu lies
+below the smallest eigenvalue.  A bisection on mu brackets both extreme
+singular values, with a certificate for the dropped entries, the trimmed
+diagonals and the rounding.  There is one start rule per input kind.  A
+periodic section (n + offsets[n mod P], the grids n + beta among them)
+whose Gram rows all keep their whole band is block Toeplitz: its band and
+tail come from one period, it starts from its block symbol's extreme
+eigenvalues and their curvature, with a Weyl term for the rounding of its
+node positions, and odd-even cyclic reduction decides each shift in
+O(log N) levels of a few small blocks.  Any other section starts from the
+eigenvalues of its central 128-row block, extrapolated to the section's
+length wherever the extrapolation stays positive, and a twisted sweep of
+Cholesky windows decides each shift.  The bisection is then steered by
+the Schur complement of a middle window, whose slope is at most -1.
 """
 
 from dataclasses import asdict, dataclass
@@ -84,6 +85,9 @@ _SYMBOL_NEWTON = 6
 _LAW_STEP = 2.0
 # a slope-bound shift steps this fraction past the bound
 _SLOPE_MARGIN = 1e-3
+# a reduction window's neighbour slots hold this multiple of I, so that the
+# window factors exactly when its middle block does
+_SLOT = 2.0 ** 200
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,13 @@ def _section_frame(c: GaussianParam, seq: NodeSequence, node_range, tol: float):
     buffer = int(np.ceil(np.sqrt(2.0 * np.log(1.0 / tol) / c.a)))
     col_lo = int(np.floor(lam.min())) - buffer
     col_hi = int(np.ceil(lam.max())) + buffer
-    return lam, buffer, col_lo, col_hi, _integer_tail(c.a, lam, col_lo, col_hi)
+    # a row further than this from both dropped sides has only tail terms
+    # that underflow to 0; the outer rows stay, so that there is a row
+    reach = np.sqrt(_UNDERFLOW / (2.0 * c.a))
+    head = max(int(np.searchsorted(lam, col_lo - 1 + reach, "right")), 1)
+    rear = min(int(np.searchsorted(lam, col_hi + 1 - reach, "left")), len(lam) - 1)
+    ends = lam if head >= rear else np.concatenate([lam[:head], lam[rear:]])
+    return lam, buffer, col_lo, col_hi, _integer_tail(c.a, ends, col_lo, col_hi)
 
 
 def collocation_matrix(
@@ -303,6 +313,8 @@ class FrameBoundEntry:
     model_estimate: tuple | None = None  # band: each modelled side's start in sigma^2, else None
     stop: tuple | None = None    # band: why each of them stopped
     below_resolution: bool = False  # band: sigma_min is the upper end of its bracket
+    decided_by: str | None = None  # band: "reduction" (periodic) or "twisted" sweeps
+    levels: int | None = None    # band: levels of each reduction, None when twisted
 
     def __post_init__(self):
         if self.sigma_min > self.sigma_max:
@@ -310,12 +322,13 @@ class FrameBoundEntry:
 
     def to_json(self) -> dict:
         """The entry as report.json records it: ``sweeps``,
-        ``half_bandwidth``, ``start``, ``model_estimate``, ``stop`` and
-        ``below_resolution`` only for a band entry."""
+        ``half_bandwidth``, ``start``, ``model_estimate``, ``stop``,
+        ``below_resolution``, ``decided_by`` and ``levels`` only for a band
+        entry."""
         out = asdict(self)
         if self.solver != "band":
             for key in ("sweeps", "half_bandwidth", "start", "model_estimate", "stop",
-                        "below_resolution"):
+                        "below_resolution", "decided_by", "levels"):
                 del out[key]
         return out
 
@@ -382,28 +395,29 @@ def frame_bounds(
     each bracket is the value +- max(rows, cols) * eps * sigma_max.  Larger
     sections are never built densely: the band solver trims the band of
     the smaller side's Gram matrix to a half-bandwidth of about 8 (from
-    about 2 * buffer), bisects twisted Cholesky factorisations of it to a
-    relative width of 1e-10 in sigma^2 or to the shifts' resolution,
-    starting near each eigenvalue, and closing a bracket with one shift
-    half that width past its success end once phi there says the root is
-    nearer; it reports the square roots of the midpoints and certifies
-    each bracket against the dropped entries, the trimmed diagonals and
-    the rounding (``_extreme_singular_values``).  A ``PeriodicPerturbation``
-    or an ``AffineGrid`` of slope 1 whose kept rows (or columns) all keep
-    their whole band is built from one period and starts from its block
-    symbol: 6, 6, 4 and 4 sweeps at the critical shift for M = 128 to
-    1,024 and 3 at 16,384, 4 for a period-4 pattern at M = 128 to 512.
-    Any other section starts from its central 128-row block.  Each
-    entry records its ``solver``,
-    both brackets and the ``tail_bound`` of the section's collocation
-    matrix; a band entry also records its ``sweeps``, ``half_bandwidth``,
-    how each bracket started (``symbol``, ``model`` or ``diagonal``), the
-    ``model_estimate`` (lambda_min,
-    lambda_max) in sigma^2 that each modelled side started from (None for
-    a side started from the diagonal), how each bracket stopped, and
-    whether sigma_min was ``below_resolution`` (its bracket never rose
-    above twice the rounding radius), in which case sigma_min is the
-    bracket's certified upper end.
+    about 2 * buffer), bisects Cholesky decisions on it to a relative
+    width of 1e-10 in sigma^2 or to the shifts' resolution, starting near
+    each eigenvalue, and closing a bracket with one shift half that width
+    past its success end once phi there says the root is nearer; it
+    reports the square roots of the midpoints and certifies each bracket
+    against the dropped entries, the trimmed diagonals and the rounding
+    (``_extreme_singular_values``).  A ``PeriodicPerturbation`` or an
+    ``AffineGrid`` of slope 1 whose kept rows (or columns) all keep their
+    whole band is built from one period, starts from its block symbol and
+    is decided by cyclic reduction: 6, 6, 4 and 4 sweeps at the critical
+    shift for M = 128 to 1,024 and 3 at 16,384, 4 for a period-4 pattern
+    at M = 128 to 512.  Any other section starts from its central 128-row
+    block and is decided by the twisted sweep.  Each entry records its
+    ``solver``, both brackets and the ``tail_bound`` of the section's
+    collocation matrix; a band entry also records its ``sweeps``,
+    ``half_bandwidth``, how each bracket started (``symbol``, ``model`` or
+    ``diagonal``), the ``model_estimate`` (lambda_min, lambda_max) in
+    sigma^2 that each modelled side started from (None for a side started
+    from the diagonal), how each bracket stopped, whether sigma_min was
+    ``below_resolution`` (its bracket never rose above twice the rounding
+    radius), in which case sigma_min is the bracket's certified upper end,
+    which routine ``decided_by`` its shifts (``reduction`` or ``twisted``)
+    and the ``levels`` of each reduction (None for the twisted sweep).
     """
     sizes = [int(m) for m in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -548,9 +562,7 @@ def _cholesky_windows(diags, nb: int, n: int):
     step = span - nb
     count = max(0, (n - span) // (2 * step))
     ahead = np.arange(count) * step
-    starts = np.stack([ahead, n - span - ahead], axis=1) % len(diags[0])
-    distinct, index = np.unique(starts, return_inverse=True)
-    pairs = _band_windows(diags, distinct, span)[index.reshape(starts.shape)]
+    pairs = _band_windows(diags, np.stack([ahead, n - span - ahead], axis=1), span)
     pairs[:, 1] = pairs[:, 1, ::-1, ::-1]
     return pairs, _band_windows(diags, [count * step], n - 2 * count * step)[0]
 
@@ -618,6 +630,147 @@ def _definite(pairs, mid, nb: int, shifts, signs):
     return ok, phi
 
 
+def _reduction(diags, n: int):
+    """Blocks and plan of the cyclic reduction of a periodic band of n rows.
+
+    In blocks of ``size`` = P ceil(half / P) rows the band is block
+    tridiagonal and Toeplitz: every block is D (the last cut to ``cut``
+    rows, padded with the identity) and every coupling U (the last with
+    its columns past ``cut`` zero).  A middle window of two blocks leaves
+    two outer parts; odd-even reduction takes part 0 onto its last block
+    and part 1 onto its first, keeping the parity of that target.  The
+    Schur complement onto the kept blocks is again of that form, and both
+    parts' inner blocks and couplings stay one D and one U, so five blocks
+    (roles 0, 1: part 0's first and last; 2, 3: part 1's; 4: inner) and U
+    hold every level.  Returns the five blocks, which diagonal entries a
+    shift moves, U, the half-bandwidth, the plan and the window's rows.  A
+    level holds the roles of its eliminated blocks (one window each); the
+    cut block's window and cut if it is eliminated, else the slot whose
+    cut copy it loses; each role's old role and the two slots whose X X^H
+    it loses (slot 0 zero, 1 the cut copy, 2 w + 2 and 2 w + 3 window w's
+    left and right); and the inner window, which gives the new U.
+    """
+    period, half = len(diags[0]), len(diags) - 1
+    size = period * max(1, -(-half // period))
+    win = _band_windows(diags, [0], 2 * size)[0]
+    count = -(-n // size)
+    cut = n - (count - 1) * size
+    middle = (count - 1) // 2
+    trimmed = np.diag(np.arange(size) < cut).astype(float)
+    whole = np.eye(size)
+    moved = np.stack([whole, trimmed if count == 1 else whole,
+                      trimmed if middle + 2 == count else whole, trimmed, whole])
+    base = moved @ win[:size, :size] @ moved
+    # each part's blocks and target; part 1's last block keeps `rows` rows
+    parts, rows, plan = [[middle + 1, middle], [count - middle - 1, 0]], cut, []
+    while max(parts[0][0], parts[1][0]) > 1:
+        mids, slot, copy, old, terms = [], None, None, list(range(5)), [[0, 0]] * 5
+        for k, (blocks, target) in enumerate(parts):
+            if blocks < 2:
+                continue
+
+            def role(j):
+                return 2 * k + (j > 0) if j in (0, blocks - 1) else 4
+
+            gone = 1 - target % 2
+            # the first and the last eliminated block, and the first inner one
+            ends = (gone, blocks - 1 - (blocks - 1 - gone) % 2, 2 - gone)
+            for r in (role(ends[0]), role(ends[1])) + ((4,) if ends[2] < blocks - 1 else ()):
+                if r not in mids:
+                    mids.append(r)
+            # the first, the second and the last kept block
+            kept = (1 - gone, 3 - gone, blocks - 1 - (blocks - gone) % 2)
+            cut_last = k == 1 and rows < size and kept[2] == blocks - 1
+            if k == 1 and rows < size and not cut_last:
+                slot = (mids.index(3), rows)
+            if cut_last:
+                copy = (2 * mids.index(4) + 3, rows)
+            news = [(1 + k, kept[0])] if kept[0] == kept[2] else [(2 * k, kept[0]),
+                                                                   (2 * k + 1, kept[2])]
+            for r, e in news + ([(4, kept[1])] if kept[1] < kept[2] else []):
+                old[r] = role(e)
+                # the right slot of its left neighbour's window, the left
+                # slot of its right one's
+                terms[r] = [0 if e == 0 else 1 if cut_last and e == blocks - 1
+                            else 2 * mids.index(role(e - 1)) + 3,
+                            2 * mids.index(role(e + 1)) + 2 if e + 1 < blocks else 0]
+            rows = size if k == 1 and not cut_last else rows
+            parts[k] = [(kept[2] - kept[0]) // 2 + 1, target // 2]
+        plan.append((np.array(mids), slot, copy, np.array(old), np.array(terms),
+                     mids.index(4) if 4 in mids else None))
+    rows = size + (cut if middle + 2 == count else size) if count > 1 else cut
+    return base, moved, win[:size, size:], half, plan, rows
+
+
+def _reduce(base, moved, couple, half: int, plan, rows: int, shifts, signs):
+    """Whether sign * (G - shift I) is definite, for each shift, and phi,
+    the smallest eigenvalue of the middle window's Schur complement, by
+    the reduction ``_reduction`` plans.
+
+    A level is one ``np.linalg.cholesky`` call on the windows of its
+    eliminated blocks: the block above two slots, each a coupling to a
+    neighbour with ``_SLOT`` I as its own block, so the window factors
+    exactly when the block is definite, and the factor's rows X below the
+    block are the couplings times its inverse Cholesky factor.  A kept
+    block loses X X^H of the window either side, and the kept blocks
+    either side of an eliminated one are joined by -X_l X_r^H.  By
+    Sylvester's criterion G is definite exactly when every eliminated
+    block and the middle window are.  A rejected batch is factored matrix
+    by matrix (``_factor_each``); its failing shifts leave, phi nan.
+    """
+    size = base.shape[-1]
+    ok = np.ones(len(shifts), dtype=bool)
+    phi = np.full(len(shifts), np.nan)
+    live = np.arange(len(shifts))
+    # a cut block's padding stays the identity whatever the sign
+    blocks = (signs[:, None, None, None] * base - (signs * shifts)[:, None, None, None] * moved
+              + (np.eye(size) - moved))
+    upper = signs[:, None, None] * couple
+    # a coupling is nonzero only on the last `half` rows of its upper block
+    # and the first `half` columns of its lower one, so a slot has `half` rows
+    span = size + 2 * half
+    wins = np.zeros((len(shifts), 3, span, span), dtype=base.dtype)
+    wins[..., np.arange(size, span), np.arange(size, span)] = _SLOT
+    slots = np.zeros((len(shifts), 8, size, size), dtype=base.dtype)
+    for mids, slot, copy, old, terms, inner in plan:
+        stack = wins[:, :len(mids)]
+        stack[:, :, :size, :size] = blocks[:, mids]
+        stack[:, :, size:, :size] = np.concatenate(
+            [upper[:, size - half:], upper[:, :, :half].conj().swapaxes(-1, -2)], axis=1)[:, None]
+        if slot is not None:
+            stack[:, slot[0], size:size + half, slot[1]:size] = 0.0
+        try:
+            low = np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            low, fine = _factor_each(stack)
+            fine = fine.all(axis=1)
+            ok[live[~fine]] = False
+            live, low, upper, blocks = live[fine], low[fine], upper[fine], blocks[fine]
+            wins, slots = wins[fine], slots[fine]
+            if live.size == 0:
+                return ok, phi
+        z = slots[:, :2 * len(mids) + 2]
+        z[:, 2::2, size - half:] = low[:, :, size:size + half, :size]
+        z[:, 3::2, :half] = low[:, :, size + half:, :size]
+        if copy is not None:
+            z[:, 1] = z[:, copy[0]] * (np.arange(size) < copy[1])[:, None]
+        zh = z.conj().swapaxes(-1, -2)
+        blocks = blocks[:, old] - (z @ zh)[:, terms].sum(axis=2)
+        if inner is not None:
+            upper = -(z[:, 2 * inner + 2] @ zh[:, 2 * inner + 3])
+    mats = np.zeros((len(live), 2 * size, 2 * size), dtype=base.dtype)
+    mats[:, :size, :size] = blocks[:, 1]
+    mats[:, size:, size:] = blocks[:, 2]
+    mats[:, size:, :size] = signs[live, None, None] * couple.conj().T
+    mats = mats[:, :rows, :rows]
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        ok[live] = _factor_each(mats)[1]
+    phi[live] = np.linalg.eigvalsh(mats)[:, 0]
+    return ok, phi
+
+
 def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=None):
     """Extreme singular values of the section e^{-c (lam_i - n_j)^2}.
 
@@ -632,8 +785,11 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     entries of A beyond ``buffer`` of the diagonal are dropped, which leaves
     G banded, and its outer diagonals are trimmed (``_gram_band``) to a
     half-bandwidth P of about 8.  Each sweep shifts both extreme
-    eigenvalues' brackets, in one batched twisted Cholesky factorisation
-    (``_definite``).  The bracket ends are always a Cholesky success and a
+    eigenvalues' brackets in one batched decision: odd-even cyclic
+    reduction of the block Toeplitz band (``_reduction``, ``_reduce``) for
+    a band from one period, a twisted Cholesky sweep (``_definite``) for
+    any other.  Both leave a middle window and factor the two outer parts
+    onto it.  The bracket ends are always a Cholesky success and a
     Cholesky failure; the estimates and phi below only choose the shifts.
     phi, the smallest eigenvalue of the middle window's Schur complement
     S(mu), is continuous and decreasing up to the first eigenvalue of the
@@ -674,7 +830,9 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
       bisection.  Otherwise the shift is phi's regula falsi point once phi
       is known at both ends (Illinois variant: the phi of an end kept twice
       in a row is halved, once the other end's is known, so that the slope
-      bound sees the true phi_s), and else the geometric or halving step.
+      bound sees the true phi_s), moved out to just under the resolution
+      from an end it comes nearer than that to where the bracket can only
+      stop on resolution, and else the geometric or halving step.
     * Resolution stop.  A bracket stops at a relative width of 1e-10, or
       once it is narrower than 2 eps max G_ii, below which a shift no longer
       changes the shifted matrix, or once lambda_min's lies below twice the
@@ -693,18 +851,21 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     and the ``sweeps`` taken, the ``half_bandwidth`` P, each side's
     ``start`` (``symbol``, ``model`` or ``diagonal``), ``model_estimate``
     (the modelled start, or None) and ``stop``
-    (``width`` or ``resolution``), and ``below_resolution``: whether
+    (``width`` or ``resolution``), ``below_resolution``: whether
     lambda_min's bracket stayed below twice the rounding radius, in which
-    case sigma_min is its certified upper end.  An eigenvalue
-    bracket widens by the rounding radius, the sum of three terms:
+    case sigma_min is its certified upper end, ``decided_by``
+    (``reduction`` or ``twisted``) and the reduction's ``levels`` (None
+    for the twisted sweep).  An eigenvalue bracket widens by the rounding
+    radius, the sum of three terms:
 
     * forming G: gamma_{2w+4} ||A||_1 ||A||_inf for rows of at most w kept
       entries;
     * trimming G: the largest dropped row sum, which bounds the 2-norm of
       the dropped Hermitian part and so, by Weyl's inequality, how far it
       moves any eigenvalue;
-    * factoring G - mu I.  A window's dense Cholesky has backward error
-      gamma_{k+1} |L| |L^H| for a window of k rows, and a carried block
+    * factoring G - mu I in the twisted sweep.  A window's dense Cholesky
+      has backward error gamma_{k+1} |L| |L^H| for a window of k rows, and
+      a carried block
       gains gamma_nb |L| |L^H| from its product L L^H.  Every |L| |L^H|
       here has entries at most g by Cauchy-Schwarz: a row of L has squared
       norm at most a diagonal entry of the shifted matrix or of a Schur
@@ -720,6 +881,22 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
       within P of each other.  Hence the term (2P + 1) gamma_{s+m+nb+2} g;
       Demmel's theorem gives the same radius for a factorisation that
       fails.
+    * factoring G - mu I by cyclic reduction, in blocks of S rows.  A
+      level's matrix is the Schur complement of G - mu I onto its blocks'
+      rows, so a perturbation of it there is the same perturbation of
+      G - mu I (Schur complement identity), and the levels' add.  A
+      window's Cholesky moves its block and couplings by gamma_{S+1} g an
+      entry, a product X X^H or X_l X_r^H is off by gamma_S g and a kept
+      block, which loses two, by gamma_{2S+6} g.  A kept row is so off in
+      its own block (S entries), its couplings to the eliminated blocks
+      either side (2S) and its new couplings (2S), an eliminated row in 3S
+      entries: a level's row sums, hence 2-norm, are at most S
+      gamma_{6S+8} g, the same at every copy of a reused window.  With the
+      middle window's w gamma_{w+1} g (w <= 2S rows) the term is (levels S
+      gamma_{6S+8} + w gamma_{w+1}) g, at most ceil(log2 N_b) levels: at
+      the critical shift 3.3, 4.2 and 6.0 times the twisted term at
+      M = 1,024, 4,096 and 65,536 (7, 9, 13 levels, S = 8); Demmel's
+      theorem again covers a failure.
 
     A singular-value bracket then widens by the Frobenius norm of the
     entries of A dropped outside the band (Weyl).  A band from one period
@@ -732,6 +909,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     """
     n = min(len(lam), len(cols))
     band = _one_period_band(c, lam, cols, buffer, *period) if period else None
+    periodic = band is not None
     estimate, spread = np.full(2, np.nan), np.full(2, np.nan)
     if band is None:
         p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
@@ -747,12 +925,26 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
                   for s, w in zip(symbol, spread))
     diags, width, norms, top, dropped, tail = band
     half = len(diags) - 1
-    nb = max(half, 1)
-    pairs, mid = _cholesky_windows(diags, nb, n)
+    if periodic:
+        reduction = _reduction(diags, n)
+        size, levels, rows = reduction[0].shape[-1], len(reduction[4]), reduction[5]
+
+        def decide(mus, signs):
+            return _reduce(*reduction, mus, signs)
+
+        factoring = levels * size * _gamma(6 * size + 8) + rows * _gamma(rows + 1)
+    else:
+        nb = max(half, 1)
+        pairs, mid = _cholesky_windows(diags, nb, n)
+
+        def decide(mus, signs):
+            return _definite(pairs, mid, nb, mus, signs)
+
+        factoring = (2 * half + 1) * _gamma(_WINDOW_BLOCKS * nb + len(mid) + nb + 2)
+        levels = None
     # Gershgorin, raised so that mu I - G is strictly diagonally dominant
     top *= 1.0 + 1e-8
-    factoring = _gamma(_WINDOW_BLOCKS * nb + len(mid) + nb + 2)
-    rounding = _gamma(2 * width + 4) * norms + dropped + (2 * half + 1) * factoring * top
+    rounding = _gamma(2 * width + 4) * norms + dropped + factoring * top
     diag = diags[0]
     # below this width a shift no longer changes the shifted matrix
     resolution = 2.0 * _EPS * float(diag.max())
@@ -784,7 +976,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
                   for mu in (queued[k] or [_next_shift(ends[k], phis[k], rounding, resolution, k)])]
         queued = [[], []]
         side, mus = np.array(shifts).T
-        ok, phi = _definite(pairs, mid, nb, mus, sign[side.astype(int)])
+        ok, phi = decide(mus, sign[side.astype(int)])
         sweeps += 1
         for (k, mu), good, f in zip(shifts, ok, phi):
             # a first sweep's second shift is outside once the first fails
@@ -807,6 +999,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
         "sweeps": sweeps, "half_bandwidth": half, "start": start,
         "model_estimate": tuple(float(x) if m else None for x, m in zip(estimate, modelled)),
         "stop": tuple(stop), "below_resolution": below,
+        "decided_by": "reduction" if periodic else "twisted", "levels": levels,
     }
 
 
@@ -999,8 +1192,14 @@ def _next_shift(ends, phis, floor: float, resolution: float, side: int) -> float
     width, which counts only where it is at least ``resolution``.  A
     closing step fails, which closes the bracket, unless rounding lets it
     succeed.  Else the regula falsi point of phi when phi has opposite
-    signs at the ends and the point falls strictly inside; else the
-    bisection point above ``floor``.
+    signs at the ends and the point falls strictly inside; where that half
+    width does not count, so that the bracket can only stop on
+    ``resolution``, a point nearer an end than ``resolution`` moves to
+    (1 - ``_SLOPE_MARGIN``) ``resolution`` from that end.  A shift that
+    near leaves the shifted matrix about unchanged, so its decision is
+    that end's and the bracket crawls (3 to 7 sweeps at the critical
+    shift at M = 4,096); the moved shift closes the bracket when it
+    decides as the far end.  Else the bisection point above ``floor``.
     """
     lo, hi = ends
     phi_lo, phi_hi = phis
@@ -1014,6 +1213,9 @@ def _next_shift(ends, phis, floor: float, resolution: float, side: int) -> float
     if phi_lo * phi_hi < 0.0:
         mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
         if lo < mu < hi:
+            if not close:
+                step = (1.0 - _SLOPE_MARGIN) * resolution
+                mu = lo + step if mu - lo < resolution else hi - step if hi - mu < resolution else mu
             return mu
     return _bisection_point(max(lo, floor), hi)
 

@@ -2,7 +2,7 @@
 the given sizes, took the band solver, lie inside their certified brackets
 and took at most the given number of sweeps.  A leg of a periodic sequence
 trimmed on its rows keeps every row's whole band, so both its brackets
-must start from the symbol.
+must start from the symbol and cyclic reduction must decide its shifts.
 
     python tests/data/check_band_report.py <report.json> <max sweeps> <size> ...
 """
@@ -30,6 +30,7 @@ for check in checks:
         assert 0 < e["sweeps"] <= int(guard), e
         if periodic and by_rows:
             assert e["start"] == ["symbol", "symbol"], e
+            assert e["decided_by"] == "reduction" and e["levels"] > 0, e
         print(f"{where}M = {e['size']}: {e['sweeps']} sweeps (guard {guard}), "
               f"start {e['start']}, stop {e['stop']}, half-bandwidth {e['half_bandwidth']}, "
-              f"sigma_min {e['sigma_min']:.12g}")
+              f"{e['decided_by']} ({e['levels']} levels), sigma_min {e['sigma_min']:.12g}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -206,6 +209,17 @@ class TestWriter:
 
 
 class TestCli:
+    def test_import_loads_neither_scipy_nor_mpmath(self):
+        # every CLI process pays for what importing the CLI loads; scipy
+        # alone is about 0.3 s and 28 MB of it
+        src = Path(gauss_space.__file__).resolve().parents[1]
+        probe = ("import sys, gauss_cis.experiments.cli; "
+                 "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_unknown_scenario_exit_2(self, capsys):
         assert cli_main(["warp", "--config", "missing.json"]) == 2
 

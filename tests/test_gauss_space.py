@@ -332,6 +332,7 @@ class TestBandSolver:
                                                                            period)
         wide = orientation == "interior_rows"
         assert diagnostics["start"][1] == ("symbol" if wide else "diagonal")
+        assert diagnostics["decided_by"] == ("reduction" if wide else "twisted")
         for k, exact in enumerate(s[[-1, 0]]):
             assert lo[k] <= exact <= hi[k]
             assert lo[k] <= values[k] <= hi[k]
@@ -355,8 +356,11 @@ class TestBandSolver:
             assert row["sigma_min_bracket"] == list(e.sigma_min_bracket)
             assert row["sigma_max_bracket"] == list(e.sigma_max_bracket)
             band_keys = ("sweeps", "half_bandwidth", "start", "model_estimate", "stop",
-                         "below_resolution")
+                         "below_resolution", "decided_by", "levels")
             if e.solver == "band":
+                # a periodic section of 0.3 shifted nodes is decided by reduction
+                assert row["decided_by"] == e.decided_by == "reduction"
+                assert row["levels"] == e.levels > 0
                 assert row["sweeps"] == e.sweeps > 0
                 assert row["half_bandwidth"] == e.half_bandwidth > 0
                 assert row["start"] == list(e.start)
@@ -831,12 +835,16 @@ class TestTwistedSweep:
         assert critical.sweeps <= 4 and critical.half_bandwidth == 8
         assert wider.sweeps <= 3
         assert pattern.sweeps <= 4 and pattern.half_bandwidth <= 9
-        assert tall.sweeps <= 10 and wide.sweeps <= 7
+        assert tall.sweeps <= 10 and wide.sweeps <= 6
         assert max(e.sweeps for e in shifted) <= 4
-        # periodic sections start from their symbol, grids of other slopes
-        # from the central block's model
+        # periodic sections start from their symbol and are decided by
+        # cyclic reduction, grids of other slopes start from the central
+        # block's model and are decided by the twisted sweep
         assert all(e.start == ("symbol", "symbol") for e in (critical, wider, pattern, *shifted))
+        assert {e.decided_by for e in (critical, wider, pattern, *shifted)} == {"reduction"}
         assert tall.start == wide.start == ("model", "model")
+        assert tall.decided_by == wide.decided_by == "twisted"
+        assert tall.levels is wide.levels is None and critical.levels == 7
         # the critical shift's lambda_min tends to 0, yet the symbol law's
         # lowest mode stays positive at 5,460 rows
         assert 0.0 < wider.model_estimate[0] < critical.model_estimate[0]
@@ -844,7 +852,7 @@ class TestTwistedSweep:
         # stopping width, one shift that far on fails and closes the bracket;
         # without it these ends crawl by bisection, to 11, 12 and 10 sweeps
         for seq, m, trim, orientation, most in [
-            (PeriodicPerturbation((0.5,)), 256, (1.0, 3.0), "interior_rows", 7),
+            (PeriodicPerturbation((0.5,)), 256, (1.0, 3.0), "interior_rows", 6),
             (AffineGrid(0.9), 512, (2.0 / 3.0, 0.0), "interior_cols", 6),
             (AffineGrid(4.0 / 3.0), 256, (2.0 / 3.0, 0.0), "interior_cols", 6),
         ]:
@@ -883,6 +891,142 @@ class TestTwistedSweep:
         assert diagnostics["sweeps"] != steered[3]["sweeps"]
         assert values == pytest.approx(s, rel=1e-9)
         assert np.all(lo <= s) and np.all(s <= hi)
+
+
+def _periodic_band(seed, b, orientation):
+    """One period of the trimmed band of a seeded pattern of period up to 8."""
+    rng = np.random.default_rng([seed, 23])
+    offsets = tuple(np.sort(rng.uniform(-0.45, 0.45, int(rng.integers(1, 9)))))
+    trim = (1.0, 3.0) if orientation == "interior_rows" else (2.0 / 3.0, 0.0)
+    band = _one_period_section(GaussianParam(1.0, b), PeriodicPerturbation(offsets), 150,
+                               *trim, orientation)[3]
+    return band[0]
+
+
+def _expanded(diags, n):
+    """The band of n rows whose diagonals repeat one period, ``diags``."""
+    return [g[np.arange(n - d) % len(diags[0])] for d, g in enumerate(diags)]
+
+
+class TestCyclicReduction:
+    """The cyclic reduction that decides a band built from one period."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("orientation", ["interior_rows", "interior_cols"])
+    def test_decisions_equal_dense_eigenvalues_and_the_twisted_sweep(self, seed, b, orientation):
+        # 1 to 5 and 2^k +- 1 blocks, the last one whole, of one row, or
+        # one row short; shifts 1e-3 ... 1e-9 either side of each extreme
+        # eigenvalue
+        diags = _periodic_band(seed, b, orientation)
+        nb = len(diags) - 1
+        size = gauss_space._reduction(diags, 1)[0].shape[-1]
+        assert size % len(diags[0]) == 0 and size >= nb
+        rel = 10.0 ** -np.arange(3.0, 10.0)
+        rel = np.concatenate([rel, -rel])
+        signs = np.repeat([1.0, -1.0], len(rel))
+        for blocks in (1, 2, 3, 4, 5, 7, 9, 15, 17, 31, 33):
+            for last in (size, 1, size - 1):
+                n = (blocks - 1) * size + last
+                eig = np.linalg.eigvalsh(_dense_gram(_expanded(diags, n)))[[0, -1]]
+                shifts = (eig[:, None] * (1.0 + rel)).ravel()
+                ok, phi = gauss_space._reduce(*gauss_space._reduction(diags, n), shifts, signs)
+                assert np.array_equal(ok, np.where(signs > 0, shifts < eig[0], shifts > eig[1]))
+                twisted, _ = gauss_space._definite(*gauss_space._cholesky_windows(diags, nb, n),
+                                                   nb, shifts, signs)
+                assert np.array_equal(ok, twisted)
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    def test_phi_is_negative_where_the_middle_window_fails(self, b):
+        # phi is known where every level factors, negative exactly where
+        # the middle window then fails, and its slope between two shifts is
+        # at most -1 toward the failure end
+        diags = _periodic_band(4, b, "interior_rows")
+        size = gauss_space._reduction(diags, 1)[0].shape[-1]
+        n = 40 * size + 3
+        reduction = gauss_space._reduction(diags, n)
+        eig = np.linalg.eigvalsh(_dense_gram(_expanded(diags, n)))[[0, -1]]
+        rel = 10.0 ** np.linspace(-8.0, -2.0, 13)
+        for side, sign in ((0, 1.0), (1, -1.0)):
+            shifts = eig[side] * (1.0 + np.concatenate([-rel[::-1], rel]))
+            ok, phi = gauss_space._reduce(*reduction, shifts, np.full(len(shifts), sign))
+            known = np.isfinite(phi)
+            assert known.sum() > len(rel) and not ok[~known].any()
+            assert np.array_equal(phi[known] < 0.0, ~ok[known]) and (~ok[known]).any()
+            slope = np.diff(phi[known]) / np.diff(sign * shifts[known])
+            assert np.all(slope <= -1.0)
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    def test_blocks_are_blocks_of_the_dense_band(self, b):
+        diags = _periodic_band(5, b, "interior_rows")
+        n = 9 * len(diags[0]) * 4 + 5
+        base, moved, couple, half, plan, rows = gauss_space._reduction(diags, n)
+        size = base.shape[-1]
+        cut = n - (-(-n // size) - 1) * size
+        gram = _dense_gram(_expanded(diags, 2 * size))
+
+        def same_bits(x, y):
+            return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+        assert same_bits(base[4], gram[:size, :size]) and same_bits(couple, gram[:size, size:])
+        # a coupling reaches only the last half rows and the first half columns
+        assert half == len(diags) - 1
+        assert not couple[:size - half].any() and not couple[:, half:].any()
+        # the last block is cut to its first rows; the shift moves only those
+        assert same_bits(base[3][:cut, :cut], gram[:cut, :cut])
+        assert not base[3][cut:].any() and not base[3][:, cut:].any()
+        assert np.array_equal(np.diagonal(moved[3]), np.arange(size) < cut)
+        # the middle window: two blocks, the second the cut one only when last
+        assert rows == 2 * size
+
+    def test_one_cholesky_batch_a_level(self):
+        # both outer parts share their inner blocks, so a level factors at
+        # most three windows, in one call, and then the middle window
+        diags = _periodic_band(2, 0.0, "interior_rows")
+        size = gauss_space._reduction(diags, 1)[0].shape[-1]
+        n = 125 * size + 1
+        reduction = gauss_space._reduction(diags, n)
+        plan = reduction[4]
+        assert 0 < len(plan) <= int(np.ceil(np.log2(126)))
+        top = float(np.abs(_dense_gram(_expanded(diags, 3 * size))).sum(axis=1).max())
+        cholesky = mock.Mock(wraps=np.linalg.cholesky)
+        with mock.patch.object(np.linalg, "cholesky", cholesky):
+            ok, phi = gauss_space._reduce(*reduction, np.array([0.0, 2.0 * top]),
+                                          np.array([1.0, -1.0]))
+        assert ok.all() and np.all(phi > 0.0)
+        shapes = [call.args[0].shape for call in cholesky.call_args_list]
+        assert len(shapes) == len(plan) + 1
+        assert all(shape[1] <= 3 for shape in shapes[:-1])
+
+    def test_near_critical_section_at_m_1024(self):
+        # delta = 0.49: sigma_min is 2.6e-2, not 0, so the bisection closes
+        # on width; the dense SVD lies inside both brackets
+        seq = PeriodicPerturbation((0.49,))
+        sub, *_ = _section(A1, seq, 1024, 1.0, 3.0, "interior_rows")
+        s = np.linalg.svd(sub, compute_uv=False)
+        e, = frame_bounds(A1, seq, (1024,), interior_fraction=1.0, edge_margin=3.0).entries
+        assert e.decided_by == "reduction" and e.stop == ("width", "width")
+        assert _inside(s[-1], e.sigma_min_bracket) and _inside(s[0], e.sigma_max_bracket)
+        assert e.sigma_min == pytest.approx(s[-1], rel=1e-9)
+
+    def test_regula_falsi_keeps_the_resolution_from_an_end(self):
+        # where the bracket can only stop on the shifts' resolution, a
+        # regula falsi point nearer an end than that moves to just under it
+        # from that end; elsewhere it stays
+        lo, resolution = 1e-8, 5e-16
+        ends = np.array([lo, lo + 1e-14])
+        step = (1.0 - gauss_space._SLOPE_MARGIN) * resolution
+        shift = gauss_space._next_shift
+        assert shift(ends, np.array([1e-14, -1e-6]), 0.0, resolution, 0) == lo + step
+        assert shift(ends, np.array([1e-6, -1e-14]), 0.0, resolution, 0) == ends[1] - step
+        assert shift(ends, np.array([-1e-14, 1e-6]), 0.0, resolution, 1) == lo + step
+        middle = shift(ends, np.array([1e-6, -1e-6]), 0.0, resolution, 0)
+        assert middle == lo - 1e-6 * 1e-14 / -2e-6
+        # where the half width, 0.5e-10 hi, counts, the point near the end stays
+        wide = np.array([1e-3, 1e-3 + 1e-9])
+        near = shift(wide, np.array([1e-13, -1e-6]), 0.0, resolution, 0)
+        assert near == 1e-3 - 1e-13 * (wide[1] - wide[0]) / (-1e-6 - 1e-13)
+        assert 1e-3 < near < 1e-3 + resolution
 
 
 def _explicit_window(seed):
@@ -982,7 +1126,9 @@ class TestShiftSteering:
     def test_one_success_end_rule_takes_the_two_rules_shifts(self):
         # the closing shift and the slope bound were two rules, the closing
         # shift first; on brackets still running (wider than 1e-10 hi) the
-        # one rule takes the same shift, bit for bit
+        # one rule takes the same shift, bit for bit.  Both move a regula
+        # falsi point within the resolution of an end where the closing
+        # half width does not count
         def two_rules(ends, phis, floor, resolution, side):
             lo, hi = ends
             phi_lo, phi_hi = phis
@@ -993,6 +1139,11 @@ class TestShiftSteering:
                     return mu
             if phi_lo * phi_hi < 0.0:
                 mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
+                step = (1.0 - gauss_space._SLOPE_MARGIN) * resolution
+                if lo < mu < hi and close < resolution and mu - lo < resolution:
+                    return lo + step
+                if lo < mu < hi and close < resolution and hi - mu < resolution:
+                    return hi - step
                 if lo < mu < hi:
                     return mu
             if np.isnan(phis[1 - side]) and phis[side] > 0.0:
@@ -1229,6 +1380,18 @@ class TestTailOracles:
                 mat = collocation_matrix(GaussianParam(a), seq, (-24, 24), tol)
                 old = _loop_collocation_tail(a, mat)
                 assert old * (1.0 - 1e-15) <= mat.tail_bound <= old * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("seq", (*TAIL_SEQUENCES, AffineGrid(0.5)), ids=repr)
+    @pytest.mark.parametrize("a", [0.05, 1.0, 3000.0])
+    def test_section_tail_from_the_end_rows(self, seq, a):
+        # rows further inside than sqrt(746 / 2a) from both dropped sides
+        # add only terms that underflow to 0, so the tail summed over the
+        # rows near the ends is the all-row tail up to summation order
+        c = GaussianParam(a)
+        lam, _, lo, hi, tail = gauss_space._section_frame(c, seq, (-300, 300), 1e-14)
+        every = gauss_space._integer_tail(c.a, lam, lo, hi)
+        assert tail == pytest.approx(every, rel=1e-14, abs=0.0)
+        assert (tail > 0.0) == (a < 3000.0)
 
     @pytest.mark.parametrize("seq", TAIL_SEQUENCES, ids=repr)
     def test_cross_block_tail_certificate_not_smaller(self, seq):
