@@ -553,10 +553,8 @@ def _cholesky_windows(diags, nb: int, n: int):
     ([::-1, ::-1]) so that its rows run up.  Each shares one block with the
     next window in.  The middle window, of 3 to 7 blocks when the windows
     hold 3, shares its first block with the last forward window and its
-    last block with the last backward one.  A window depends only on its
-    start row modulo the length of ``diags[0]`` (``_band_windows``), so a
-    periodic band builds at most P distinct windows of each width.  Returns
-    the pairs, shape (h, 2, s, s), and the middle window.
+    last block with the last backward one.  Returns the pairs, shape
+    (h, 2, s, s), and the middle window.
     """
     span = _WINDOW_BLOCKS * nb
     step = span - nb
@@ -622,6 +620,13 @@ def _definite(pairs, mid, nb: int, shifts, signs):
     if carry is not None:
         mats[:, :nb, :nb] = carry[:, 0]
         mats[:, -nb:, -nb:] = carry[:, 1, ::-1, ::-1]
+    return _middle_window(mats, ok, phi, live)
+
+
+def _middle_window(mats, ok, phi, live):
+    """``(ok, phi)`` with the live shifts' entries set from their middle
+    windows ``mats``: whether each has a Cholesky factor, and its smallest
+    eigenvalue."""
     try:
         np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -762,13 +767,7 @@ def _reduce(base, moved, couple, half: int, plan, rows: int, shifts, signs):
     mats[:, :size, :size] = blocks[:, 1]
     mats[:, size:, size:] = blocks[:, 2]
     mats[:, size:, :size] = signs[live, None, None] * couple.conj().T
-    mats = mats[:, :rows, :rows]
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        ok[live] = _factor_each(mats)[1]
-    phi[live] = np.linalg.eigvalsh(mats)[:, 0]
-    return ok, phi
+    return _middle_window(mats[:, :rows, :rows], ok, phi, live)
 
 
 def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=None):
@@ -911,7 +910,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     band = _one_period_band(c, lam, cols, buffer, *period) if period else None
     periodic = band is not None
     estimate, spread = np.full(2, np.nan), np.full(2, np.nan)
-    if band is None:
+    if not periodic:
         p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
         band = (*_gram_band(c, p, q, buffer),
                 _integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer)))
