@@ -11,20 +11,12 @@ dense SVD, which is the faster solver up to that size.  A larger section is
 never built densely: its entries fall below tol^2 beyond ``buffer`` of the
 diagonal, so the Gram matrix of its smaller side is banded, and its outer
 diagonals fall off fast enough to be trimmed to about half that width.  A
-block Cholesky of the band, shifted by mu, succeeds exactly when mu lies
-below the smallest eigenvalue.  A bisection on mu brackets both extreme
+bisection on Cholesky decisions of the shifted band brackets both extreme
 singular values, with a certificate for the dropped entries, the trimmed
-diagonals and the rounding.  There is one start rule per input kind.  A
-periodic section (n + offsets[n mod P], the grids n + beta among them)
-whose Gram rows all keep their whole band is block Toeplitz: its band and
-tail come from one period, it starts from its block symbol's extreme
-eigenvalues and their curvature, with a Weyl term for the rounding of its
-node positions, and odd-even cyclic reduction decides each shift in
-O(log N) levels of a few small blocks.  Any other section starts from the
-eigenvalues of its central 128-row block, extrapolated to the section's
-length wherever the extrapolation stays positive, and a twisted sweep of
-Cholesky windows decides each shift.  The bisection is then steered by
-the Schur complement of a middle window, whose slope is at most -1.
+diagonals and the rounding.  A periodic section is built from one period,
+starts from its block symbol and is decided by cyclic reduction; any other
+starts from its central block and is decided by a twisted sweep.
+``_extreme_singular_values`` describes the solver and its certificate.
 """
 
 from dataclasses import asdict, dataclass
@@ -88,6 +80,21 @@ _SLOPE_MARGIN = 1e-3
 # a reduction window's neighbour slots hold this multiple of I, so that the
 # window factors exactly when its middle block does
 _SLOT = 2.0 ** 200
+# the three kinds of cyclic-reduction level (``_reduce``), by the length of
+# each chain with its target: odd, 2, and even from 4.  State blocks: 0 and
+# 1 the end blocks of the upper and the lower chain, 2 the inner block, 3
+# and 4 the targets.  A kind factors the windows of the blocks
+# ``factored``; window i's X are X_{2i}, for the block above it, and
+# X_{2i+1}, for the one below.  New state block k is block old[k] less
+# X_a X_a^H for each a in losses[k], summed by the 0/1 matrix ``gains``;
+# window ``inner``, where there is one, gives the new coupling.
+_LEVELS = tuple((np.array(factored), np.array(old),
+                 np.array([[float(k in a) for k in range(2 * len(factored))] for a in losses]),
+                 inner) for factored, old, losses, inner in (
+    ((2,), (0, 1, 2, 3, 4), ((0,), (1,), (0, 1), (1,), (0,)), 0),
+    ((0, 1), (0, 1, 2, 3, 4), ((), (), (), (1,), (2,)), None),
+    ((0, 1, 2), (2, 2, 2, 3, 4), ((1, 4), (2, 5), (4, 5), (5,), (4,)), 2),
+))
 
 
 @dataclass(frozen=True)
@@ -315,6 +322,7 @@ class FrameBoundEntry:
     below_resolution: bool = False  # band: sigma_min is the upper end of its bracket
     decided_by: str | None = None  # band: "reduction" (periodic) or "twisted" sweeps
     levels: int | None = None    # band: levels of each reduction, None when twisted
+    radius: tuple | None = None  # band: (formation, trim, factoring) rounding terms, in sigma^2
 
     def __post_init__(self):
         if self.sigma_min > self.sigma_max:
@@ -328,7 +336,7 @@ class FrameBoundEntry:
         out = asdict(self)
         if self.solver != "band":
             for key in ("sweeps", "half_bandwidth", "start", "model_estimate", "stop",
-                        "below_resolution", "decided_by", "levels"):
+                        "below_resolution", "decided_by", "levels", "radius"):
                 del out[key]
         return out
 
@@ -401,23 +409,20 @@ def frame_bounds(
     past its success end once phi there says the root is nearer; it
     reports the square roots of the midpoints and certifies each bracket
     against the dropped entries, the trimmed diagonals and the rounding
-    (``_extreme_singular_values``).  A ``PeriodicPerturbation`` or an
-    ``AffineGrid`` of slope 1 whose kept rows (or columns) all keep their
-    whole band is built from one period, starts from its block symbol and
-    is decided by cyclic reduction: 6, 6, 4 and 4 sweeps at the critical
-    shift for M = 128 to 1,024 and 3 at 16,384, 4 for a period-4 pattern
-    at M = 128 to 512.  Any other section starts from its central 128-row
-    block and is decided by the twisted sweep.  Each entry records its
-    ``solver``, both brackets and the ``tail_bound`` of the section's
-    collocation matrix; a band entry also records its ``sweeps``,
-    ``half_bandwidth``, how each bracket started (``symbol``, ``model`` or
-    ``diagonal``), the ``model_estimate`` (lambda_min, lambda_max) in
-    sigma^2 that each modelled side started from (None for a side started
-    from the diagonal), how each bracket stopped, whether sigma_min was
+    (``_extreme_singular_values``, which also gives the solver's start
+    rules and deciding routines).  Each entry records its ``solver``, both
+    brackets and the ``tail_bound`` of the section's collocation matrix; a
+    band entry also records its ``sweeps``, ``half_bandwidth``, how each
+    bracket started (``symbol``, ``model`` or ``diagonal``), the
+    ``model_estimate`` (lambda_min, lambda_max) in sigma^2 that each
+    modelled side started from (None for a side started from the
+    diagonal), how each bracket stopped, whether sigma_min was
     ``below_resolution`` (its bracket never rose above twice the rounding
     radius), in which case sigma_min is the bracket's certified upper end,
-    which routine ``decided_by`` its shifts (``reduction`` or ``twisted``)
-    and the ``levels`` of each reduction (None for the twisted sweep).
+    which routine ``decided_by`` its shifts (``reduction`` or ``twisted``),
+    the ``levels`` of each reduction (None for the twisted sweep) and the
+    ``radius``: the formation, trim and factoring terms of the rounding
+    radius, in sigma^2.
     """
     sizes = [int(m) for m in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -635,115 +640,76 @@ def _middle_window(mats, ok, phi, live):
     return ok, phi
 
 
-def _reduction(diags, n: int):
-    """Blocks and plan of the cyclic reduction of a periodic band of n rows.
-
-    In blocks of ``size`` = P ceil(half / P) rows the band is block
-    tridiagonal and Toeplitz: every block is D (the last cut to ``cut``
-    rows, padded with the identity) and every coupling U (the last with
-    its columns past ``cut`` zero).  A middle window of two blocks leaves
-    two outer parts; odd-even reduction takes part 0 onto its last block
-    and part 1 onto its first, keeping the parity of that target.  The
-    Schur complement onto the kept blocks is again of that form, and both
-    parts' inner blocks and couplings stay one D and one U, so five blocks
-    (roles 0, 1: part 0's first and last; 2, 3: part 1's; 4: inner) and U
-    hold every level.  Returns the five blocks, which diagonal entries a
-    shift moves, U, the half-bandwidth, the plan and the window's rows.  A
-    level holds the roles of its eliminated blocks (one window each); the
-    cut block's window and cut if it is eliminated, else the slot whose
-    cut copy it loses; each role's old role and the two slots whose X X^H
-    it loses (slot 0 zero, 1 the cut copy, 2 w + 2 and 2 w + 3 window w's
-    left and right); and the inner window, which gives the new U.
+def _chains(diags, n: int):
+    """The chains of the cyclic reduction of a periodic band of n rows
+    (``_extreme_singular_values``): the 2S-row principal block at the
+    first whole block's phase, whose diagonal and upper right blocks are
+    every block D and coupling U; the rows of the two end blocks as masks
+    over a block, the upper one's last rows, half the rows left over after
+    the whole blocks, rounded down, and the lower one's first rows; and
+    ``count``, the blocks of each chain.
     """
     period, half = len(diags[0]), len(diags) - 1
     size = period * max(1, -(-half // period))
-    win = _band_windows(diags, [0], 2 * size)[0]
-    count = -(-n // size)
-    cut = n - (count - 1) * size
-    middle = (count - 1) // 2
-    trimmed = np.diag(np.arange(size) < cut).astype(float)
-    whole = np.eye(size)
-    moved = np.stack([whole, trimmed if count == 1 else whole,
-                      trimmed if middle + 2 == count else whole, trimmed, whole])
-    base = moved @ win[:size, :size] @ moved
-    # each part's blocks and target; part 1's last block keeps `rows` rows
-    parts, rows, plan = [[middle + 1, middle], [count - middle - 1, 0]], cut, []
-    while max(parts[0][0], parts[1][0]) > 1:
-        mids, slot, copy, old, terms = [], None, None, list(range(5)), [[0, 0]] * 5
-        for k, (blocks, target) in enumerate(parts):
-            if blocks < 2:
-                continue
-
-            def role(j):
-                return 2 * k + (j > 0) if j in (0, blocks - 1) else 4
-
-            gone = 1 - target % 2
-            # the first and the last eliminated block, and the first inner one
-            ends = (gone, blocks - 1 - (blocks - 1 - gone) % 2, 2 - gone)
-            for r in (role(ends[0]), role(ends[1])) + ((4,) if ends[2] < blocks - 1 else ()):
-                if r not in mids:
-                    mids.append(r)
-            # the first, the second and the last kept block
-            kept = (1 - gone, 3 - gone, blocks - 1 - (blocks - gone) % 2)
-            cut_last = k == 1 and rows < size and kept[2] == blocks - 1
-            if k == 1 and rows < size and not cut_last:
-                slot = (mids.index(3), rows)
-            if cut_last:
-                copy = (2 * mids.index(4) + 3, rows)
-            news = [(1 + k, kept[0])] if kept[0] == kept[2] else [(2 * k, kept[0]),
-                                                                   (2 * k + 1, kept[2])]
-            for r, e in news + ([(4, kept[1])] if kept[1] < kept[2] else []):
-                old[r] = role(e)
-                # the right slot of its left neighbour's window, the left
-                # slot of its right one's
-                terms[r] = [0 if e == 0 else 1 if cut_last and e == blocks - 1
-                            else 2 * mids.index(role(e - 1)) + 3,
-                            2 * mids.index(role(e + 1)) + 2 if e + 1 < blocks else 0]
-            rows = size if k == 1 and not cut_last else rows
-            parts[k] = [(kept[2] - kept[0]) // 2 + 1, target // 2]
-        plan.append((np.array(mids), slot, copy, np.array(old), np.array(terms),
-                     mids.index(4) if 4 in mids else None))
-    rows = size + (cut if middle + 2 == count else size) if count > 1 else cut
-    return base, moved, win[:size, size:], half, plan, rows
+    count = max(0, -(-(n - 2 * size) // (2 * size)))
+    cut = n - 2 * size * count
+    top = cut // 2 if count else 0
+    rows = np.arange(size)
+    return (_band_windows(diags, [top], 2 * size)[0],
+            np.stack([rows >= size - top, rows < cut - top]), count)
 
 
-def _reduce(base, moved, couple, half: int, plan, rows: int, shifts, signs):
+def _reduce(win, masks, count: int, half: int, rows: int, shifts, signs):
     """Whether sign * (G - shift I) is definite, for each shift, and phi,
-    the smallest eigenvalue of the middle window's Schur complement, by
-    the reduction ``_reduction`` plans.
+    the smallest eigenvalue of the middle window's Schur complement, its
+    first ``rows`` rows, by cyclic reduction of the chains of ``_chains``
+    (``_extreme_singular_values``).
 
     A level is one ``np.linalg.cholesky`` call on the windows of its
-    eliminated blocks: the block above two slots, each a coupling to a
-    neighbour with ``_SLOT`` I as its own block, so the window factors
+    eliminated state blocks: the block above two slots, each a coupling to
+    a neighbour with ``_SLOT`` I as its own block, so the window factors
     exactly when the block is definite, and the factor's rows X below the
     block are the couplings times its inverse Cholesky factor.  A kept
     block loses X X^H of the window either side, and the kept blocks
-    either side of an eliminated one are joined by -X_l X_r^H.  By
-    Sylvester's criterion G is definite exactly when every eliminated
-    block and the middle window are.  A rejected batch is factored matrix
-    by matrix (``_factor_each``); its failing shifts leave, phi nan.
+    either side of an eliminated one are joined by -X_l X_r^H.  A rejected
+    batch is factored matrix by matrix (``_factor_each``); its failing
+    shifts leave, phi nan.
     """
-    size = base.shape[-1]
+    size = len(win) // 2
     ok = np.ones(len(shifts), dtype=bool)
     phi = np.full(len(shifts), np.nan)
     live = np.arange(len(shifts))
-    # a cut block's padding stays the identity whatever the sign
-    blocks = (signs[:, None, None, None] * base - (signs * shifts)[:, None, None, None] * moved
-              + (np.eye(size) - moved))
-    upper = signs[:, None, None] * couple
+    eye = np.eye(size)
+    block = signs[:, None, None] * win[:size, :size] - (signs * shifts)[:, None, None] * eye
+    blocks = np.repeat(block[:, None], 5, axis=1)
+    upper = signs[:, None, None] * win[:size, size:]
+    # an end block holds the identity off its rows, whatever the sign, and
+    # its coupling's rows are masked to its own, until a level takes it;
+    # the blocks in its place are whole
+    keep = masks[:, :, None] & masks[:, None, :]
+    pad = eye * ~masks[:, :, None]
+    rows_of = np.ones((3, size), dtype=bool)
+    rows_of[:2] = masks
+    ends = True
     # a coupling is nonzero only on the last `half` rows of its upper block
     # and the first `half` columns of its lower one, so a slot has `half` rows
     span = size + 2 * half
-    wins = np.zeros((len(shifts), 3, span, span), dtype=base.dtype)
+    wins = np.zeros((len(shifts), 3, span, span), dtype=win.dtype)
     wins[..., np.arange(size, span), np.arange(size, span)] = _SLOT
-    slots = np.zeros((len(shifts), 8, size, size), dtype=base.dtype)
-    for mids, slot, copy, old, terms, inner in plan:
-        stack = wins[:, :len(mids)]
-        stack[:, :, :size, :size] = blocks[:, mids]
-        stack[:, :, size:, :size] = np.concatenate(
+    xs = np.zeros((len(shifts), 6, size, size), dtype=win.dtype)
+    length = count + 1
+    while length > 1:
+        factored, old, gains, inner = _LEVELS[0 if length % 2 else 1 if length == 2 else 2]
+        length = (length + 1) // 2
+        slots = np.concatenate(
             [upper[:, size - half:], upper[:, :, :half].conj().swapaxes(-1, -2)], axis=1)[:, None]
-        if slot is not None:
-            stack[:, slot[0], size:size + half, slot[1]:size] = 0.0
+        if ends:
+            blocks[:, :2] = np.where(keep, blocks[:, :2], pad)
+            slots = slots * rows_of[factored, None]
+            ends = factored[0] != 0  # until a level factors the end blocks
+        stack = wins[:, :len(factored)]
+        stack[:, :, :size, :size] = blocks[:, factored]
+        stack[:, :, size:, :size] = slots
         try:
             low = np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
@@ -751,22 +717,21 @@ def _reduce(base, moved, couple, half: int, plan, rows: int, shifts, signs):
             fine = fine.all(axis=1)
             ok[live[~fine]] = False
             live, low, upper, blocks = live[fine], low[fine], upper[fine], blocks[fine]
-            wins, slots = wins[fine], slots[fine]
+            wins, xs = wins[fine], xs[fine]
             if live.size == 0:
                 return ok, phi
-        z = slots[:, :2 * len(mids) + 2]
-        z[:, 2::2, size - half:] = low[:, :, size:size + half, :size]
-        z[:, 3::2, :half] = low[:, :, size + half:, :size]
-        if copy is not None:
-            z[:, 1] = z[:, copy[0]] * (np.arange(size) < copy[1])[:, None]
-        zh = z.conj().swapaxes(-1, -2)
-        blocks = blocks[:, old] - (z @ zh)[:, terms].sum(axis=2)
+        x = xs[:, :2 * len(factored)]
+        x[:, 0::2, size - half:] = low[:, :, size:size + half, :size]
+        x[:, 1::2, :half] = low[:, :, size + half:, :size]
+        xh = x.conj().swapaxes(-1, -2)
+        loss = (x @ xh).reshape(len(live), len(gains[0]), size * size)
+        blocks = blocks[:, old] - (gains @ loss).reshape(len(live), 5, size, size)
         if inner is not None:
-            upper = -(z[:, 2 * inner + 2] @ zh[:, 2 * inner + 3])
-    mats = np.zeros((len(live), 2 * size, 2 * size), dtype=base.dtype)
-    mats[:, :size, :size] = blocks[:, 1]
-    mats[:, size:, size:] = blocks[:, 2]
-    mats[:, size:, :size] = signs[live, None, None] * couple.conj().T
+            upper = -(x[:, 2 * inner] @ xh[:, 2 * inner + 1])
+    mats = np.zeros((len(live), 2 * size, 2 * size), dtype=win.dtype)
+    mats[:, :size, :size] = blocks[:, 3]
+    mats[:, size:, size:] = blocks[:, 4]
+    mats[:, size:, :size] = signs[live, None, None] * win[size:, :size]
     return _middle_window(mats[:, :rows, :rows], ok, phi, live)
 
 
@@ -784,12 +749,12 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     entries of A beyond ``buffer`` of the diagonal are dropped, which leaves
     G banded, and its outer diagonals are trimmed (``_gram_band``) to a
     half-bandwidth P of about 8.  Each sweep shifts both extreme
-    eigenvalues' brackets in one batched decision: odd-even cyclic
-    reduction of the block Toeplitz band (``_reduction``, ``_reduce``) for
-    a band from one period, a twisted Cholesky sweep (``_definite``) for
-    any other.  Both leave a middle window and factor the two outer parts
-    onto it.  The bracket ends are always a Cholesky success and a
-    Cholesky failure; the estimates and phi below only choose the shifts.
+    eigenvalues' brackets in one batched decision: cyclic reduction
+    (below) for a band from one period, a twisted Cholesky sweep
+    (``_definite``) for any other.  Both leave a middle window and factor
+    the two outer parts onto it.  The bracket ends are always a Cholesky
+    success and a Cholesky failure; the estimates and phi below only
+    choose the shifts.
     phi, the smallest eigenvalue of the middle window's Schur complement
     S(mu), is continuous and decreasing up to the first eigenvalue of the
     outer parts, with its first root at the extreme eigenvalue.  Three
@@ -805,13 +770,12 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
       below by Cauchy interlacing; near a band edge theta_k ~ lambda_inf +
       alpha k^2 / (L + 1)^2, so the two extreme ones extrapolate to the
       band's length, and the two shifts sit 1 % of the move either side.
-      A side whose symbol law is not positive takes the central block's
-      start instead.  Only a side without either starts from the
-      diagonal: lambda_min from the smallest diagonal entry, with
-      geometric steps down to the rounding radius, and lambda_max from the
-      largest diagonal entry and the Gershgorin bound.  That is any band
-      no longer than the block, or a non-periodic one whose extrapolation
-      leaves 0.
+      A side without its kind's start starts from the diagonal:
+      lambda_min from the smallest diagonal entry, with geometric steps
+      down to the rounding radius, and lambda_max from the largest
+      diagonal entry and the Gershgorin bound.  That is a periodic side
+      whose symbol law is not positive, any other band no longer than the
+      block, or one whose extrapolation leaves 0.
     * Slope bound.  Split G - mu I into the outer parts' block M_11 and the
       middle window's M_22; then S = M_22 - M_21 M_11^-1 M_12 has dS/dmu =
       -I - X^H X <= -I with X = M_11^-1 M_12, so phi' <= -1.  From a
@@ -837,6 +801,27 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
       changes the shifted matrix, or once lambda_min's lies below twice the
       rounding radius.
 
+    Cyclic reduction (``_chains``, ``_reduce``).  In blocks of S rows, the
+    smallest multiple of the period not below P, a band from one period is
+    block tridiagonal and Toeplitz: every block is D and every coupling U.
+    A middle window of two blocks, w = 2S rows (the whole band where n <=
+    2S), sits between two chains of ``count`` = ceil((n - 2S) / 2S) blocks
+    each.  The rows left over after the whole blocks are split between the
+    two far ends: each end block holds its rows and the identity elsewhere,
+    and its coupling is masked to its rows.  Both chains so have the same
+    length, counting their targets, the window's blocks, and odd-even
+    reduction takes them onto the window in lock step, each level keeping
+    the blocks of its target's parity, in ceil(log2(count + 1)) levels.
+    The Schur complement onto the kept blocks is again of that form, so
+    five state blocks hold every level: the two end blocks, one inner
+    block, which serves both chains, and the two targets.  A level is one
+    of three kinds (``_LEVELS``): an odd length eliminates the inner
+    blocks, a length of 2 the end blocks, and an even length of 4 or more
+    both; so it factors at most three windows, in one
+    ``np.linalg.cholesky`` call.  By Sylvester's criterion G - mu I is
+    definite exactly when every eliminated block and the middle window's
+    Schur complement are.
+
     Each sweep takes one shift a side, the first two on a modelled side.
     From the symbol, 4 sweeps bring a period-4 pattern at M = 128 to 512
     to width, 3 to 4 a constant shift of 0.1 to 0.5 at M = 512 and
@@ -853,9 +838,10 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     (``width`` or ``resolution``), ``below_resolution``: whether
     lambda_min's bracket stayed below twice the rounding radius, in which
     case sigma_min is its certified upper end, ``decided_by``
-    (``reduction`` or ``twisted``) and the reduction's ``levels`` (None
-    for the twisted sweep).  An eigenvalue bracket widens by the rounding
-    radius, the sum of three terms:
+    (``reduction`` or ``twisted``), the reduction's ``levels`` (None for
+    the twisted sweep) and the ``radius``, the three terms below.  An
+    eigenvalue bracket widens by the rounding radius, the sum of three
+    terms:
 
     * forming G: gamma_{2w+4} ||A||_1 ||A||_inf for rows of at most w kept
       entries;
@@ -891,11 +877,10 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
       either side (2S) and its new couplings (2S), an eliminated row in 3S
       entries: a level's row sums, hence 2-norm, are at most S
       gamma_{6S+8} g, the same at every copy of a reused window.  With the
-      middle window's w gamma_{w+1} g (w <= 2S rows) the term is (levels S
-      gamma_{6S+8} + w gamma_{w+1}) g, at most ceil(log2 N_b) levels: at
-      the critical shift 3.3, 4.2 and 6.0 times the twisted term at
-      M = 1,024, 4,096 and 65,536 (7, 9, 13 levels, S = 8); Demmel's
-      theorem again covers a failure.
+      middle window's w gamma_{w+1} g the term is (levels S gamma_{6S+8} +
+      w gamma_{w+1}) g: at the critical shift 3.3, 4.2 and 6.0 times the
+      twisted term at M = 1,024, 4,096 and 65,536 (7, 9, 13 levels,
+      S = 8); Demmel's theorem again covers a failure.
 
     A singular-value bracket then widens by the Frobenius norm of the
     entries of A dropped outside the band (Weyl).  A band from one period
@@ -909,27 +894,23 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     n = min(len(lam), len(cols))
     band = _one_period_band(c, lam, cols, buffer, *period) if period else None
     periodic = band is not None
-    estimate, spread = np.full(2, np.nan), np.full(2, np.nan)
     if not periodic:
         p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
         band = (*_gram_band(c, p, q, buffer),
                 _integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer)))
-    else:
-        estimate, spread = _symbol_law(band[0], n)
-    # the symbol's start, else the central block's, else the diagonal's
-    symbol = np.isfinite(spread)
-    if not symbol.all():
-        estimate, spread = np.where(symbol, (estimate, spread), _edge_model(band[0], n))
-    start = tuple("symbol" if s else "model" if np.isfinite(w) else "diagonal"
-                  for s, w in zip(symbol, spread))
     diags, width, norms, top, dropped, tail = band
+    estimate, spread = (_symbol_law if periodic else _edge_model)(diags, n)
+    modelled = np.isfinite(spread)
+    start = tuple(("symbol" if periodic else "model") if m else "diagonal" for m in modelled)
     half = len(diags) - 1
     if periodic:
-        reduction = _reduction(diags, n)
-        size, levels, rows = reduction[0].shape[-1], len(reduction[4]), reduction[5]
+        win, masks, count = _chains(diags, n)
+        # ceil(log2(count + 1)) levels
+        size, levels = len(win) // 2, count.bit_length()
+        rows = min(n, 2 * size)
 
         def decide(mus, signs):
-            return _reduce(*reduction, mus, signs)
+            return _reduce(win, masks, count, half, rows, mus, signs)
 
         factoring = levels * size * _gamma(6 * size + 8) + rows * _gamma(rows + 1)
     else:
@@ -943,7 +924,8 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
         levels = None
     # Gershgorin, raised so that mu I - G is strictly diagonally dominant
     top *= 1.0 + 1e-8
-    rounding = _gamma(2 * width + 4) * norms + dropped + factoring * top
+    radius = (_gamma(2 * width + 4) * norms, dropped, factoring * top)
+    rounding = radius[0] + radius[1] + radius[2]
     diag = diags[0]
     # below this width a shift no longer changes the shifted matrix
     resolution = 2.0 * _EPS * float(diag.max())
@@ -954,7 +936,6 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     phis = np.full((2, 2), np.nan)
     # side k factors sign[k] * (G - mu I); sign[k] points from its success end to its failure end
     sign = np.array([1.0, -1.0])
-    modelled = np.isfinite(spread)
     # a modelled side's first sweep puts one shift either side of its
     # estimate, the one toward its success end first
     queued = [[], []]
@@ -999,6 +980,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
         "model_estimate": tuple(float(x) if m else None for x, m in zip(estimate, modelled)),
         "stop": tuple(stop), "below_resolution": below,
         "decided_by": "reduction" if periodic else "twisted", "levels": levels,
+        "radius": tuple(float(r) for r in radius),
     }
 
 

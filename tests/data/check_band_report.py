@@ -2,7 +2,9 @@
 the given sizes, took the band solver, lie inside their certified brackets
 and took at most the given number of sweeps.  A leg of a periodic sequence
 trimmed on its rows keeps every row's whole band, so both its brackets
-must start from the symbol and cyclic reduction must decide its shifts.
+must start from the symbol and cyclic reduction must decide its shifts.  A
+grid whose slope is not 1 is not periodic, so the twisted sweep must
+decide its shifts.
 
     python tests/data/check_band_report.py <report.json> <max sweeps> <size> ...
 """
@@ -16,9 +18,12 @@ config, checks = report["config"], report["summary"]["checks"]
 assert checks, path
 # critical-half defaults to the shift 1/2; kadets-sweep's legs are all shifts
 sequence = config["sequence"] or {"kind": "periodic"}
-periodic = config["scenario"] == "kadets-sweep" or sequence["kind"] == "periodic"
 for check in checks:
     labels = {k: check[k] for k in ("delta", "alpha", "orientation") if k in check}
+    # density-demo labels each leg with its slope, and has no sequence
+    slope = check.get("alpha", sequence.get("alpha", 1.0))
+    periodic = slope == 1.0 and (config["scenario"] == "kadets-sweep"
+                                 or sequence["kind"] == "periodic")
     where = f"{labels} " if labels else ""
     entries = check["report"]["entries"]
     assert [e["size"] for e in entries] == [int(m) for m in sizes], entries
@@ -31,6 +36,8 @@ for check in checks:
         if periodic and by_rows:
             assert e["start"] == ["symbol", "symbol"], e
             assert e["decided_by"] == "reduction" and e["levels"] > 0, e
+        if slope != 1.0:
+            assert e["decided_by"] == "twisted" and e["levels"] is None, e
         print(f"{where}M = {e['size']}: {e['sweeps']} sweeps (guard {guard}), "
               f"start {e['start']}, stop {e['stop']}, half-bandwidth {e['half_bandwidth']}, "
               f"{e['decided_by']} ({e['levels']} levels), sigma_min {e['sigma_min']:.12g}")

@@ -356,7 +356,7 @@ class TestBandSolver:
             assert row["sigma_min_bracket"] == list(e.sigma_min_bracket)
             assert row["sigma_max_bracket"] == list(e.sigma_max_bracket)
             band_keys = ("sweeps", "half_bandwidth", "start", "model_estimate", "stop",
-                         "below_resolution", "decided_by", "levels")
+                         "below_resolution", "decided_by", "levels", "radius")
             if e.solver == "band":
                 # a periodic section of 0.3 shifted nodes is decided by reduction
                 assert row["decided_by"] == e.decided_by == "reduction"
@@ -370,6 +370,9 @@ class TestBandSolver:
                 assert [x is None for x in e.model_estimate] == [s == "diagonal" for s in e.start]
                 assert row["stop"] == list(e.stop) and set(e.stop) <= {"width", "resolution"}
                 assert row["below_resolution"] is e.below_resolution is False
+                # the rounding radius's formation, trim and factoring terms
+                assert row["radius"] == list(e.radius) and len(e.radius) == 3
+                assert min(e.radius) >= 0.0 and e.radius[0] > 0.0 and e.radius[2] > 0.0
             else:
                 assert not set(band_keys) & set(row)
 
@@ -908,6 +911,18 @@ def _expanded(diags, n):
     return [g[np.arange(n - d) % len(diags[0])] for d, g in enumerate(diags)]
 
 
+def _block_size(diags):
+    """The reduction's block size S, from the 2S-row block of ``_chains``."""
+    return len(gauss_space._chains(diags, 1)[0]) // 2
+
+
+def _reduced(diags, n, shifts, signs):
+    """``_reduce``'s decisions and phi on the band of n rows that repeats
+    ``diags``, with the middle window of 2S rows, or of n where n < 2S."""
+    win, masks, count = gauss_space._chains(diags, n)
+    return gauss_space._reduce(win, masks, count, len(diags) - 1, min(n, len(win)), shifts, signs)
+
+
 class TestCyclicReduction:
     """The cyclic reduction that decides a band built from one period."""
 
@@ -915,26 +930,29 @@ class TestCyclicReduction:
     @pytest.mark.parametrize("b", [0.0, 2.0])
     @pytest.mark.parametrize("orientation", ["interior_rows", "interior_cols"])
     def test_decisions_equal_dense_eigenvalues_and_the_twisted_sweep(self, seed, b, orientation):
-        # 1 to 5 and 2^k +- 1 blocks, the last one whole, of one row, or
-        # one row short; shifts 1e-3 ... 1e-9 either side of each extreme
-        # eigenvalue
+        # every n from 1 to 4S + 1 (the middle window alone, then chains
+        # with two cut end blocks, one empty and two whole ones) and 5 to 33
+        # blocks, the last whole, of one row or one row short, whose levels
+        # take all three kinds; shifts 1e-3 ... 1e-9 either side of each
+        # extreme eigenvalue
         diags = _periodic_band(seed, b, orientation)
         nb = len(diags) - 1
-        size = gauss_space._reduction(diags, 1)[0].shape[-1]
+        size = _block_size(diags)
         assert size % len(diags[0]) == 0 and size >= nb
         rel = 10.0 ** -np.arange(3.0, 10.0)
         rel = np.concatenate([rel, -rel])
         signs = np.repeat([1.0, -1.0], len(rel))
-        for blocks in (1, 2, 3, 4, 5, 7, 9, 15, 17, 31, 33):
-            for last in (size, 1, size - 1):
-                n = (blocks - 1) * size + last
-                eig = np.linalg.eigvalsh(_dense_gram(_expanded(diags, n)))[[0, -1]]
-                shifts = (eig[:, None] * (1.0 + rel)).ravel()
-                ok, phi = gauss_space._reduce(*gauss_space._reduction(diags, n), shifts, signs)
-                assert np.array_equal(ok, np.where(signs > 0, shifts < eig[0], shifts > eig[1]))
-                twisted, _ = gauss_space._definite(*gauss_space._cholesky_windows(diags, nb, n),
-                                                   nb, shifts, signs)
-                assert np.array_equal(ok, twisted)
+        sizes = set(range(1, 4 * size + 2)) | {(blocks - 1) * size + last
+                                                for blocks in (5, 7, 9, 15, 17, 31, 33)
+                                                for last in (size, 1, size - 1)}
+        for n in sorted(sizes):
+            eig = np.linalg.eigvalsh(_dense_gram(_expanded(diags, n)))[[0, -1]]
+            shifts = (eig[:, None] * (1.0 + rel)).ravel()
+            ok, phi = _reduced(diags, n, shifts, signs)
+            assert np.array_equal(ok, np.where(signs > 0, shifts < eig[0], shifts > eig[1]))
+            twisted, _ = gauss_space._definite(*gauss_space._cholesky_windows(diags, nb, n),
+                                               nb, shifts, signs)
+            assert np.array_equal(ok, twisted)
 
     @pytest.mark.parametrize("b", [0.0, 2.0])
     def test_phi_is_negative_where_the_middle_window_fails(self, b):
@@ -942,14 +960,12 @@ class TestCyclicReduction:
         # the middle window then fails, and its slope between two shifts is
         # at most -1 toward the failure end
         diags = _periodic_band(4, b, "interior_rows")
-        size = gauss_space._reduction(diags, 1)[0].shape[-1]
-        n = 40 * size + 3
-        reduction = gauss_space._reduction(diags, n)
+        n = 40 * _block_size(diags) + 3
         eig = np.linalg.eigvalsh(_dense_gram(_expanded(diags, n)))[[0, -1]]
         rel = 10.0 ** np.linspace(-8.0, -2.0, 13)
         for side, sign in ((0, 1.0), (1, -1.0)):
             shifts = eig[side] * (1.0 + np.concatenate([-rel[::-1], rel]))
-            ok, phi = gauss_space._reduce(*reduction, shifts, np.full(len(shifts), sign))
+            ok, phi = _reduced(diags, n, shifts, np.full(len(shifts), sign))
             known = np.isfinite(phi)
             assert known.sum() > len(rel) and not ok[~known].any()
             assert np.array_equal(phi[known] < 0.0, ~ok[known]) and (~ok[known]).any()
@@ -959,44 +975,92 @@ class TestCyclicReduction:
     @pytest.mark.parametrize("b", [0.0, 2.0])
     def test_blocks_are_blocks_of_the_dense_band(self, b):
         diags = _periodic_band(5, b, "interior_rows")
-        n = 9 * len(diags[0]) * 4 + 5
-        base, moved, couple, half, plan, rows = gauss_space._reduction(diags, n)
-        size = base.shape[-1]
-        cut = n - (-(-n // size) - 1) * size
-        gram = _dense_gram(_expanded(diags, 2 * size))
+        half, size = len(diags) - 1, _block_size(diags)
 
         def same_bits(x, y):
             return x.shape == y.shape and x.tobytes() == y.tobytes()
 
-        assert same_bits(base[4], gram[:size, :size]) and same_bits(couple, gram[:size, size:])
+        # two cut end blocks, one empty, two whole, two cut again; then the
+        # middle window alone
+        for n in (36 * size + 5, 4 * size + 1, 4 * size, 3 * size + 3, 2 * size, 1):
+            win, masks, count = gauss_space._chains(diags, n)
+            gram = _dense_gram(_expanded(diags, n))
+            top, bottom = (int(k) for k in masks.sum(axis=1))
+            if count == 0:
+                assert n <= 2 * size and same_bits(win[:n, :n], gram)
+                continue
+            assert top + bottom + 2 * count * size == n and abs(top - bottom) <= 1
+            assert np.array_equal(masks[0], np.arange(size) >= size - top)
+            assert np.array_equal(masks[1], np.arange(size) < bottom)
+            block, couple = win[:size, :size], win[:size, size:]
+            # each chain: its end block, count - 1 whole blocks and its
+            # target, one of the middle window's two blocks
+            starts = top + size * np.arange(2 * count)
+            for r in starts:
+                assert same_bits(block, gram[r:r + size, r:r + size])
+            for r in starts[:-1]:
+                assert same_bits(couple, gram[r:r + size, r + size:r + 2 * size])
+            # an end block is the block cut to its rows, its coupling too
+            assert same_bits(block[size - top:, size - top:], gram[:top, :top])
+            assert same_bits(couple[size - top:], gram[:top, top:top + size])
+            assert same_bits(block[:bottom, :bottom], gram[n - bottom:, n - bottom:])
+            assert same_bits(couple[:, :bottom], gram[n - bottom - size:n - bottom, n - bottom:])
         # a coupling reaches only the last half rows and the first half columns
-        assert half == len(diags) - 1
         assert not couple[:size - half].any() and not couple[:, half:].any()
-        # the last block is cut to its first rows; the shift moves only those
-        assert same_bits(base[3][:cut, :cut], gram[:cut, :cut])
-        assert not base[3][cut:].any() and not base[3][:, cut:].any()
-        assert np.array_equal(np.diagonal(moved[3]), np.arange(size) < cut)
-        # the middle window: two blocks, the second the cut one only when last
-        assert rows == 2 * size
 
     def test_one_cholesky_batch_a_level(self):
-        # both outer parts share their inner blocks, so a level factors at
-        # most three windows, in one call, and then the middle window
+        # both chains share their inner block, so a level factors at most
+        # three windows, in one call, and then the middle window; this band
+        # takes a level of each kind: 1, 2 and 3 windows
         diags = _periodic_band(2, 0.0, "interior_rows")
-        size = gauss_space._reduction(diags, 1)[0].shape[-1]
+        size = _block_size(diags)
         n = 125 * size + 1
-        reduction = gauss_space._reduction(diags, n)
-        plan = reduction[4]
-        assert 0 < len(plan) <= int(np.ceil(np.log2(126)))
+        count = gauss_space._chains(diags, n)[2]
+        levels = int(np.ceil(np.log2(count + 1)))
+        assert 0 < levels <= int(np.ceil(np.log2(126)))
         top = float(np.abs(_dense_gram(_expanded(diags, 3 * size))).sum(axis=1).max())
         cholesky = mock.Mock(wraps=np.linalg.cholesky)
         with mock.patch.object(np.linalg, "cholesky", cholesky):
-            ok, phi = gauss_space._reduce(*reduction, np.array([0.0, 2.0 * top]),
-                                          np.array([1.0, -1.0]))
+            ok, phi = _reduced(diags, n, np.array([0.0, 2.0 * top]), np.array([1.0, -1.0]))
         assert ok.all() and np.all(phi > 0.0)
         shapes = [call.args[0].shape for call in cholesky.call_args_list]
-        assert len(shapes) == len(plan) + 1
-        assert all(shape[1] <= 3 for shape in shapes[:-1])
+        assert len(shapes) == levels + 1
+        assert {shape[1] for shape in shapes[:-1]} == {1, 2, 3}
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_rounding_radius_terms(self, periodic):
+        # the factoring term recomputed from its inputs: for the reduction
+        # its levels, block size S and middle window of 2S rows, for the
+        # twisted sweep its window sizes.  sigma_min is small, so its
+        # bracket is wider by the term than the bisection alone makes it
+        m = 300
+        seq = (PeriodicPerturbation((0.5,)) if periodic
+               else ExplicitWindow(tuple(np.arange(-m, m + 1) + 0.5), -m))
+        _, lam, cols, buffer = _section(A1, seq, m, 1.0, 3.0, "interior_rows")
+        period = ((0.5,), _first_index(seq, m, lam)) if periodic else None
+        values, lo, hi, diagnostics = gauss_space._extreme_singular_values(A1, lam, cols, buffer,
+                                                                           period)
+        n, gamma = len(lam), gauss_space._gamma
+        if periodic:
+            diags, width, norms, top, dropped, _ = gauss_space._one_period_band(
+                A1, lam, cols, buffer, *period)
+            size = _block_size(diags)
+            assert diagnostics["decided_by"] == "reduction" and 2 * size < n
+            factoring = (diagnostics["levels"] * size * gamma(6 * size + 8)
+                         + 2 * size * gamma(2 * size + 1))
+        else:
+            diags, width, norms, top, dropped = gauss_space._gram_band(A1, lam, cols, buffer)
+            nb = len(diags) - 1
+            pairs, mid = gauss_space._cholesky_windows(diags, nb, n)
+            assert diagnostics["decided_by"] == "twisted" and len(pairs) > 0
+            factoring = (2 * nb + 1) * gamma(pairs.shape[-1] + len(mid) + nb + 2)
+        top *= 1.0 + 1e-8
+        terms = (gamma(2 * width + 4) * norms, dropped, factoring * top)
+        assert diagnostics["radius"] == pytest.approx(terms, rel=1e-12, abs=0.0)
+        radius = sum(terms)
+        assert not diagnostics["below_resolution"]
+        assert hi[0] >= np.sqrt(values[0] ** 2 + radius)
+        assert lo[0] <= np.sqrt(values[0] ** 2 - radius)
 
     def test_near_critical_section_at_m_1024(self):
         # delta = 0.49: sigma_min is 2.6e-2, not 0, so the bisection closes
@@ -1058,8 +1122,8 @@ class TestShiftSteering:
     @pytest.mark.parametrize("b", [0.0, 2.0])
     @pytest.mark.parametrize("scale", [0.7, 1.3, None])
     def test_estimates_only_steer(self, monkeypatch, scale, b):
-        # scale None: neither the symbol nor the central block gives a
-        # start, so both sides start from the diagonal
+        # scale None: the symbol gives no start, so both sides start from
+        # the diagonal; a periodic band has no other start
         c, seq = GaussianParam(1.0, b), PeriodicPerturbation(PATTERN)
         sub, lam, cols, buffer = _section(c, seq, 150, 1.0, 3.0, "interior_rows")
         s = np.linalg.svd(sub, compute_uv=False)[[-1, 0]]
@@ -1070,8 +1134,6 @@ class TestShiftSteering:
         if scale is None:
             monkeypatch.setattr(gauss_space, "_symbol_law",
                                 lambda diags, n: (law(diags, n)[0], np.full(2, np.nan)))
-            monkeypatch.setattr(gauss_space, "_edge_model",
-                                lambda diags, n: (np.ones(2), np.full(2, np.nan)))
         else:
             monkeypatch.setattr(gauss_space, "_symbol_law",
                                 lambda diags, n: (scale * law(diags, n)[0], law(diags, n)[1]))
