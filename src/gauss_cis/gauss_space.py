@@ -790,7 +790,9 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
       half width closes the bracket, and where rounding lets it succeed,
       the success end still moves.  Without the half width, regula falsi
       lands on a success end whose phi is rounding and the end crawls by
-      bisection.  Otherwise the shift is phi's regula falsi point once phi
+      bisection; a phi_s that reads <= 0 is rounding too, so that end
+      steps the half width (just under the resolution where it does not
+      count).  Otherwise the shift is phi's regula falsi point once phi
       is known at both ends (Illinois variant: the phi of an end kept twice
       in a row is halved, once the other end's is known, so that the slope
       bound sees the true phi_s), moved out to just under the resolution
@@ -1171,12 +1173,15 @@ def _next_shift(ends, phis, floor: float, resolution: float, side: int) -> float
     half the stopping width 1e-10 * hi, is the longer step; the step is the
     longer of the slope bound phi_s (1 + ``_SLOPE_MARGIN``) and that half
     width, which counts only where it is at least ``resolution``.  A
-    closing step fails, which closes the bracket, unless rounding lets it
-    succeed.  Else the regula falsi point of phi when phi has opposite
-    signs at the ends and the point falls strictly inside; where that half
-    width does not count, so that the bracket can only stop on
-    ``resolution``, a point nearer an end than ``resolution`` moves to
-    (1 - ``_SLOPE_MARGIN``) ``resolution`` from that end.  A shift that
+    success end whose phi_s reads <= 0 has the root within rounding of it,
+    so its step is that half width, or (1 - ``_SLOPE_MARGIN``)
+    ``resolution`` where the half width does not count.  A closing step
+    fails, which closes the bracket, unless rounding lets it succeed.  Else
+    the regula falsi point of phi when phi has opposite signs at the ends
+    and the point falls strictly inside; where that half width does not
+    count, so that the bracket can only stop on ``resolution``, a point
+    nearer an end than ``resolution`` moves to (1 - ``_SLOPE_MARGIN``)
+    ``resolution`` from that end.  A shift that
     near leaves the shifted matrix about unchanged, so its decision is
     that end's and the bracket crawls (3 to 7 sweeps at the critical
     shift at M = 4,096); the moved shift closes the bracket when it
@@ -1187,10 +1192,16 @@ def _next_shift(ends, phis, floor: float, resolution: float, side: int) -> float
     slope = phis[side] * (1.0 + _SLOPE_MARGIN)
     close = 0.5 * _BRACKET_RTOL * hi
     close = close if close >= resolution else 0.0
-    if phis[side] > 0.0 and (np.isnan(phis[1 - side]) or close > slope):
-        mu = ends[side] + (1.0 - 2.0 * side) * max(slope, close)
-        if lo < mu < hi:
-            return mu
+    if phis[side] <= 0.0:
+        # phi_s <= 0 is rounding: the root lies within it of the success end
+        step = close or (1.0 - _SLOPE_MARGIN) * resolution
+    elif phis[side] > 0.0 and (np.isnan(phis[1 - side]) or close > slope):
+        step = max(slope, close)
+    else:
+        step = 0.0
+    mu = ends[side] + (1.0 - 2.0 * side) * step
+    if step and lo < mu < hi:
+        return mu
     if phi_lo * phi_hi < 0.0:
         mu = lo - phi_lo * (hi - lo) / (phi_hi - phi_lo)
         if lo < mu < hi:

@@ -347,8 +347,12 @@ class DensityEstimate:
     ``method`` is ``"exact_formula"`` for affine and periodic models and
     ``"window_sweep"`` for explicit data, in which case ``sweep`` holds one
     ``(r, d_plus, d_minus)`` row per radius and the reported values are
-    those of the largest radius.  ``monotone`` flags the expected trend
-    (d_plus non-increasing, d_minus non-decreasing) across the sweep.
+    those of the largest radius.  A row's d_plus is the most nodes in any
+    closed window [t, t + r] over r, its d_minus the fewest over windows
+    inside the data span; node x lies in the window from node y when
+    x <= fl(y + r), the one rounding, so the rows are exact counts.
+    ``monotone`` flags the expected trend (d_plus non-increasing, d_minus
+    non-decreasing) across the sweep.
     """
 
     d_plus: float
@@ -364,26 +368,24 @@ class DensityEstimate:
 
 
 def _sweep_counts(nodes: np.ndarray, r: float):
-    """(max, min) number of nodes in a closed sliding window of length r.
+    """(max, min) number of nodes in a closed window [t, t + r].
 
-    The max is over all window placements, the min over windows contained
-    in the data span.  Counts change only when an endpoint crosses a node,
-    so candidate placements just after each crossing are exact; the nudge
-    is far below the smallest gap.
+    The max is over all placements t, the min over placements inside the
+    data span, x_0 <= t <= x_{n-1} - r.  Node k lies within r of node i
+    when x_k <= fl(x_i + r): that one rounding is the only one, so every
+    count is exact wherever x_i + r is.  With hi_i the number of nodes up
+    to fl(x_i + r), the window starting at node i holds hi_i - i nodes,
+    which gives the max.  Slide a window left until its left end is just
+    past the nearest node x_j < t: no node joins at the left end and nodes
+    only leave at the right, so the count does not rise.  The min is hence
+    over the windows just past a node, hi_j - j - 1 nodes, that stay
+    inside the span (hi_j < n); the window starting at x_0 holds one node
+    more than the one just past it, or all n where r is the whole span.
     """
-    eps = float(np.min(np.diff(nodes))) * 1e-6
-    left_for_max = nodes  # a maximal window can be anchored at a node
-    hi_idx = np.searchsorted(nodes, left_for_max + r, side="right")
-    lo_idx = np.searchsorted(nodes, left_for_max, side="left")
-    c_max = int(np.max(hi_idx - lo_idx))
-
-    lo_lim, hi_lim = nodes[0], nodes[-1] - r
-    cands = np.concatenate([nodes + eps, nodes - r - eps, [lo_lim, hi_lim]])
-    cands = cands[(cands >= lo_lim) & (cands <= hi_lim)]
-    hi_idx = np.searchsorted(nodes, cands + r, side="right")
-    lo_idx = np.searchsorted(nodes, cands, side="left")
-    c_min = int(np.min(hi_idx - lo_idx))
-    return c_max, c_min
+    n = len(nodes)
+    hi = np.searchsorted(nodes, nodes + r, side="right")
+    counts = hi - np.arange(n)
+    return int(counts.max()), int((counts - 1)[hi < n].min(initial=n))
 
 
 def beurling_densities(seq: NodeSequence, r_values) -> DensityEstimate:
@@ -391,8 +393,12 @@ def beurling_densities(seq: NodeSequence, r_values) -> DensityEstimate:
 
     Affine grids have exact density 1/alpha and bounded periodic
     perturbations of the integers have density 1.  For explicit windows the
-    sliding-count sweep is run at each radius in ``r_values`` (each at most
-    half the data span), and the largest radius is reported.
+    sliding-count sweep is run at each radius in ``r_values`` (each finite,
+    positive and at most half the data span), and the largest radius is
+    reported.  The sweep counts nodes in closed windows [t, t + r], the
+    min over placements inside the data span, with one rounding,
+    fl(x_i + r): a window and a translate of it get the same densities
+    wherever every x_i + r is exact in both.
     """
     if isinstance(seq, AffineGrid):
         d = 1.0 / seq.alpha
@@ -405,8 +411,8 @@ def beurling_densities(seq: NodeSequence, r_values) -> DensityEstimate:
         raise WindowTooSmallError("density sweep needs at least two nodes")
     span = nodes[-1] - nodes[0]
     rs = sorted(float(r) for r in r_values)
-    if not rs or rs[0] <= 0.0:
-        raise BadParameterError("radii must be positive")
+    if not rs or not np.all(np.isfinite(rs)) or rs[0] <= 0.0:
+        raise BadParameterError(f"radii must be finite and positive, got {rs}")
     if rs[-1] > span / 2.0:
         raise WindowTooSmallError(
             f"largest radius {rs[-1]} exceeds half the data span {span / 2.0}"

@@ -1,10 +1,12 @@
 """Check a frame-bound report.json from the CLI: every leg's entries are at
 the given sizes, took the band solver, lie inside their certified brackets
 and took at most the given number of sweeps.  A leg of a periodic sequence
-trimmed on its rows keeps every row's whole band, so both its brackets
-must start from the symbol and cyclic reduction must decide its shifts.  A
-grid whose slope is not 1 is not periodic, so the twisted sweep must
-decide its shifts.
+trimmed on its rows keeps every row's whole band, and so does one trimmed
+on its columns to a fraction of the span below 1, which leaves
+(1 - fraction) M rows beyond every kept column; both brackets of such a
+leg must start from the symbol and cyclic reduction must decide its
+shifts.  A grid whose slope is not 1 is not periodic, so the twisted sweep
+must decide its shifts.
 
     python tests/data/check_band_report.py <report.json> <max sweeps> <size> ...
 """
@@ -27,13 +29,14 @@ for check in checks:
     where = f"{labels} " if labels else ""
     entries = check["report"]["entries"]
     assert [e["size"] for e in entries] == [int(m) for m in sizes], entries
-    by_rows = check["report"]["orientation"] == "interior_rows"
+    trim = check["report"]
+    whole_band = trim["orientation"] == "interior_rows" or trim["interior_fraction"] < 1.0
     for e in entries:
         assert e["solver"] == "band", e
         assert e["sigma_min_bracket"][0] <= e["sigma_min"] <= e["sigma_min_bracket"][1], e
         assert e["sigma_max_bracket"][0] <= e["sigma_max"] <= e["sigma_max_bracket"][1], e
         assert 0 < e["sweeps"] <= int(guard), e
-        if periodic and by_rows:
+        if periodic and whole_band:
             assert e["start"] == ["symbol", "symbol"], e
             assert e["decided_by"] == "reduction" and e["levels"] > 0, e
         if slope != 1.0:

@@ -1190,11 +1190,18 @@ class TestShiftSteering:
         # shift first; on brackets still running (wider than 1e-10 hi) the
         # one rule takes the same shift, bit for bit.  Both move a regula
         # falsi point within the resolution of an end where the closing
-        # half width does not count
+        # half width does not count, and both step that half width (else
+        # just under the resolution) from a success end whose phi is <= 0
         def two_rules(ends, phis, floor, resolution, side):
             lo, hi = ends
             phi_lo, phi_hi = phis
             close = 0.5 * gauss_space._BRACKET_RTOL * hi
+            if phis[side] <= 0.0:
+                step = (close if close >= resolution
+                        else (1.0 - gauss_space._SLOPE_MARGIN) * resolution)
+                mu = ends[side] + (1.0 - 2.0 * side) * step
+                if lo < mu < hi:
+                    return mu
             if close >= resolution and 0.0 < phis[side] * (1.0 + gauss_space._SLOPE_MARGIN) < close:
                 mu = ends[side] + (1.0 - 2.0 * side) * close
                 if lo < mu < hi:
@@ -1230,6 +1237,30 @@ class TestShiftSteering:
             close = 0.5 * gauss_space._BRACKET_RTOL * hi
             closing += args[3] <= close and 0.0 < phis[side] < close
         assert closing > 100
+
+    @pytest.mark.parametrize("seed, sweeps", [
+        # sweeps before the rule, which bisected from such an end
+        (25, 6), (29, 7), (42, 7), (67, 7), (90, 6), (111, 9),
+    ])
+    def test_success_end_with_phi_at_most_zero_closes(self, seed, sweeps):
+        # phi at a success end reads <= 0 by rounding: the root is within
+        # rounding of that end, so the closing half width is the next step
+        c = GaussianParam(1.0, 2.0)
+        seq = PeriodicPerturbation(tuple(np.random.default_rng(seed).uniform(-0.45, 0.45, 6)))
+        next_shift, rounded = gauss_space._next_shift, []
+
+        def recording(ends, phis, floor, resolution, side):
+            rounded.append(phis[side] <= 0.0)
+            return next_shift(ends, phis, floor, resolution, side)
+
+        with mock.patch.object(gauss_space, "_next_shift", recording):
+            e, = frame_bounds(c, seq, (128,), orientation="interior_cols").entries
+        assert any(rounded)
+        assert e.solver == "band" and e.stop == ("width", "width")
+        assert e.sweeps <= (7 if seed == 111 else sweeps)
+        s = np.linalg.svd(_section(c, seq, 128, 2.0 / 3.0, 0.0, "interior_cols")[0],
+                          compute_uv=False)
+        assert _inside(s[-1], e.sigma_min_bracket) and _inside(s[0], e.sigma_max_bracket)
 
     def test_below_resolution_reports_the_upper_end(self):
         # oversampled rows: lambda_min is about 1e-32, far below the radius

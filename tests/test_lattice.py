@@ -23,7 +23,7 @@ from gauss_cis.lattice import (
     check_separation,
     window_average_sup,
 )
-from gauss_cis.lattice import _best_offset
+from gauss_cis.lattice import _best_offset, _sweep_counts
 
 
 class TestGaussianParam:
@@ -185,6 +185,66 @@ class TestBeurlingDensities:
     def test_radius_too_large(self):
         with pytest.raises(WindowTooSmallError):
             beurling_densities(ExplicitWindow(tuple(range(10))), [6.0])
+
+    @pytest.mark.parametrize("radii", [[np.nan], [np.inf], [-np.inf], [10.0, np.nan], []])
+    def test_radii_must_be_finite_and_positive(self, radii):
+        with pytest.raises(BadParameterError):
+            beurling_densities(ExplicitWindow(tuple(range(100))), radii)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_translation_by_2_to_the_40(self, seed):
+        # nodes on multiples of 1/64 and their translates by 2^40 are both
+        # exact doubles, so both windows hold the same counts; a nudge of a
+        # small fraction of the gap falls below the spacing of doubles there
+        offsets = np.random.default_rng(seed).integers(-16, 17, 401) / 64.0
+        nodes = np.arange(-200, 201) + offsets
+        here = beurling_densities(ExplicitWindow(nodes, -200), [25.0])
+        far = beurling_densities(ExplicitWindow(nodes + 2.0**40, -200), [25.0])
+        assert here.sweep == far.sweep == ((25.0, 26 / 25, 24 / 25),)
+
+
+def _oracle_counts(x, r):
+    """(max, min) of #{t <= x <= t + r} at every event t (a node, a node
+    less r, hence both ends of the span) and midway between consecutive
+    events; the min over t inside [x_0, x_{n-1} - r]."""
+    events = np.unique(np.concatenate([x, x - r]))
+    ts = np.concatenate([events, 0.5 * (events[:-1] + events[1:])])
+    counts = np.count_nonzero((x >= ts[:, None]) & (x <= ts[:, None] + r), axis=1)
+    inside = (ts >= x[0]) & (ts <= x[-1] - r)
+    return int(counts.max()), int(counts[inside].min())
+
+
+def _dyadic_window(gaps, q, shift, steps):
+    """Nodes ``shift`` + cumulative ``gaps`` / 2^q and a radius of ``steps``
+    / 2^q, at most the span, or half the span where ``steps`` is None.
+    Every node, node less r and midpoint is then a double on the 2^-(q+2)
+    grid below 2^41, so the oracle's sums are exact and so is fl(x_i + r)."""
+    x = shift + np.concatenate([[0], np.cumsum(gaps)]) / 2.0**q
+    span = x[-1] - x[0]
+    return x, span / 2.0 if steps is None else min(steps / 2.0**q, span)
+
+
+class TestSweepCounts:
+    @given(
+        gaps=st.lists(st.integers(1, 200), min_size=1, max_size=40),
+        # 2^-q grids; q = 0 and 2 give exact ties x_k = x_i + r
+        q=st.sampled_from([0, 2, 6]),
+        shift=st.sampled_from([0.0, 2.0**40, -(2.0**40), 3.0]),
+        steps=st.none() | st.integers(1, 8000),
+    )
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matches_the_oracle(self, gaps, q, shift, steps):
+        x, r = _dyadic_window(gaps, q, shift, steps)
+        assert _sweep_counts(x, r) == _oracle_counts(x, r)
+
+    def test_matches_the_oracle_on_seeded_windows(self):
+        rng = np.random.default_rng(2026)
+        for case in range(5000):
+            gaps = rng.integers(1, rng.choice([3, 201]), rng.integers(1, 41))
+            shift = (0.0, 2.0**40, -(2.0**40), 3.0)[case % 4]
+            steps = None if case % 5 == 0 else int(rng.integers(1, 8001))
+            x, r = _dyadic_window(gaps, rng.choice([0, 2, 6]), shift, steps)
+            assert _sweep_counts(x, r) == _oracle_counts(x, r), (x, r)
 
 
 class TestAvdoninVerdict:
