@@ -19,6 +19,7 @@ starts from its central block and is decided by a twisted sweep.
 ``_extreme_singular_values`` describes the solver and its certificate.
 """
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -570,20 +571,30 @@ def _cholesky_windows(diags, nb: int, n: int):
     return pairs, _band_windows(diags, [count * step], n - 2 * count * step)[0]
 
 
-def _factor_each(mats):
-    """Cholesky factors of a stack of matrices, one matrix at a time, and
-    which of them exist; a matrix without one gets zeros.  The fallback for
-    a batch that ``np.linalg.cholesky`` rejects as a whole."""
+def _factor(mats, ok, live):
+    """The one Cholesky step of both deciding routines.  ``mats`` is a
+    stack whose first axis runs over the live shifts, ``live`` their
+    indices into ``ok``.  Returns the factors of the shifts that factor
+    every matrix of theirs and which shifts those are, as an index into
+    the live ones: ``slice(None)`` where the batch factors, so that callers
+    index views and copy nothing.  Only a batch that ``np.linalg.cholesky``
+    rejects is factored matrix by matrix; a shift with a failing matrix is
+    marked not definite in ``ok`` and leaves."""
+    try:
+        return np.linalg.cholesky(mats), slice(None)
+    except np.linalg.LinAlgError:
+        pass
     flat = mats.reshape(-1, *mats.shape[-2:])
     low = np.zeros_like(flat)
     fine = np.zeros(len(flat), dtype=bool)
     for i, x in enumerate(flat):
         try:
-            low[i] = np.linalg.cholesky(x)
+            low[i], fine[i] = np.linalg.cholesky(x), True
         except np.linalg.LinAlgError:
-            continue
-        fine[i] = True
-    return low.reshape(mats.shape), fine.reshape(mats.shape[:-2])
+            pass
+    fine = fine.reshape(len(mats), -1).all(axis=1)
+    ok[live[~fine]] = False
+    return low.reshape(mats.shape)[fine], fine
 
 
 def _definite(pairs, mid, nb: int, shifts, signs):
@@ -596,9 +607,8 @@ def _definite(pairs, mid, nb: int, shifts, signs):
     with both carried blocks in place.  The rows before and after the
     middle window are more than a bandwidth apart, so the matrix is
     definite exactly when both outer parts and the middle Schur complement
-    are.  Each step is one ``np.linalg.cholesky`` call on the batch; only a
-    batch it rejects is factored matrix by matrix, to find the pairs whose
-    outer part broke down.  Those leave the batch, with phi left nan.
+    are.  Each step factors its batch in one ``_factor`` call; a shift
+    whose outer part broke down leaves the batch, with phi left nan.
     """
     ok = np.ones(len(shifts), dtype=bool)
     phi = np.full(len(shifts), np.nan)
@@ -610,15 +620,10 @@ def _definite(pairs, mid, nb: int, shifts, signs):
         mats = scale * win - offset
         if carry is not None:
             mats[..., :nb, :nb] = carry
-        try:
-            low = np.linalg.cholesky(mats)
-        except np.linalg.LinAlgError:
-            low, fine = _factor_each(mats)
-            fine = fine.all(axis=1)
-            ok[live[~fine]] = False
-            live, low, scale, offset = live[fine], low[fine], scale[fine], offset[fine]
-            if live.size == 0:
-                return ok, phi
+        low, fine = _factor(mats, ok, live)
+        live, scale, offset = live[fine], scale[fine], offset[fine]
+        if live.size == 0:
+            return ok, phi
         last = low[..., -nb:, -nb:]
         carry = last @ last.conj().swapaxes(-1, -2)
     mats = scale[:, 0] * mid - (signs * shifts)[live, None, None] * np.eye(len(mid))
@@ -630,12 +635,9 @@ def _definite(pairs, mid, nb: int, shifts, signs):
 
 def _middle_window(mats, ok, phi, live):
     """``(ok, phi)`` with the live shifts' entries set from their middle
-    windows ``mats``: whether each has a Cholesky factor, and its smallest
-    eigenvalue."""
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        ok[live] = _factor_each(mats)[1]
+    windows ``mats``: whether each has a Cholesky factor (``_factor``),
+    and its smallest eigenvalue."""
+    _factor(mats, ok, live)
     phi[live] = np.linalg.eigvalsh(mats)[:, 0]
     return ok, phi
 
@@ -665,15 +667,14 @@ def _reduce(win, masks, count: int, half: int, rows: int, shifts, signs):
     first ``rows`` rows, by cyclic reduction of the chains of ``_chains``
     (``_extreme_singular_values``).
 
-    A level is one ``np.linalg.cholesky`` call on the windows of its
+    A level is one ``_factor`` call on the windows of its
     eliminated state blocks: the block above two slots, each a coupling to
     a neighbour with ``_SLOT`` I as its own block, so the window factors
     exactly when the block is definite, and the factor's rows X below the
     block are the couplings times its inverse Cholesky factor.  A kept
     block loses X X^H of the window either side, and the kept blocks
-    either side of an eliminated one are joined by -X_l X_r^H.  A rejected
-    batch is factored matrix by matrix (``_factor_each``); its failing
-    shifts leave, phi nan.
+    either side of an eliminated one are joined by -X_l X_r^H.  A shift
+    whose block fails to factor in ``_factor`` leaves, phi nan.
     """
     size = len(win) // 2
     ok = np.ones(len(shifts), dtype=bool)
@@ -710,16 +711,10 @@ def _reduce(win, masks, count: int, half: int, rows: int, shifts, signs):
         stack = wins[:, :len(factored)]
         stack[:, :, :size, :size] = blocks[:, factored]
         stack[:, :, size:, :size] = slots
-        try:
-            low = np.linalg.cholesky(stack)
-        except np.linalg.LinAlgError:
-            low, fine = _factor_each(stack)
-            fine = fine.all(axis=1)
-            ok[live[~fine]] = False
-            live, low, upper, blocks = live[fine], low[fine], upper[fine], blocks[fine]
-            wins, xs = wins[fine], xs[fine]
-            if live.size == 0:
-                return ok, phi
+        low, fine = _factor(stack, ok, live)
+        live, upper, blocks, wins, xs = live[fine], upper[fine], blocks[fine], wins[fine], xs[fine]
+        if live.size == 0:
+            return ok, phi
         x = xs[:, :2 * len(factored)]
         x[:, 0::2, size - half:] = low[:, :, size:size + half, :size]
         x[:, 1::2, :half] = low[:, :, size + half:, :size]
@@ -910,18 +905,12 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
         # ceil(log2(count + 1)) levels
         size, levels = len(win) // 2, count.bit_length()
         rows = min(n, 2 * size)
-
-        def decide(mus, signs):
-            return _reduce(win, masks, count, half, rows, mus, signs)
-
+        decide = functools.partial(_reduce, win, masks, count, half, rows)
         factoring = levels * size * _gamma(6 * size + 8) + rows * _gamma(rows + 1)
     else:
         nb = max(half, 1)
         pairs, mid = _cholesky_windows(diags, nb, n)
-
-        def decide(mus, signs):
-            return _definite(pairs, mid, nb, mus, signs)
-
+        decide = functools.partial(_definite, pairs, mid, nb)
         factoring = (2 * half + 1) * _gamma(_WINDOW_BLOCKS * nb + len(mid) + nb + 2)
         levels = None
     # Gershgorin, raised so that mu I - G is strictly diagonally dominant
@@ -1094,7 +1083,10 @@ def _symbol_law(diags, n: int):
     ``diags`` hold one period of P rows (``_one_period_band``).  The band
     is a section of N_b = n / P blocks of the block Toeplitz matrix whose
     P x P symbol F(theta) = sum_t G_t e^{i t theta} has the Gram blocks
-    G_t as Fourier coefficients.  An extreme eigenvalue of the section
+    G_t as Fourier coefficients: G_t is the band's (0, t) block, rows 0 to
+    P - 1 and columns tP to tP + P - 1, laid out by ``_band_windows`` for
+    t = 0 ... T = ceil(half-bandwidth / P), and G_{-t} = G_t^H, so that
+    F(theta) is one contraction of the phases with the blocks.  An extreme eigenvalue of the section
     approaches its branch's extreme value lambda(theta_0) like
     lambda(theta_0) + lambda''(theta_0) / 2 (pi / (N_b + 1))^2, the lowest
     mode of the branch's quadratic well.  theta_0 is the best point of a
@@ -1112,27 +1104,19 @@ def _symbol_law(diags, n: int):
     well there.
     """
     period = len(diags[0])
-    i = np.arange(period)
-    # G[i, i + d] sits in block t = (i + d) // P at (i, (i + d) % P), its
-    # conjugate in block -t at ((i + d) % P, i)
-    t, where, vals = [], [], []
-    for d, g in enumerate(diags):
-        j = i + d
-        t.append(j // period)
-        where.append(i * period + j % period)
-        vals.append(g)
-        if d:
-            t.append(-(j // period))
-            where.append(j % period * period + i)
-            vals.append(g.conj())
-    t, where, vals = (np.concatenate(x) for x in (t, where, vals))
-    coef = np.zeros((len(t), period * period), dtype=complex)
-    coef[np.arange(len(t)), where] = vals
+    tmax = -(-(len(diags) - 1) // period)
+    # G_0 ... G_T side by side in the band's first P rows, then G_{-t} = G_t^H
+    row = _band_windows(diags, [0], (tmax + 1) * period)[0, :period]
+    blocks = row.reshape(period, tmax + 1, period).swapaxes(0, 1)
+    blocks = np.concatenate([blocks[:0:-1].conj().swapaxes(-1, -2), blocks])
+    t = np.arange(-tmax, tmax + 1)
+    # the contraction as one matmul on the flattened blocks: np.tensordot's
+    # call overhead is several times this small product's cost
+    coef = blocks.reshape(len(t), period * period)
 
     def symbol(theta, order=0):
-        theta = np.atleast_1d(theta)
-        phase = (1j * t) ** order * np.exp(1j * np.outer(theta, t))
-        return (phase @ coef).reshape(len(theta), period, period)
+        phase = (1j * t) ** order * np.exp(1j * np.outer(np.atleast_1d(theta), t))
+        return (phase @ coef).reshape(-1, period, period)
 
     grid = -np.pi + 2.0 * np.pi * np.arange(_SYMBOL_GRID) / _SYMBOL_GRID
     branches = np.linalg.eigvalsh(symbol(grid))

@@ -410,7 +410,10 @@ def beurling_densities(seq: NodeSequence, r_values) -> DensityEstimate:
     if len(nodes) < 2:
         raise WindowTooSmallError("density sweep needs at least two nodes")
     span = nodes[-1] - nodes[0]
-    rs = sorted(float(r) for r in r_values)
+    try:
+        rs = sorted(float(r) for r in r_values)
+    except (TypeError, ValueError):
+        raise BadParameterError(f"radii must be a list of numbers, got {r_values!r}") from None
     if not rs or not np.all(np.isfinite(rs)) or rs[0] <= 0.0:
         raise BadParameterError(f"radii must be finite and positive, got {rs}")
     if rs[-1] > span / 2.0:

@@ -73,6 +73,16 @@ class TestConfig:
         with pytest.raises(ConfigInvalidError):
             load_config(path, scenario="classify")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigInvalidError, match="non-negative"):
+            ScenarioConfig(scenario="classify", seed=-1, out_dir="out")
+
+    def test_config_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigInvalidError, match="JSON object"):
+            load_config(path, scenario="classify")
+
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_options_and_tolerances_resolve_once(self, scenario):
         cfg = ScenarioConfig(scenario=scenario, seed=1, out_dir="out")
@@ -396,6 +406,11 @@ class TestSignRetrieval:
         with pytest.raises(WindowTooLargeError):
             sign_retrieval_check(1.0, CoefficientVector.basis(0), seq)
 
+    def test_empty_coefficients_rejected(self):
+        seq = half_grid(np.zeros(8), start_index=-4)
+        with pytest.raises(BadParameterError, match="empty coefficient vector"):
+            sign_retrieval_check(1.0, CoefficientVector(0, []), seq)
+
     def test_underdetermined_rejected(self):
         seq = half_grid(np.zeros(3), start_index=0)
         coeffs = CoefficientVector(0, np.ones(4))
@@ -519,6 +534,17 @@ class TestSignRetrieval:
         ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0], "index_range": []}}),
         ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0, 2.0],
                                    "index_range": [0, 2, 9]}}),
+        ("classify", {"seed": -1, "sequence": {"kind": "periodic", "offsets": [0.1]}}),
+        ("critical-half", {"options": {"edge_margin": float("nan")}}),
+        ("critical-half", {"sizes": [16, 32], "options": {"edge_margin": 1e6}}),
+        ("classify", {"sequence": {"kind": "affine", "beta": float("inf")}}),
+        ("classify", {"sequence": {"kind": "periodic", "offsets": []}}),
+        ("classify", {"sequence": {"kind": "periodic", "offsets": [float("nan")]}}),
+        ("classify", {"sequence": {"kind": "periodic"}}),
+        ("classify", {"sequence": {"kind": "explicit", "nodes": []}}),
+        ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, float("inf")]}}),
+        ("classify", {"sequence": {"kind": "explicit"}}),
+        ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0], "index_range": [0, 5]}}),
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
@@ -529,6 +555,17 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, conf
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, argv", [("[1, 2]", []), ('{"seed": 1}', ["--seed", "-1"])],
+                         ids=["array", "negative-seed-flag"])
+def test_malformed_config_file_or_seed_flag_exits_2(tmp_path, capsys, text, argv):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    code = cli_main(["classify", "--config", str(path), "--out", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,26 @@ def test_every_raw_decay_rate_is_checked(call, a):
         call(a)
 
 
+# malformed inputs, each with the error it raises and a part of its message
+_MALFORMED = {
+    "nan log-magnitude": (lambda: FockSeries([np.nan], [0.0]), BadParameterError, "log-magnitudes"),
+    "inf log-magnitude": (lambda: FockSeries([np.inf], [0.0]), BadParameterError, "log-magnitudes"),
+    "inf phase": (lambda: FockSeries([0.0], [np.inf]), BadParameterError, "phases must be finite"),
+    "grid of 3 points": (lambda: fock_norm_quadrature(monomial(2), 1.0, RadialGrid(0.0, 1.0, 0.5)),
+                         GridTooCoarseError, "at least 9 points"),
+    "product without zeros": (lambda: GeneratingProduct(1.0, []),
+                              BadParameterError, "at least one zero"),
+    "verdict of one point": (lambda: fock_cis_verdict(1.0, LogPolarPoint([1.0], [0.0])),
+                             BadParameterError, "at least two points"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_raises_its_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestLogPolarPoint:
     def test_round_trip(self):
         p = LogPolarPoint.from_complex(0.5 - 0.25j)

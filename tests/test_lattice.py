@@ -25,6 +25,37 @@ from gauss_cis.lattice import (
 )
 from gauss_cis.lattice import _best_offset, _sweep_counts
 
+# malformed inputs, each with the error it raises and a part of its message
+_MALFORMED = {
+    "window hi < lo": (lambda: AffineGrid(1.0).positions((3, 2)),
+                       EmptyWindowError, "empty index window"),
+    "affine beta inf": (lambda: AffineGrid(1.0, np.inf), BadParameterError, "shift must be finite"),
+    "periodic no offsets": (lambda: PeriodicPerturbation(()),
+                            BadParameterError, "period must be >= 1"),
+    "periodic nan offset": (lambda: PeriodicPerturbation((0.1, np.nan)),
+                            BadParameterError, "offsets must be finite"),
+    "explicit empty": (lambda: ExplicitWindow(()), BadParameterError, "at least one node"),
+    "explicit inf node": (lambda: ExplicitWindow((0.0, np.inf)),
+                          BadParameterError, "nodes must be finite"),
+    "spec without offsets": (lambda: build_sequence({"kind": "periodic"}),
+                             BadParameterError, "needs 'offsets'"),
+    "spec without nodes": (lambda: build_sequence({"kind": "explicit"}),
+                           BadParameterError, "needs 'nodes'"),
+    "spec index_range mismatch": (
+        lambda: build_sequence({"kind": "explicit", "nodes": [0.0, 1.0], "index_range": [0, 5]}),
+        BadParameterError, "does not match node count"),
+    "densities of one node": (lambda: beurling_densities(ExplicitWindow((0.0,)), [1.0]),
+                              WindowTooSmallError, "at least two nodes"),
+    "window average of 0": (lambda: window_average_sup(np.zeros(4), 0),
+                            BadParameterError, "window length 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_raises_its_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
 
 class TestGaussianParam:
     def test_valid(self):
@@ -186,7 +217,8 @@ class TestBeurlingDensities:
         with pytest.raises(WindowTooSmallError):
             beurling_densities(ExplicitWindow(tuple(range(10))), [6.0])
 
-    @pytest.mark.parametrize("radii", [[np.nan], [np.inf], [-np.inf], [10.0, np.nan], []])
+    @pytest.mark.parametrize("radii", [[np.nan], [np.inf], [-np.inf], [10.0, np.nan], [],
+                                       ["a"], 5.0, None, [[1, 2]]])
     def test_radii_must_be_finite_and_positive(self, radii):
         with pytest.raises(BadParameterError):
             beurling_densities(ExplicitWindow(tuple(range(100))), radii)
