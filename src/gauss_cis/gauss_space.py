@@ -667,11 +667,11 @@ def _reduce(win, masks, count: int, half: int, rows: int, shifts, signs):
     first ``rows`` rows, by cyclic reduction of the chains of ``_chains``
     (``_extreme_singular_values``).
 
-    A level is one ``_factor`` call on the windows of its
-    eliminated state blocks: the block above two slots, each a coupling to
-    a neighbour with ``_SLOT`` I as its own block, so the window factors
-    exactly when the block is definite, and the factor's rows X below the
-    block are the couplings times its inverse Cholesky factor.  A kept
+    A level is one ``_factor`` call on the windows of its eliminated state
+    blocks: the block above two slots, each a coupling to a neighbour with
+    ``_SLOT`` I as its own block, so the window factors exactly when the
+    block is definite, and the factor's rows X below the block are the
+    couplings times its inverse Cholesky factor.  A kept
     block loses X X^H of the window either side, and the kept blocks
     either side of an eliminated one are joined by -X_l X_r^H.  A shift
     whose block fails to factor in ``_factor`` leaves, phi nan.
@@ -1086,10 +1086,10 @@ def _symbol_law(diags, n: int):
     G_t as Fourier coefficients: G_t is the band's (0, t) block, rows 0 to
     P - 1 and columns tP to tP + P - 1, laid out by ``_band_windows`` for
     t = 0 ... T = ceil(half-bandwidth / P), and G_{-t} = G_t^H, so that
-    F(theta) is one contraction of the phases with the blocks.  An extreme eigenvalue of the section
-    approaches its branch's extreme value lambda(theta_0) like
-    lambda(theta_0) + lambda''(theta_0) / 2 (pi / (N_b + 1))^2, the lowest
-    mode of the branch's quadratic well.  theta_0 is the best point of a
+    F(theta) is one contraction of the phases with the blocks.  An extreme
+    eigenvalue of the section approaches its branch's extreme value
+    lambda(theta_0) like lambda(theta_0) + lambda''(theta_0) / 2 (pi /
+    (N_b + 1))^2, the lowest mode of the branch's quadratic well.  theta_0 is the best point of a
     grid of ``_SYMBOL_GRID`` angles in [-pi, pi), which holds -pi but not
     pi so that no angle counts twice, refined by Newton steps on lambda';
     lambda' and lambda'' come from first- and second-order perturbation

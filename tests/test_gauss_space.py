@@ -729,6 +729,64 @@ class TestSymbolLaw:
         assert np.all(np.abs(estimate - eig) < step)
 
 
+class TestFactor:
+    """The one Cholesky step of both deciding routines."""
+
+    @staticmethod
+    def _stack(seed, failing=()):
+        """Seeded Hermitian positive definite matrices, 4 shifts of 3 each;
+        the shifts in ``failing`` get one indefinite matrix."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 3, 5, 5)) + 1j * rng.standard_normal((4, 3, 5, 5))
+        mats = x @ x.conj().swapaxes(-1, -2) + 0.1 * np.eye(5)
+        for k in failing:
+            mats[k, 1] -= 100.0 * np.eye(5)
+        return mats
+
+    def test_a_batch_that_factors_is_indexed_whole(self):
+        mats = self._stack(0)
+        ok, live = np.ones(9, dtype=bool), np.array([1, 4, 5, 8])
+        low, fine = gauss_space._factor(mats, ok, live)
+        # a slice, not a mask: callers index views and copy no state
+        assert fine == slice(None) and ok.all()
+        assert low.tobytes() == np.linalg.cholesky(mats).tobytes()
+
+    def test_failing_shifts_leave_and_are_marked(self):
+        mats = self._stack(1, failing=(1, 3))
+        ok, live = np.ones(9, dtype=bool), np.array([1, 4, 5, 8])
+        low, fine = gauss_space._factor(mats, ok, live)
+        assert np.array_equal(fine, [True, False, True, False])
+        assert np.array_equal(np.flatnonzero(~ok), [4, 8])
+        assert low.shape == (2, 3, 5, 5)
+        assert np.array_equal(low, np.linalg.cholesky(mats[[0, 2]]))
+
+    @pytest.mark.parametrize("seq", [PeriodicPerturbation(PATTERN), AffineGrid(0.9)], ids=repr)
+    def test_every_cholesky_call_is_the_one_step(self, seq):
+        # the reduction, the twisted sweep and their middle windows all
+        # factor through _factor, which indexes a batch that factors whole
+        factor, cholesky, inside, calls = gauss_space._factor, np.linalg.cholesky, [], []
+
+        def step(mats, ok, live):
+            inside.append(True)
+            try:
+                low, fine = factor(mats, ok, live)
+            finally:
+                inside.pop()
+            calls.append(fine)
+            return low, fine
+
+        def checked(mats):
+            assert inside, "np.linalg.cholesky called outside _factor"
+            return cholesky(mats)
+
+        with mock.patch.object(gauss_space, "_factor", step), \
+                mock.patch.object(np.linalg, "cholesky", checked):
+            e, = frame_bounds(GaussianParam(1.0, 2.0), seq, (300,)).entries
+        assert e.solver == "band" and calls
+        assert e.decided_by == ("reduction" if isinstance(seq, PeriodicPerturbation) else "twisted")
+        assert any(isinstance(fine, slice) for fine in calls)
+
+
 class TestTwistedSweep:
     """The twisted Cholesky sweep, its steering and the trimmed band."""
 
@@ -1292,7 +1350,7 @@ class TestShiftSteering:
                 e, = frame_bounds(c, seq, (m,), orientation="interior_cols").entries
             return e, any(rounded)
 
-        fired = 0
+        fired = saved = 0
         for seed in range(300):
             seq = PeriodicPerturbation(tuple(np.random.default_rng(seed).uniform(-0.45, 0.45, 6)))
             e, rounded = run(seq, next_shift)
@@ -1300,11 +1358,14 @@ class TestShiftSteering:
                 continue
             fired += 1
             assert e.solver == "band" and e.stop == ("width", "width")
-            assert e.sweeps <= run(seq, namespace["_next_shift"])[0].sweeps
+            without = run(seq, namespace["_next_shift"])[0].sweeps
+            assert e.sweeps <= without
+            saved += e.sweeps < without
             s = np.linalg.svd(_section(c, seq, m, 2.0 / 3.0, 0.0, "interior_cols")[0],
                               compute_uv=False)
             assert _inside(s[-1], e.sigma_min_bracket) and _inside(s[0], e.sigma_max_bracket)
-        assert fired > 0
+        # the clause fires on 21 sections and saves sweeps on 14 of them
+        assert fired > 0 and saved > 0
 
     def test_below_resolution_reports_the_upper_end(self):
         # oversampled rows: lambda_min is about 1e-32, far below the radius
