@@ -30,7 +30,7 @@ from .errors import (
     NoEnumerationError,
     SingularSystemError,
 )
-from .lattice import AffineGrid, GaussianParam, NodeSequence, PeriodicPerturbation
+from .lattice import GaussianParam, NodeSequence, _unit_offsets
 
 __all__ = [
     "CoefficientVector",
@@ -218,17 +218,19 @@ def _entries(c: GaussianParam, x, y) -> np.ndarray:
     return np.exp(-(c.c if c.b else c.a) * (x - y) ** 2)
 
 
-def _integer_tail(a: float, lam, lo, hi) -> float:
+def _integer_tail(a: float, lam, lo, hi, counts=1) -> float:
     """Frobenius norm of the entries e^{-c (lam_i - n)^2} over the integers
     n < lo or n > hi (``lo``, ``hi`` broadcast against ``lam``), each row's
-    two tails summed to underflow."""
-    dropped = np.concatenate([lam - (lo - 1), (hi + 1) - lam])
-    return float(np.sqrt(np.sum(_gaussian_tail_terms(a, dropped))))
+    two tails summed to underflow and counted ``counts`` times (broadcast
+    against ``lam``)."""
+    dropped = np.stack([lam - (lo - 1), (hi + 1) - lam])
+    return float(np.sqrt(np.sum(np.asarray(counts)[..., None] * _gaussian_tail_terms(a, dropped))))
 
 
 def _section_frame(c: GaussianParam, seq: NodeSequence, node_range, tol: float):
-    """``(positions, buffer, col_lo, col_hi, tail_bound)`` of the
-    collocation matrix on ``node_range``, without its entries."""
+    """``(positions, buffer, cols, tail_bound)`` of the collocation matrix
+    on ``node_range``, without its entries; ``cols`` are its integer
+    columns, as floats."""
     if tol <= 0.0 or tol >= 1.0:
         raise BadParameterError("tol must be in (0, 1)")
     try:
@@ -244,7 +246,8 @@ def _section_frame(c: GaussianParam, seq: NodeSequence, node_range, tol: float):
     head = max(int(np.searchsorted(lam, col_lo - 1 + reach, "right")), 1)
     rear = min(int(np.searchsorted(lam, col_hi + 1 - reach, "left")), len(lam) - 1)
     ends = lam if head >= rear else np.concatenate([lam[:head], lam[rear:]])
-    return lam, buffer, col_lo, col_hi, _integer_tail(c.a, ends, col_lo, col_hi)
+    cols = np.arange(col_lo, col_hi + 1, dtype=float)
+    return lam, buffer, cols, _integer_tail(c.a, ends, col_lo, col_hi)
 
 
 def collocation_matrix(
@@ -256,12 +259,11 @@ def collocation_matrix(
     widened by a buffer B with e^{-a B^2 / 2} < tol, so every neglected
     column entry is below tol^2.
     """
-    lam, buffer, col_lo, col_hi, tail = _section_frame(c, seq, node_range, tol)
-    cols = np.arange(col_lo, col_hi + 1, dtype=float)
+    lam, buffer, cols, tail = _section_frame(c, seq, node_range, tol)
     return CollocationMatrix(
         param=c,
         row_start=int(node_range[0]),
-        col_start=col_lo,
+        col_start=int(cols[0]),
         node_positions=lam,
         entries=_entries(c, lam[:, None], cols[None, :]),
         buffer=buffer,
@@ -403,7 +405,8 @@ def frame_bounds(
     which runs in real arithmetic when b = 0 (the entries are then real);
     each bracket is the value +- max(rows, cols) * eps * sigma_max.  Larger
     sections are never built densely: the band solver trims the band of
-    the smaller side's Gram matrix to a half-bandwidth of about 8 (from
+    the smaller side's Gram matrix (``_band``, which builds a periodic
+    section's band from one period) to a half-bandwidth of about 8 (from
     about 2 * buffer), bisects Cholesky decisions on it to a relative
     width of 1e-10 in sigma^2 or to the shifts' resolution, starting near
     each eigenvalue, and closing a bracket with one shift half that width
@@ -436,13 +439,10 @@ def frame_bounds(
         raise BadParameterError(f"interior_fraction must be finite and > 0, got {interior_fraction}")
     if not np.isfinite(edge_margin):
         raise BadParameterError(f"edge_margin must be finite, got {edge_margin}")
-    # offsets over one period, where the positions are n + offsets[n mod P]
-    offsets = (seq.offsets if isinstance(seq, PeriodicPerturbation)
-               else (seq.beta,) if isinstance(seq, AffineGrid) and seq.alpha == 1.0 else None)
+    offsets = _unit_offsets(seq)
     entries = []
     for m in sizes:
-        lam, buffer, col_lo, col_hi, tail = _section_frame(c, seq, (-m, m), _FRAME_TOL)
-        cols = np.arange(col_lo, col_hi + 1, dtype=float)
+        lam, buffer, cols, tail = _section_frame(c, seq, (-m, m), _FRAME_TOL)
         span = min(abs(lam[0]), abs(lam[-1]))
         cutoff = interior_fraction * span - edge_margin
         by_rows = orientation == "interior_rows"
@@ -517,22 +517,99 @@ def _gram_band(c: GaussianParam, p, q, radius: float):
             break
         diags.append(np.sum(views[np.arange(len(p) - d), np.minimum(shift, width)]
                             * band[d:].conj(), axis=1))
-    rowsum = np.abs(diags[0])
+    # |G| of each off-diagonal on the rows above it, then on the rows below it
+    mags = np.zeros((len(diags) - 1, 2, len(p)))
     for d, g in enumerate(diags[1:], 1):
-        rowsum[:-d] += np.abs(g)
-        rowsum[d:] += np.abs(g)
-    top = float(rowsum.max())
-    dropped = np.zeros(len(p))
-    keep = len(diags)
-    while keep > 1:
-        d = keep - 1
-        trial = dropped.copy()
-        trial[:-d] += np.abs(diags[d])
-        trial[d:] += np.abs(diags[d])
-        if trial.max() > _TRIM_RTOL * top:
-            break
-        dropped, keep = trial, d
-    return diags[:keep], width, norms, top, float(dropped.max())
+        mags[d - 1, 0, :-d] = mags[d - 1, 1, d:] = np.abs(g)
+    # Gershgorin row sums, added in order from the main diagonal out
+    top = float(sum(mags.reshape(-1, len(p)), np.abs(diags[0])).max())
+    # trial[j]: the largest row sum of the j + 1 outermost diagonals, added
+    # from the outermost in; it only grows with j, so those within the
+    # bound are the first ``cut``
+    trial = np.cumsum(mags[::-1].reshape(-1, len(p)), axis=0)[1::2].max(axis=1)
+    cut = int(np.count_nonzero(trial <= _TRIM_RTOL * top))
+    return diags[:len(diags) - cut], width, norms, top, float(trial[cut - 1]) if cut else 0.0
+
+
+def _band(c: GaussianParam, lam, cols, radius: int, period):
+    """The trimmed Gram band of the section e^{-c (lam_i - n_j)^2} and the
+    tail of its entries dropped outside the band.
+
+    ``lam`` are the section's increasing node positions, ``cols`` its
+    increasing integer columns, and the Gram side is the smaller one: A A^H
+    for a wide section, A^H A, up to conjugation, for a tall one.
+    ``period``, unless None, is ``(offsets, first)``: ``lam`` are then the
+    positions n + offsets[n mod P] of the nodes n = first, first + 1, ....
+    When every row of the Gram side keeps its whole band (the other side
+    reaches past ``radius`` at both ends), the Gram matrix is block
+    Toeplitz: shifting a node by P shifts its position by P, so rows i and
+    i + P hold the same entries.  The band is then built, by ``_gram_band``,
+    for P rows with ``reach`` rows either side, enough for every partner of
+    the middle P, and those P rows are one period of every diagonal.  Their
+    top and dropped row sums and the band norms are the section's, since an
+    edge row of either has only fewer partners.  Any other band is built by
+    ``_gram_band`` from every row.
+
+    A band from one period has its nodes at the offsets rounded to
+    multiples of the spacing of doubles near its largest position, so that
+    every position and every difference to a column is exact: the band is
+    that of the section A1 whose node n is at n + the rounded offset,
+    exactly.  Node n of ``lam`` moves from there by at most delta_n, its
+    own rounding (exact, from a two-sum) plus the offset's, and each entry
+    e^{-c t^2} by at most delta_n |2 c t| e^{-a t^2} at some t near the
+    column.  Over all integer columns the squares of h(t) = |2 c t|
+    e^{-a t^2} sum to at most its integral |c|^2 sqrt(pi / 2a) / a plus
+    7 times its largest value 2 |c|^2 / (a e): once for each of its four
+    monotone pieces and for each of the three points whose interval may
+    straddle a join.  Hence delta_n^2 |c|^2 (sqrt(pi / 2a) / a + 14 / (a
+    e)) bounds row n's share of the Frobenius norm of A1 minus the
+    section, which moves a singular value by at most that much (Weyl).
+
+    Returns ``(diags, width, norms, top, dropped, tail, periodic)``:
+    ``_gram_band``'s outputs, with ``diags`` one period, row i's at i mod
+    P, for a band from one period; ``tail``, the Frobenius norm of the
+    entries dropped outside the band, from every row or from one node of
+    each residue counted by how many rows it stands for, plus the position
+    term for a band from one period; and whether the band is from one
+    period.
+    """
+    wide = len(lam) <= len(cols)
+    p, q = (lam, cols) if wide else (cols, lam)
+    offsets, first = period or ((), 0)
+    size = len(offsets)
+    # rows further apart than this share no column and no node
+    reach = 2 * radius + 1 + size
+    periodic = bool(size and len(p) >= size + 2 * reach
+                    and q[0] < p[0] - radius and q[-1] > p[-1] + radius)
+    x, counts, moved = lam, 1, 0.0
+    if periodic:
+        offs = np.asarray(offsets)
+        # the small band's rows, node indices or columns: row reach has row 0's residue
+        rows = int(first if wide else p[0]) % size + np.arange(-reach, size + reach)
+        nodes = rows if wide else np.arange(np.floor(rows[0] - radius - offs.max()) - 1,
+                                            np.ceil(rows[-1] + radius - offs.min()) + 2, dtype=int)
+        limit = float(np.abs(nodes).max() + np.abs(offs).max()) + radius + 2.0
+        spacing = 2.0 ** (np.frexp(limit)[1] - 53)
+        rounded = np.round(offs / spacing) * spacing
+        at = nodes + rounded[nodes % size]
+        p, q = ((at, np.arange(np.floor(at[0]) - radius - 1, np.ceil(at[-1]) + radius + 2))
+                if wide else (rows.astype(float), at))
+        x = np.arange(size) + rounded
+        index = first + np.arange(len(lam))
+        residue = index % size
+        counts = np.bincount(residue, minlength=size)
+        # position rounding: lam's own, exact from a two-sum, and the offsets'
+        base = index.astype(float)
+        back = lam - base
+        delta = (np.abs((base - (lam - back)) + (offs[residue] - back))
+                 + np.abs(offs - rounded)[residue])
+        per_delta = abs(c.c) * np.sqrt(np.sqrt(np.pi / (2.0 * c.a)) / c.a + 14.0 / (c.a * np.e))
+        moved = per_delta * float(np.sqrt(delta @ delta))
+    diags, width, norms, top, dropped = _gram_band(c, p, q, radius)
+    if periodic:
+        diags = [g[reach:reach + size] for g in diags]
+    tail = _integer_tail(c.a, x, np.ceil(x - radius), np.floor(x + radius), counts)
+    return diags, width, norms, top, dropped, tail + moved, periodic
 
 
 def _band_windows(diags, starts, span: int):
@@ -734,19 +811,18 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     """Extreme singular values of the section e^{-c (lam_i - n_j)^2}.
 
     ``lam`` are the section's increasing node positions, ``cols`` its
-    increasing integer columns.  ``period``, when given, is ``(offsets,
-    first)``: ``lam`` are then the positions n + offsets[n mod P] of the
-    nodes n = first, first + 1, ..., and a section whose smaller side's
-    rows all keep their whole band is built from one period
-    (``_one_period_band``).  The Gram matrix G of the smaller side
+    increasing integer columns, and ``period``, when given, ``(offsets,
+    first)`` as ``_band`` takes it.  The Gram matrix G of the smaller side
     (A A^H for a wide section, A^H A, up to conjugation, for a tall one)
     has the squares of the singular values ``np.linalg.svd`` returns;
     entries of A beyond ``buffer`` of the diagonal are dropped, which leaves
     G banded, and its outer diagonals are trimmed (``_gram_band``) to a
-    half-bandwidth P of about 8.  Each sweep shifts both extreme
-    eigenvalues' brackets in one batched decision: cyclic reduction
-    (below) for a band from one period, a twisted Cholesky sweep
-    (``_definite``) for any other.  Both leave a middle window and factor
+    half-bandwidth P of about 8.  ``_band`` builds G's band: from one
+    period where the section is periodic and every row of its smaller
+    side keeps its whole band, from every row otherwise.  Each sweep
+    shifts both extreme eigenvalues' brackets in one batched decision:
+    cyclic reduction (below) for a band from one period, a twisted
+    Cholesky sweep (``_definite``) for any other.  Both leave a middle window and factor
     the two outer parts onto it.  The bracket ends are always a Cholesky
     success and a Cholesky failure; the estimates and phi below only
     choose the shifts.
@@ -889,13 +965,7 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
     at the critical shift.
     """
     n = min(len(lam), len(cols))
-    band = _one_period_band(c, lam, cols, buffer, *period) if period else None
-    periodic = band is not None
-    if not periodic:
-        p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
-        band = (*_gram_band(c, p, q, buffer),
-                _integer_tail(c.a, lam, np.ceil(lam - buffer), np.floor(lam + buffer)))
-    diags, width, norms, top, dropped, tail = band
+    diags, width, norms, top, dropped, tail, periodic = _band(c, lam, cols, buffer, period)
     estimate, spread = (_symbol_law if periodic else _edge_model)(diags, n)
     modelled = np.isfinite(spread)
     start = tuple(("symbol" if periodic else "model") if m else "diagonal" for m in modelled)
@@ -991,8 +1061,7 @@ def _edge_model(diags, n: int):
     between 0 and the block value, which keeps each estimate positive and
     within a factor 2 of its block value.  A block of the whole band (a
     section of at most ``_MODEL_ROWS`` rows) has no room to extrapolate and
-    so no model.  ``diags`` may hold one period of a periodic band
-    (``_band_windows``).
+    so no model.
     """
     size = min(_MODEL_ROWS, n)
     first = (n - size) // 2
@@ -1005,82 +1074,10 @@ def _edge_model(diags, n: int):
     return estimate, np.where(trusted, _MODEL_STEP * move, np.nan)
 
 
-def _one_period_band(c: GaussianParam, lam, cols, radius: int, offsets, first: int):
-    """``_gram_band``'s outputs and the band tail of a periodic section,
-    from one period, or None where the section needs the generic build.
-
-    ``lam`` are the positions n + offsets[n mod P] of the nodes n = first,
-    first + 1, ..., ``cols`` the section's increasing integer columns.
-    When every row of the smaller side keeps its whole band (the other
-    side reaches past ``radius`` at both ends), the Gram matrix is block
-    Toeplitz: shifting a node by P shifts its position by P, so rows i and
-    i + P hold the same entries.  The band is then built, by ``_gram_band``
-    itself, for P rows with ``reach`` rows either side, enough for every
-    partner of the middle P, and those P rows are one period of every
-    diagonal.  Their top and dropped row sums and the band norms are the
-    section's, since an edge row of either has only fewer partners.
-
-    The period's nodes sit at the offsets rounded to multiples of the
-    spacing of doubles near its largest position, so that every position
-    and every difference to a column is exact: the band is that of the
-    section A1 whose node n is at n + the rounded offset, exactly.  Node
-    n of ``lam`` moves from there by at most delta_n, its own rounding
-    (exact, from a two-sum) plus the offset's, and each entry
-    e^{-c t^2} by at most delta_n |2 c t| e^{-a t^2} at some t near the
-    column.  Over all integer columns the squares of h(t) = |2 c t|
-    e^{-a t^2} sum to at most its integral |c|^2 sqrt(pi / 2a) / a plus
-    7 times its largest value 2 |c|^2 / (a e): once for each of its four
-    monotone pieces and for each of the three points whose interval may
-    straddle a join.  Hence delta_n^2 |c|^2 (sqrt(pi / 2a) / a + 14 / (a
-    e)) bounds row n's share of the Frobenius norm of A1 minus the
-    section, which moves a singular value by at most that much (Weyl).
-
-    Returns ``(diags, width, norms, top, dropped, tail)`` with ``diags``
-    one period, row i's at i mod P, and ``tail`` the Frobenius norm of the
-    entries dropped outside A1's band plus this position term.
-    """
-    period = len(offsets)
-    wide = len(lam) <= len(cols)
-    p, q = (lam, cols) if wide else (cols, lam)
-    # rows further apart than this share no column and no node
-    reach = 2 * radius + 1 + period
-    if len(p) < period + 2 * reach or not (q[0] < p[0] - radius and q[-1] > p[-1] + radius):
-        return None
-    offs = np.asarray(offsets)
-    # the small band's rows, node indices or columns: row reach has row 0's residue
-    rows = int(first if wide else p[0]) % period + np.arange(-reach, period + reach)
-    nodes = rows if wide else np.arange(np.floor(rows[0] - radius - offs.max()) - 1,
-                                        np.ceil(rows[-1] + radius - offs.min()) + 2, dtype=int)
-    limit = float(np.abs(nodes).max() + np.abs(offs).max()) + radius + 2.0
-    spacing = 2.0 ** (np.frexp(limit)[1] - 53)
-    rounded = np.round(offs / spacing) * spacing
-    at = nodes + rounded[nodes % period]
-    if wide:
-        cover = np.arange(np.floor(at[0]) - radius - 1, np.ceil(at[-1]) + radius + 2)
-        diags, width, norms, top, dropped = _gram_band(c, at, cover, radius)
-    else:
-        diags, width, norms, top, dropped = _gram_band(c, rows.astype(float), at, radius)
-    diags = [g[reach:reach + period] for g in diags]
-    # the band tail, from one node of each residue
-    x = np.arange(period) + rounded
-    terms = _gaussian_tail_terms(c.a, np.concatenate([x - np.ceil(x - radius) + 1,
-                                                      np.floor(x + radius) + 1 - x]))
-    tails = terms.sum(axis=1).reshape(2, period).sum(axis=0)
-    index = first + np.arange(len(lam))
-    residue = index % period
-    # position rounding: lam's own, exact from a two-sum, and the offsets'
-    base = index.astype(float)
-    back = lam - base
-    delta = np.abs((base - (lam - back)) + (offs[residue] - back)) + np.abs(offs - rounded)[residue]
-    per_delta = abs(c.c) * np.sqrt(np.sqrt(np.pi / (2.0 * c.a)) / c.a + 14.0 / (c.a * np.e))
-    tail = float(np.sqrt(np.bincount(residue, minlength=period) @ tails))
-    return diags, width, norms, top, dropped, tail + per_delta * float(np.sqrt(delta @ delta))
-
-
 def _symbol_law(diags, n: int):
     """Extreme eigenvalues of a periodic band of n rows from its symbol.
 
-    ``diags`` hold one period of P rows (``_one_period_band``).  The band
+    ``diags`` hold one period of P rows (``_band``).  The band
     is a section of N_b = n / P blocks of the block Toeplitz matrix whose
     P x P symbol F(theta) = sum_t G_t e^{i t theta} has the Gram blocks
     G_t as Fourier coefficients: G_t is the band's (0, t) block, rows 0 to

@@ -75,8 +75,6 @@ class GaussianParam:
 class NodeSequence:
     """Base class for node-sequence models.  Instances are immutable."""
 
-    kind: str = "abstract"
-
     def positions(self, window=None) -> np.ndarray:
         """Node positions lambda_n for integer n in the inclusive window."""
         raise NotImplementedError
@@ -99,7 +97,6 @@ class AffineGrid(NodeSequence):
 
     alpha: float
     beta: float = 0.0
-    kind = "affine"
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha <= 0.0:
@@ -120,7 +117,6 @@ class PeriodicPerturbation(NodeSequence):
     """lambda_n = n + offsets[n mod P].  Must be strictly increasing."""
 
     offsets: tuple
-    kind = "periodic"
 
     def __post_init__(self):
         offs = tuple(float(d) for d in self.offsets)
@@ -160,7 +156,6 @@ class ExplicitWindow(NodeSequence):
 
     nodes: np.ndarray
     start_index: int = 0
-    kind = "explicit"
 
     def __post_init__(self):
         arr = np.array(self.nodes, dtype=float)
@@ -297,6 +292,15 @@ def _best_offset(indices, lam, k_range):
     return first, sup_first
 
 
+def _unit_offsets(seq: NodeSequence):
+    """Offsets over one period where the positions of ``seq`` are n +
+    offsets[n mod P], else None: a periodic model's own, and (beta,) for a
+    grid of slope 1."""
+    if isinstance(seq, PeriodicPerturbation):
+        return seq.offsets
+    return (float(seq.beta),) if isinstance(seq, AffineGrid) and seq.alpha == 1.0 else None
+
+
 def canonical_enumeration(seq: NodeSequence, bound: float, window=None) -> Optional[Enumeration]:
     """Find an enumeration lambda_n = n + delta_n with sup|delta| <= bound.
 
@@ -312,22 +316,19 @@ def canonical_enumeration(seq: NodeSequence, bound: float, window=None) -> Optio
     """
     if bound <= 0.0:
         raise BadParameterError("bound must be > 0")
-
-    if isinstance(seq, AffineGrid):
-        if seq.alpha != 1.0:
-            return None
-        seq = PeriodicPerturbation((seq.beta,))
-
-    if isinstance(seq, PeriodicPerturbation):
-        offs = np.asarray(seq.offsets)
+    offsets = _unit_offsets(seq)
+    if offsets is not None:
+        offs = np.asarray(offsets)
         ks = range(int(np.floor(offs.min())) - 1, int(np.ceil(offs.max())) + 2)
         k, sup = _best_offset(np.zeros_like(offs), offs, ks)
         if sup > bound:
             return None
-        lo, hi = seq._window(window) if window is not None else (0, seq.period - 1)
+        lo, hi = seq._window(window) if window is not None else (0, len(offs) - 1)
         n = np.arange(lo, hi + 1)
-        deltas = offs[np.mod(n - k, seq.period)] - k
+        deltas = offs[np.mod(n - k, len(offs))] - k
         return Enumeration(offset=k, start_index=lo + k, deltas=deltas)
+    if isinstance(seq, AffineGrid):
+        return None
 
     lo, hi = seq._window(window)
     lam = seq.positions((lo, hi))

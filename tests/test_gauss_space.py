@@ -30,6 +30,7 @@ from gauss_cis.lattice import (
     ExplicitWindow,
     GaussianParam,
     PeriodicPerturbation,
+    canonical_enumeration,
 )
 
 A1 = GaussianParam(1.0)
@@ -592,13 +593,58 @@ class TestGramBand:
         assert dropped == pytest.approx(outer.max(), rel=1e-13, abs=1e-300)
         assert dropped <= np.finfo(float).eps * top
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trim_equals_the_sequential_loop(self, seed):
+        # random bands, wide and tall: the Gershgorin bound and the trim are
+        # bitwise those of the loop that adds one diagonal at a time
+        rng = np.random.default_rng([seed, 26])
+        cut = 0
+        for _ in range(10):
+            c = GaussianParam(float(rng.choice([0.25, 0.5, 1.0, 2.0])),
+                              float(rng.choice([0.0, 2.0])))
+            n = int(rng.integers(5, 401))
+            lam = np.arange(n) + np.sort(rng.uniform(-0.45, 0.45, n))
+            buffer = int(np.ceil(np.sqrt(2.0 * np.log(1e14) / c.a)))
+            cols = np.arange(np.floor(lam[0]) - int(rng.integers(0, buffer + 1)),
+                             np.ceil(lam[-1]) + int(rng.integers(0, buffer + 1)) + 1)
+            inner = slice(n // 4, 3 * n // 4 + 1)
+            p, q = (lam[inner], cols) if rng.random() < 0.5 else (cols[inner], lam)
+            diags, _, _, top, dropped = gauss_space._gram_band(c, p, q, buffer)
+            keep, loop_top, loop_dropped = _sequential_trim(_take_along_diagonals(c, p, q, buffer))
+            assert (len(diags), top, dropped) == (keep, loop_top, loop_dropped)
+            cut += loop_dropped > 0.0
+        assert cut > 0
+
+
+def _sequential_trim(diags):
+    """The trim as a loop over the untrimmed ``diags``: row sums added from
+    the main diagonal out, then the outer diagonals' row sums added from
+    the outermost in while their largest stays within ``_TRIM_RTOL`` of
+    the Gershgorin bound.  Returns the diagonals kept, the bound and the
+    largest dropped row sum."""
+    rowsum = np.abs(diags[0])
+    for d, g in enumerate(diags[1:], 1):
+        rowsum[:-d] += np.abs(g)
+        rowsum[d:] += np.abs(g)
+    top = float(rowsum.max())
+    dropped = np.zeros(len(diags[0]))
+    keep = len(diags)
+    while keep > 1:
+        d = keep - 1
+        trial = dropped.copy()
+        trial[:-d] += np.abs(diags[d])
+        trial[d:] += np.abs(diags[d])
+        if trial.max() > gauss_space._TRIM_RTOL * top:
+            break
+        dropped, keep = trial, d
+    return keep, top, float(dropped.max())
+
 
 def _one_period_section(c, seq, m, interior_fraction, edge_margin, orientation):
     """A periodic section's Gram side p, other side q, buffer, and its
-    band from one period (None where it takes the generic build)."""
+    band as ``_band`` builds it, last whether from one period."""
     _, lam, cols, buffer = _section(c, seq, m, interior_fraction, edge_margin, orientation)
-    band = gauss_space._one_period_band(c, lam, cols, buffer, seq.offsets,
-                                        _first_index(seq, m, lam))
+    band = gauss_space._band(c, lam, cols, buffer, (seq.offsets, _first_index(seq, m, lam)))
     p, q = (lam, cols) if len(lam) <= len(cols) else (cols, lam)
     return p, q, buffer, band
 
@@ -623,8 +669,8 @@ class TestOnePeriodBand:
         c, seq, period = GaussianParam(1.0, b), PeriodicPerturbation(offsets), len(offsets)
         p, q, buffer, band = _one_period_section(c, seq, m, *trim, orientation)
         diags, width, norms, top, dropped = gauss_space._gram_band(c, p, q, buffer)
-        assert band is not None
-        one, one_width, one_norms, one_top, one_dropped, tail = band
+        one, one_width, one_norms, one_top, one_dropped, tail, periodic = band
+        assert periodic
         assert len(one) == len(diags) and one_width == width
         ulps = 0.0 if seed is None else 4.0 * np.finfo(float).eps * diags[0].max()
         for d, g in enumerate(diags):
@@ -640,10 +686,28 @@ class TestOnePeriodBand:
         # trimmed to fraction 1 and margin 3, the outer kept columns lack
         # nodes within the buffer, so their Gram rows are not all alike
         c, seq = GaussianParam(1.0, 2.0), PeriodicPerturbation(PATTERN)
-        assert _one_period_section(c, seq, 200, 1.0, 3.0, "interior_cols")[3] is None
+        assert not _one_period_section(c, seq, 200, 1.0, 3.0, "interior_cols")[3][-1]
         e, = frame_bounds(c, seq, (200,), interior_fraction=1.0, edge_margin=3.0,
                           orientation="interior_cols").entries
         assert e.solver == "band" and e.start == ("model", "model")
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("orientation, trim", [("interior_rows", (1.0, 3.0)),
+                                                   ("interior_cols", (2.0 / 3.0, 0.0))])
+    def test_unit_slope_grid_is_its_periodic_form(self, b, orientation, trim):
+        # n + 0.3 as a grid of slope 1 is the periodic sequence (0.3,) to
+        # frame_bounds and to canonical_enumeration; slope 0.9 is neither
+        c = GaussianParam(1.0, b)
+        kw = dict(interior_fraction=trim[0], edge_margin=trim[1], orientation=orientation)
+        grid, periodic, slanted = (frame_bounds(c, seq, (300,), **kw).entries[0] for seq in (
+            AffineGrid(1.0, 0.3), PeriodicPerturbation((0.3,)), AffineGrid(0.9, 0.3)))
+        assert grid.to_json() == periodic.to_json()
+        assert (grid.decided_by, grid.start) == ("reduction", ("symbol", "symbol"))
+        assert slanted.decided_by == "twisted"
+        one, other = (canonical_enumeration(seq, 0.5) for seq in (AffineGrid(1.0, 0.3),
+                                                                 PeriodicPerturbation((0.3,))))
+        assert one.offset == other.offset and np.array_equal(one.deltas, other.deltas)
+        assert canonical_enumeration(AffineGrid(0.9, 0.3), 0.5) is None
 
     def test_brackets_hold_the_positions_section(self):
         # offsets that are not binary fractions round differently at every
@@ -652,7 +716,7 @@ class TestOnePeriodBand:
         c, seq, m = A1, PeriodicPerturbation((0.3, 0.7)), 1024
         sub, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, "interior_rows")
         first = _first_index(seq, m, lam)
-        tail = gauss_space._one_period_band(c, lam, cols, buffer, seq.offsets, first)[5]
+        tail = gauss_space._band(c, lam, cols, buffer, (seq.offsets, first))[5]
         # the one-period section: node n at exactly n + its offset, which
         # differs from a column by a few units plus a binary offset here
         n = first + np.arange(len(lam))
@@ -990,6 +1054,7 @@ def _periodic_band(seed, b, orientation):
     trim = (1.0, 3.0) if orientation == "interior_rows" else (2.0 / 3.0, 0.0)
     band = _one_period_section(GaussianParam(1.0, b), PeriodicPerturbation(offsets), 150,
                                *trim, orientation)[3]
+    assert band[-1]
     return band[0]
 
 
@@ -1129,8 +1194,8 @@ class TestCyclicReduction:
                                                                            period)
         n, gamma = len(lam), gauss_space._gamma
         if periodic:
-            diags, width, norms, top, dropped, _ = gauss_space._one_period_band(
-                A1, lam, cols, buffer, *period)
+            diags, width, norms, top, dropped, _, _ = gauss_space._band(
+                A1, lam, cols, buffer, period)
             size = _block_size(diags)
             assert diagnostics["decided_by"] == "reduction" and 2 * size < n
             factoring = (diagnostics["levels"] * size * gamma(6 * size + 8)
@@ -1586,8 +1651,8 @@ class TestTailOracles:
         # add only terms that underflow to 0, so the tail summed over the
         # rows near the ends is the all-row tail up to summation order
         c = GaussianParam(a)
-        lam, _, lo, hi, tail = gauss_space._section_frame(c, seq, (-300, 300), 1e-14)
-        every = gauss_space._integer_tail(c.a, lam, lo, hi)
+        lam, _, cols, tail = gauss_space._section_frame(c, seq, (-300, 300), 1e-14)
+        every = gauss_space._integer_tail(c.a, lam, cols[0], cols[-1])
         assert tail == pytest.approx(every, rel=1e-14, abs=0.0)
         assert (tail > 0.0) == (a < 3000.0)
 
