@@ -39,11 +39,9 @@ def main(argv=None) -> int:
             seed=args.seed,
         )
         report = run_scenario(config)
-    except ConfigInvalidError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
     except GaussCisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "invalid config: " if isinstance(exc, ConfigInvalidError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
     status = "PASS" if report.passed else "FAIL"
     print(f"{report.scenario}: {status} ({report.elapsed_seconds:.2f} s)")

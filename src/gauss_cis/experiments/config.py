@@ -1,4 +1,8 @@
-"""Scenario configuration: JSON loading, validation, CLI overrides."""
+"""Scenario configuration: JSON loading, validation, CLI overrides.
+
+A scenario declares its options and tolerances alike, each as
+``(default, parser)``; one reader, ``_read_declared``, resolves both.
+"""
 
 import json
 import math
@@ -6,6 +10,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigInvalidError, coerce
+from ..lattice import build_sequence
 from .scenarios import OPTIONS, SCENARIOS, TOLERANCES
 
 SCENARIO_NAMES = tuple(SCENARIOS)
@@ -22,8 +27,10 @@ class ScenarioConfig:
     specific knobs live in ``options``.  After construction ``options`` and
     ``tolerances`` hold every one the scenario declares: a given value read
     through its declared parser, else the default.  Fields of the wrong
-    type or form, and options or tolerances the scenario does not declare,
-    raise ConfigInvalidError.
+    type or form, values their parser rejects, and options or tolerances
+    the scenario does not declare raise ConfigInvalidError; a malformed
+    ``sequence`` raises its error from ``build_sequence``, whether or not
+    the scenario reads one.
     """
 
     scenario: str
@@ -56,22 +63,10 @@ class ScenarioConfig:
             raise ConfigInvalidError("sizes must be increasing")
         if any(m > MAX_SIZE for m in self.sizes):
             raise ConfigInvalidError(f"sizes must be at most {MAX_SIZE}, got {max(self.sizes)}")
-        self.tolerances = coerce(dict, self.tolerances, "tolerances")
-        self.options = coerce(dict, self.options, "options")
-        _reject_unknown(self.tolerances, TOLERANCES[self.scenario], f"{self.scenario} tolerance")
-        _reject_unknown(self.options, OPTIONS[self.scenario], f"{self.scenario} option")
-        self.options = {
-            key: coerce(parse, self.options[key], f"option {key!r}") if key in self.options
-            else default
-            for key, (default, parse) in OPTIONS[self.scenario].items()
-        }
-        self.tolerances = {
-            key: coerce(float, self.tolerances.get(key, default), f"tolerance {key!r}")
-            for key, default in TOLERANCES[self.scenario].items()
-        }
-        for key, val in self.tolerances.items():
-            if not val > 0.0:
-                raise ConfigInvalidError(f"tolerance {key!r} must be > 0")
+        self.tolerances = _read_declared(self.tolerances, TOLERANCES, self.scenario, "tolerance")
+        self.options = _read_declared(self.options, OPTIONS, self.scenario, "option")
+        if self.sequence is not None:
+            build_sequence(self.sequence)  # malformed even where the scenario reads none
         self.out_dir = coerce(Path, self.out_dir, "out")
 
     def echo(self) -> dict:
@@ -83,6 +78,19 @@ class ScenarioConfig:
         options = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                    for k, v in self.options.items()}
         return {k: v for k, v in vars(self).items() if k != "out_dir"} | {"options": options}
+
+
+def _read_declared(given, registry: dict, scenario: str, what: str) -> dict:
+    """Every ``what`` (option or tolerance) that ``registry[scenario]``
+    declares as (default, parser): the value in ``given`` read through its
+    parser, else the default.  ``given`` not a mapping, a key it holds that
+    is not declared, and a value the parser rejects raise ConfigInvalidError
+    naming it."""
+    given = coerce(dict, given, f"{what}s")
+    declared = registry[scenario]
+    _reject_unknown(given, declared, f"{scenario} {what}")
+    return {key: coerce(parse, given[key], f"{what} {key!r}") if key in given else default
+            for key, (default, parse) in declared.items()}
 
 
 def _reject_unknown(given, known, what: str) -> None:

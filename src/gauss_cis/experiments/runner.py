@@ -1,11 +1,12 @@
 """Run scenarios and write deterministic reports.
 
-A scenario returns one table, written as ``<table>.csv``, and at most one
-plot, written as ``plotdata/<plot>.csv``: a projection of some of the
-table's columns.  Each column is formatted once and both files are
-written from the same strings.  Reports are always written, even when
-thresholds fail; only the exit status reflects the verdict.  CSV bodies
-are byte-stable across runs of the same config: floats print with 17
+A scenario returns one table, a map from each column name to its values
+in table order, written as ``<table>.csv``, and at most one plot, written
+as ``plotdata/<plot>.csv``: a projection of some of the table's columns.
+Each column is formatted once, as given, and both files are written from
+the same strings.  Reports are always written, even when thresholds
+fail; only the exit status reflects the verdict.  CSV bodies are
+byte-stable across runs of the same config: floats print with 17
 significant digits, rows keep the scenario's fixed order, and nothing
 time-dependent enters a CSV (timings live in report.json only).
 """
@@ -69,8 +70,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = {h: _format_column([r[i] for r in outcome.rows]) for i, h in enumerate(outcome.header)}
-    csvs = {out / f"{outcome.table}.csv": outcome.header}  # path -> columns
+    text = {name: _format_column(values) for name, values in outcome.columns.items()}
+    csvs = {out / f"{outcome.table}.csv": tuple(outcome.columns)}  # path -> column names
     if outcome.plot:
         (out / "plotdata").mkdir(exist_ok=True)
         csvs[out / "plotdata" / f"{outcome.plot[0]}.csv"] = outcome.plot[1]

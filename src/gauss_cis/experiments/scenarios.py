@@ -2,14 +2,16 @@
 
 Scenario functions are pure apart from RNG seeded from the config; the
 runner handles serialization, timing, and exit status.  Grid points are
-evaluated serially in a fixed order, so reports are deterministic.
-Each scenario is registered with the options it reads, each with its
-default and parser, and its tolerances with their defaults.  Before a
-scenario runs, ScenarioConfig rejects any other key, reads every given
-option through its parser and fills in the defaults of the rest, so a
-value of the wrong type or form raises ConfigInvalidError before any work
-and a scenario reads ``config.options[key]``.  The four frame-bound
-scenarios only declare their legs; ``_frame_legs`` sweeps and checks them.
+evaluated serially in a fixed order, so reports are deterministic.  A
+table is a map from each column name to its values, in table order.
+Each scenario is registered with the options and tolerances it reads,
+each with its default and parser.  Before a scenario runs, ScenarioConfig
+rejects any other key, reads every given value through its parser and
+fills in the defaults of the rest, so a value of the wrong type or form
+raises ConfigInvalidError before any work and a scenario reads
+``config.options[key]`` and ``config.tolerances[key]``.  The four
+frame-bound scenarios only declare their legs; ``_frame_legs`` sweeps and
+checks them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _MAX_GRID = 1_000_000
 
 SCENARIOS = {}   # scenario name -> function
 OPTIONS = {}     # scenario name -> {option: (default, parser)}
-TOLERANCES = {}  # scenario name -> {tolerance: default}
+TOLERANCES = {}  # scenario name -> {tolerance: (default, parser)}
 
 
 @dataclass
@@ -49,15 +51,13 @@ class ScenarioOutcome:
     passed: bool
     summary: dict
     table: str                 # CSV name
-    header: tuple
-    rows: list                 # tuples in header order
+    columns: dict              # column name -> values, in table order
     plot: tuple | None = None  # (plotdata name, the table columns it holds)
 
 
 def _scenario(name: str, tolerances=None, **options):
     """Register the decorated function as scenario ``name``, reading
-    ``options`` (each given as (default, parser)) and ``tolerances``
-    (each given with its default)."""
+    ``options`` and ``tolerances``, each given as (default, parser)."""
     def register(fn):
         SCENARIOS[name] = fn
         OPTIONS[name] = options
@@ -129,19 +129,19 @@ def _some_floats(values) -> list:
     return out
 
 
-def _pair(values, kind=float) -> tuple:
-    lo, hi = values
-    return kind(lo), kind(hi)
-
-
 def _bracket(values):
-    """``[lo, hi]`` bounds on a ratio, or None for no bounds."""
-    return None if values is None else _pair(values)
+    """``[lo, hi]`` bounds on a ratio, finite with lo <= hi, or None for no bounds."""
+    if values is None:
+        return None
+    lo, hi = map(float, values)
+    if not -np.inf < lo <= hi < np.inf:
+        raise ValueError("must be [lo, hi] with finite lo <= hi")
+    return lo, hi
 
 
 def _coeff_range(values) -> tuple:
     """``[lo, hi]`` coefficient indices with 1 <= lo <= hi."""
-    lo, hi = _pair(values, int)
+    lo, hi = map(int, values)
     if not 1 <= lo <= hi:
         raise ValueError("must be [lo, hi] with 1 <= lo <= hi")
     return lo, hi
@@ -155,14 +155,13 @@ def _ratio_outcome(table: str, columns: dict, ratios, bracket, passed=True, **su
     overflowed ratio measures nothing) and, if ``bracket`` is set, inside it."""
     lo, hi = (0.0, np.inf) if bracket is None else bracket
     measured = np.isfinite(ratios).all() and ratios.min() > 0.0
-    header = (*columns, "ratio")
+    # as Python floats, which the runner formats faster than numpy's
+    columns = {name: values.tolist() for name, values in {**columns, "ratio": ratios}.items()}
     return ScenarioOutcome(
         passed=bool(passed and measured and ratios.min() >= lo and ratios.max() <= hi),
         summary={"ratio_min": float(ratios.min()), "ratio_max": float(ratios.max()),
                  "bracket": bracket, **summary},
-        table=table, header=header,
-        rows=list(zip(*(v.tolist() for v in columns.values()), ratios.tolist())),
-        plot=(table, header),
+        table=table, columns=columns, plot=(table, tuple(columns)),
     )
 
 
@@ -172,33 +171,21 @@ def _require_sequence(config: ScenarioConfig):
     return build_sequence(config.sequence)
 
 
-@_scenario("classify", n_max=(8, int), margin=(1e-9, float), expect_pass=(None, _flag))
+@_scenario("classify", n_max=(8, _count), margin=(1e-9, _nonnegative), expect_pass=(None, _flag))
 def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
-    expect = config.options["expect_pass"]
-    verdict = avdonin_verdict(
-        _require_sequence(config), n_max=config.options["n_max"], margin=config.options["margin"]
-    )
-    passed = True if expect is None else (verdict.passes == expect)
+    options = config.options
+    verdict = avdonin_verdict(_require_sequence(config), options["n_max"], options["margin"])
     v = verdict.to_json()
-    rows = [(
-        config.sequence.get("kind"),
-        verdict.separated,
-        verdict.min_gap,
-        verdict.enumerable,
-        v["delta_sup"],
-        verdict.window_len,
-        v["best_window"]["delta_star"],
-        verdict.passes,
-        verdict.caveat,
-    )]
-    header = (
-        "kind", "separated", "min_gap", "enumerable", "delta_sup",
-        "window_len", "delta_star", "passes", "caveat",
-    )
+    row = {"kind": config.sequence.get("kind"), "separated": verdict.separated,
+           "min_gap": verdict.min_gap, "enumerable": verdict.enumerable,
+           "delta_sup": v["delta_sup"], "window_len": verdict.window_len,
+           "delta_star": v["best_window"]["delta_star"], "passes": verdict.passes,
+           "caveat": verdict.caveat}
+    expect = options["expect_pass"]
     return ScenarioOutcome(
-        passed=passed,
+        passed=expect is None or verdict.passes == expect,
         summary={"verdict": v, "expect_pass": expect},
-        table="verdict", header=header, rows=rows,
+        table="verdict", columns={name: [value] for name, value in row.items()},
     )
 
 
@@ -211,7 +198,8 @@ def _frame_legs(config: ScenarioConfig, table: str, labels: tuple, legs) -> Scen
     across the last one; a sigma_min of 0 (every entry underflowed) leaves
     the ratio or percentage after it None, and the check fails.  A sweep
     compares sizes, so fewer than two is a config error.  The table has a
-    row per leg and size; the summary a check per leg, with its labels,
+    row per leg and size, its labels then the entry's size, shape and
+    singular values; the summary a check per leg, with its labels,
     ``kind``, ``ok``, ``ratios`` or ``stability_pct``, and its ``report``.
     """
     sizes = config.sizes or (16, 32, 64)
@@ -242,11 +230,11 @@ def _frame_legs(config: ScenarioConfig, table: str, labels: tuple, legs) -> Scen
             ok = pct is not None and pct <= options["stability_pct"]
             check.update(kind="stable", stability_pct=pct)
         checks.append({**check, "ok": ok, "report": report.to_json()})
+    names = (*labels, "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
     return ScenarioOutcome(
         passed=all(ch["ok"] for ch in checks),
         summary={"checks": checks},
-        table=table, header=(*labels, "size", "n_rows", "n_cols", "sigma_min", "sigma_max"),
-        rows=rows,
+        table=table, columns=dict(zip(names, zip(*rows))),
         # sigma_min against size, and against the first label (delta or alpha)
         plot=("sigma_min", (*labels[:1], "size", "sigma_min")),
     )
@@ -294,7 +282,7 @@ def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 @_scenario("kernel-asymptotic", log_modulus_lo=(-10.0, float), log_modulus_hi=(10.0, float),
-           step=(0.25, _positive), max_spread=(10.0, float), bracket=(None, _bracket))
+           step=(0.25, _positive), max_spread=(10.0, _positive), bracket=(None, _bracket))
 def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
     options = config.options
     max_spread, bracket = options["max_spread"], options["bracket"]
@@ -331,7 +319,7 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     return _ratio_outcome("g0_ratio", columns, ratios, bracket, n_points=len(ratios))
 
 
-@_scenario("fock-consistency", tolerances={"gap": 1e-9}, n_seeds=(5, _count),
+@_scenario("fock-consistency", tolerances={"gap": (1e-9, _positive)}, n_seeds=(5, _count),
            lambdas=(tuple(np.linspace(-5.0, 5.0, 11).tolist()), _some_floats),
            b_values=((0.0, 2.0), _some_floats), coeff_range=((1, 16), _coeff_range))
 def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
@@ -350,16 +338,16 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
         for b in b_values:
             _, _, gaps = fock.consistency_identity(GaussianParam(config.a, b), coeffs, lambdas)
             rows += [(i, b, lam, gap) for lam, gap in zip(lambdas, gaps.tolist())]
-    worst = max(r[3] for r in rows)
+    columns = dict(zip(("seed_index", "b", "lambda", "gap"), zip(*rows)))
+    worst = max(columns["gap"])
     return ScenarioOutcome(
         passed=worst < tol,
         summary={"max_gap": worst, "tolerance": tol, "n_checks": len(rows)},
-        table="consistency", header=("seed_index", "b", "lambda", "gap"), rows=rows,
-        plot=("gap", ("lambda", "gap")),
+        table="consistency", columns=columns, plot=("gap", ("lambda", "gap")),
     )
 
 
-@_scenario("sign-retrieval", tolerances={"residual": 1e-8, "match": 1e-8},
+@_scenario("sign-retrieval", tolerances={"residual": (1e-8, _positive), "match": (1e-8, _positive)},
            trials=(50, _count), window=(12, _count), coeff_start=(0, int), coeff_count=(5, _count),
            delta_amplitude=(0.2, _nonnegative), node_start=(-1, int))
 def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
@@ -385,16 +373,11 @@ def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
         )
 
     results = [run(t) for t in range(trials)]
-    rows = [
-        (t, res.passes, res.n_survivors, res.max_survivor_residual,
-         res.dilated_delta_star, res.dilated_condition_ok)
-        for t, res in enumerate(results)
-    ]
-    n_pass = sum(1 for r in rows if r[1])
-    header = (
-        "trial", "passes", "n_survivors", "max_survivor_residual",
-        "dilated_delta_star", "dilated_condition_ok",
-    )
+    n_pass = sum(1 for res in results if res.passes)
+    names = ("passes", "n_survivors", "max_survivor_residual", "dilated_delta_star",
+             "dilated_condition_ok")
+    columns = {"trial": list(range(trials))}
+    columns.update((name, [getattr(res, name) for res in results]) for name in names)
     return ScenarioOutcome(
         passed=n_pass == trials,
         summary={
@@ -404,6 +387,6 @@ def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
             "prefixes_checked": sum(res.prefixes_checked for res in results),
             "patterns_total": trials * 2**window,
         },
-        table="sign_retrieval", header=header, rows=rows,
+        table="sign_retrieval", columns=columns,
     )
 

@@ -30,7 +30,7 @@ from .errors import (
     TooFewTermsError,
     UnsortedInputError,
 )
-from .lattice import GaussianParam, best_window_average
+from .lattice import GaussianParam, _check_threshold, best_window_average
 from .logdomain import (
     _out,
     log_abs_diff_exp,
@@ -167,7 +167,7 @@ class FockSeries:
     def from_coefficients(cls, values) -> "FockSeries":
         values = np.asarray(values, dtype=complex)
         with np.errstate(divide="ignore"):
-            lm = np.log(np.abs(values))
+            lm = np.log(modulus(values))
         return cls(lm, np.angle(values))
 
     @classmethod
@@ -562,8 +562,11 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     sup of |window averages of delta| below a - margin.  The arguments
     theta_n never enter.  Unlike ``avdonin_verdict``, averages are measured
     from 0: on this one-sided index set, re-indexing drops or adds a point.
+    ``n_max`` below 1, or a ``margin`` that is not finite or is below 0,
+    raises BadParameterError.
     """
     GaussianParam(a)
+    _check_threshold(n_max, margin)
     lms = np.ravel(points.log_modulus)
     if len(lms) < 2:
         raise BadParameterError("need at least two points")

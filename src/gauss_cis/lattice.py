@@ -504,6 +504,14 @@ def _best_window(deltas: np.ndarray, n_max: int, from_integer: bool):
     return best_n, best
 
 
+def _check_threshold(n_max: int, margin: float) -> None:
+    """BadParameterError unless ``n_max`` >= 1 and ``margin`` is finite and >= 0."""
+    if n_max < 1:
+        raise BadParameterError(f"n_max must be >= 1, got {n_max}")
+    if not (np.isfinite(margin) and margin >= 0.0):
+        raise BadParameterError(f"margin must be finite and >= 0, got {margin}")
+
+
 def best_window_average(deltas: np.ndarray, n_max: int):
     """(N, sup) minimizing window_average_sup over N <= n_max."""
     return _best_window(deltas, n_max, False)
@@ -529,8 +537,10 @@ def avdonin_verdict(seq: NodeSequence, n_max: int = 8, margin: float = 1e-9) -> 
     with delta_star 0.46 in either form.
 
     ``margin`` guards the strict inequality against rounding at the
-    boundary case delta_star = 1/2.
+    boundary case delta_star = 1/2.  ``n_max`` below 1, or a ``margin``
+    that is not finite or is below 0, raises BadParameterError.
     """
+    _check_threshold(n_max, margin)
     min_gap, separated = check_separation(seq)
     exact = not isinstance(seq, ExplicitWindow)
     caveat = "exact" if exact else "finite_window_heuristic"

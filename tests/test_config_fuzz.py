@@ -6,7 +6,8 @@ Configs start from a small valid base per scenario (so the runs stay short)
 and a derandomized hypothesis search replaces some of its fields with
 wrong types, out-of-range numbers, empty lists, single sizes and sizes
 past the 65,536 limit.  Values are bounded: a valid config never asks for a
-huge grid or frame section.  Misspelled keys and non-boolean
+huge grid or frame section.  Every report is read as strict JSON, so a
+NaN or Infinity in it fails.  Misspelled keys and non-boolean
 ``expect_pass`` values are listed cases, each of which must exit 2.
 """
 
@@ -119,6 +120,10 @@ def configs(draw):
     return scenario, config
 
 
+def _not_json(name):
+    raise ValueError(f"report.json holds {name}, which strict JSON does not")
+
+
 @given(configs())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_any_config_exits_2_or_reports(case):
@@ -139,7 +144,7 @@ def test_any_config_exits_2_or_reports(case):
             assert message.startswith("error: ") and message.count("\n") == 1, message
         else:
             assert message == ""
-            report = json.loads((out / "report.json").read_text())
+            report = json.loads((out / "report.json").read_text(), parse_constant=_not_json)
             assert code == (0 if report["passed"] else 1)
 
 

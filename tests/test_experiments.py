@@ -45,7 +45,8 @@ class TestConfig:
             ScenarioConfig(scenario="nope", seed=1, out_dir="out")
 
     def test_bad_tolerance(self):
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ConfigInvalidError,
+                           match=r"^tolerance 'gap': cannot read 0\.0 \(must be finite and > 0\)$"):
             ScenarioConfig(scenario="fock-consistency", seed=1, out_dir="out",
                            tolerances={"gap": 0.0})
 
@@ -86,8 +87,8 @@ class TestConfig:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_options_and_tolerances_resolve_once(self, scenario):
         cfg = ScenarioConfig(scenario=scenario, seed=1, out_dir="out")
-        assert cfg.options == {key: default for key, (default, _) in OPTIONS[scenario].items()}
-        assert cfg.tolerances == TOLERANCES[scenario]
+        for given, declared in ((cfg.options, OPTIONS), (cfg.tolerances, TOLERANCES)):
+            assert given == {key: default for key, (default, _) in declared[scenario].items()}
 
 
 class TestRunner:
@@ -166,12 +167,12 @@ def _reference_cell(value) -> str:
 def _reference_csvs(outcome) -> dict:
     """Relative path -> CSV text of the outcome's table and plot, cell by cell."""
     def csv(names):
-        cols = [outcome.header.index(n) for n in names]
         lines = [",".join(names)]
-        lines += [",".join(_reference_cell(row[i]) for i in cols) for row in outcome.rows]
+        lines += [",".join(_reference_cell(value) for value in row)
+                  for row in zip(*(outcome.columns[n] for n in names))]
         return "\n".join(lines) + "\n"
 
-    texts = {f"{outcome.table}.csv": csv(outcome.header)}
+    texts = {f"{outcome.table}.csv": csv(tuple(outcome.columns))}
     if outcome.plot:
         texts[f"plotdata/{outcome.plot[0]}.csv"] = csv(outcome.plot[1])
     return texts
@@ -207,10 +208,11 @@ class TestWriter:
     def test_edge_values_equal_the_per_cell_reference(self, tmp_path, monkeypatch, n_rows):
         edge = [True, np.bool_(False), np.int64(-7), None, float("nan"), float("inf"),
                 float("-inf"), -0.0, 1e-300, np.float32(0.1), np.float64(2.5)]
-        rows = [(i, edge[i], "x" if i % 2 else None, edge[-1 - i]) for i in range(n_rows)]
         outcome = ScenarioOutcome(
             passed=True, summary={}, table="edge",
-            header=("index", "edge", "label", "reversed"), rows=rows,
+            columns={"index": list(range(n_rows)), "edge": edge[:n_rows],
+                     "label": ["x" if i % 2 else None for i in range(n_rows)],
+                     "reversed": [edge[-1 - i] for i in range(n_rows)]},
             plot=("edge", ("reversed", "index")),
         )
         monkeypatch.setitem(SCENARIOS, "classify", lambda c: outcome)
@@ -489,6 +491,22 @@ class TestSignRetrieval:
         assert time.perf_counter() - start < 0.2
 
 
+# values that, if they were read, would pass the critical shift n + 1/2 or
+# write NaN or Infinity into report.json; each with what its error names
+OUT_OF_RANGE = [
+    ("classify", {"sequence": {"kind": "periodic", "offsets": [0.5]}, "options": {"margin": -0.1}},
+     "option 'margin'"),
+    ("classify", {"sequence": {"kind": "explicit", "nodes": [0.1, 1.0, 2.1, 2.9]},
+                  "options": {"n_max": 0}}, "option 'n_max'"),
+    ("kernel-asymptotic", {"options": {"max_spread": float("nan")}}, "option 'max_spread'"),
+    ("kernel-asymptotic", {"options": {"bracket": [float("nan"), 2.0]}}, "option 'bracket'"),
+    ("g0-estimate", {"options": {"bracket": [1.0, float("inf")]}}, "option 'bracket'"),
+    ("g0-estimate", {"options": {"bracket": [2.0, 1.0]}}, "option 'bracket'"),
+    ("fock-consistency", {"tolerances": {"gap": float("inf")}}, "tolerance 'gap'"),
+    ("density-demo", {"sequence": float("nan")}, "sequence must be a JSON object"),
+]
+
+
 @pytest.mark.parametrize(
     "scenario, config",
     [
@@ -545,6 +563,7 @@ class TestSignRetrieval:
         ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, float("inf")]}}),
         ("classify", {"sequence": {"kind": "explicit"}}),
         ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0], "index_range": [0, 5]}}),
+        *[(scenario, config) for scenario, config, _ in OUT_OF_RANGE],
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
@@ -555,6 +574,7 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, conf
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, argv", [("[1, 2]", []), ('{"seed": 1}', ["--seed", "-1"])],
@@ -582,6 +602,7 @@ def test_malformed_config_file_or_seed_flag_exits_2(tmp_path, capsys, text, argv
         ("critical-half", {"sizes": [1024, 65537]}, "sizes must be at most 65536"),
         ("kadets-sweep", {"options": {"deltas": [], "critical_deltas": []}}, "'critical_deltas'"),
         ("density-demo", {"options": {"alphas": []}}, "'alphas'"),
+        *OUT_OF_RANGE,
     ],
 )
 def test_input_errors_name_what_is_wrong(tmp_path, capsys, scenario, config, named):
@@ -623,9 +644,10 @@ def test_frame_legs_share_one_table_and_check_shape(tmp_path, scenario):
     outcome = SCENARIOS[scenario](cfg)
     checks = outcome.summary["checks"]
     assert outcome.table == table
-    assert outcome.header == (*labels, "size", "n_rows", "n_cols", "sigma_min", "sigma_max")
+    assert tuple(outcome.columns) == (*labels, "size", "n_rows", "n_cols", "sigma_min",
+                                      "sigma_max")
     # the table is the legs' report entries, leg by leg and size by size
-    assert outcome.rows == [
+    assert list(zip(*outcome.columns.values())) == [
         (*(check[k] for k in labels), e["size"], e["n_rows"], e["n_cols"], e["sigma_min"],
          e["sigma_max"])
         for check in checks for e in check["report"]["entries"]

@@ -80,6 +80,14 @@ _MALFORMED = {
                               BadParameterError, "at least one zero"),
     "verdict of one point": (lambda: fock_cis_verdict(1.0, LogPolarPoint([1.0], [0.0])),
                              BadParameterError, "at least two points"),
+    "verdict n_max 0": (lambda: fock_cis_verdict(1.0, _TWO_POINTS, n_max=0),
+                        BadParameterError, "n_max must be >= 1"),
+    "verdict margin -0.1": (lambda: fock_cis_verdict(1.0, _TWO_POINTS, margin=-0.1),
+                            BadParameterError, "margin must be finite and >= 0"),
+    "verdict margin nan": (lambda: fock_cis_verdict(1.0, _TWO_POINTS, margin=np.nan),
+                           BadParameterError, "margin must be finite and >= 0"),
+    "verdict margin inf": (lambda: fock_cis_verdict(1.0, _TWO_POINTS, margin=np.inf),
+                           BadParameterError, "margin must be finite and >= 0"),
 }
 
 
@@ -105,6 +113,15 @@ class TestFockSeries:
         assert s.log_magnitude[1] == -np.inf
         assert s.phase[1] == 0.0
         assert s.phase[2] == pytest.approx(np.pi)
+
+    def test_from_coefficients_takes_the_one_modulus_rule(self):
+        # |z| as hypot, as LogPolarPoint.from_complex and Python's abs take it;
+        # numpy 2.4's complex abs differs from it in the last bit on 365 of these
+        rng = np.random.default_rng(2027)
+        values = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        got = FockSeries.from_coefficients(values).log_magnitude
+        assert got.tobytes() == LogPolarPoint.from_complex(values).log_modulus.tobytes()
+        assert got.tobytes() == np.log([abs(complex(v)) for v in values]).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(BadParameterError):

@@ -48,6 +48,14 @@ _MALFORMED = {
                               WindowTooSmallError, "at least two nodes"),
     "window average of 0": (lambda: window_average_sup(np.zeros(4), 0),
                             BadParameterError, "window length 0"),
+    "verdict n_max 0": (lambda: avdonin_verdict(PeriodicPerturbation((0.1,)), n_max=0),
+                        BadParameterError, "n_max must be >= 1"),
+    "verdict margin -0.1": (lambda: avdonin_verdict(PeriodicPerturbation((0.5,)), margin=-0.1),
+                            BadParameterError, "margin must be finite and >= 0"),
+    "verdict margin nan": (lambda: avdonin_verdict(ExplicitWindow((0.0, 1.0)), margin=np.nan),
+                           BadParameterError, "margin must be finite and >= 0"),
+    "verdict margin inf": (lambda: avdonin_verdict(ExplicitWindow((0.0, 1.0)), margin=np.inf),
+                           BadParameterError, "margin must be finite and >= 0"),
 }
 
 
