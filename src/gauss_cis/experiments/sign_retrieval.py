@@ -79,12 +79,16 @@ def _surviving_signs(mat, q, samples, residual_tol: float):
     w, ncols = mat.shape
     scale = np.linalg.norm(samples)
     limit = residual_tol * (scale if scale > 0.0 else 1.0) * _PRUNE_SLACK
+    # prefix k's orthonormal factor, from one batched QR of mat with its
+    # rows from k on zeroed, is qs[k - ncols - 1, :k]
+    prefixes = np.arange(ncols + 1, w)[:, None, None]
+    qs = np.linalg.qr(np.where(np.arange(w)[:, None] < prefixes, mat, 0.0))[0]
     live = np.ones((1, 1))
     checked = 0
     for k in range(2, w + 1):
         live = np.column_stack([np.tile(live, (2, 1)), np.repeat([1.0, -1.0], len(live))])
         if ncols < k < w:
-            qk = np.linalg.qr(mat[:k])[0]
+            qk = qs[k - ncols - 1, :k]
             y = live * samples[:k]
             resid = np.linalg.norm(y - (y @ qk) @ qk.T, axis=1)
             checked += len(live)
@@ -110,12 +114,17 @@ def sign_retrieval_check(
     exactly from the coefficients, then the sign assignments are solved in
     the least-squares sense for real coefficients over the same index range
     by an exact pruned search over the 2^W assignments (same survivors as
-    trying every one), on one QR factorisation.  Assignments with relative
-    residual below ``residual_tol`` survive; the verdict passes when the
-    survivors' coefficient vectors are exactly the two global-sign copies
-    of the input (the zero vector passes trivially).
+    trying every one), on one QR factorisation and one batched QR of the
+    pruning prefixes.  Assignments with relative residual below
+    ``residual_tol`` survive; the verdict passes when the survivors'
+    coefficient vectors are exactly the two global-sign copies of the
+    input (the zero vector passes trivially).  Both tolerances must be
+    finite and > 0 (BadParameterError).
     """
     param = GaussianParam(a)
+    for name, tol in (("residual_tol", residual_tol), ("match_tol", match_tol)):
+        if not (np.isfinite(tol) and tol > 0.0):
+            raise BadParameterError(f"{name} must be finite and > 0, got {tol}")
     if np.any(coeffs.values.imag != 0.0):
         raise ComplexInputError("sign retrieval needs real coefficients")
     if len(coeffs) == 0:

@@ -68,10 +68,9 @@ _TRIM_RTOL = _EPS
 # this many rows and first shifts _MODEL_STEP of the model's move either side
 _MODEL_ROWS = _DENSE_MAX
 _MODEL_STEP = 0.01
-# a periodic band's symbol is scanned on this many angles, then refined by
-# at most _SYMBOL_NEWTON Newton steps
+# a periodic band's symbol is scanned on this many angles, then on this many
+# + 1 angles, _SYMBOL_GRID / 2 to a coarse step, around each side's best one
 _SYMBOL_GRID = 64
-_SYMBOL_NEWTON = 6
 # the symbol law's first shifts sit this many units of its error scale,
 # its move / (N_b + 1), either side of its estimate; over 74 band sections
 # 2 took the fewest sweeps of 1 to 6, and no section more than before
@@ -897,9 +896,10 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
 
     Each sweep takes one shift a side, the first two on a modelled side.
     From the symbol, 4 sweeps bring a period-4 pattern at M = 128 to 512
-    to width, 3 to 4 a constant shift of 0.1 to 0.5 at M = 512 and
-    1,024, 6, 6, 4 and 4 the critical shift at M = 128, 256, 512 and
-    1,024, and 3 at M = 4,096 and 16,384.  From the central block, 6 to 10
+    to width; 3 to 4 a constant shift of 0.1 to 0.5 at M = 512 and
+    1,024, except 0.49 at M = 1,024, which takes 6; 6, 6, 4 and 4 the
+    critical shift at M = 128, 256, 512 and 1,024; and 3 at M = 4,096
+    and 16,384.  From the central block, 6 to 10
     take the grids of slope 3/4 and 4/3 near M = 300, and up to about 40 an
     explicit window with random offsets.
 
@@ -1086,11 +1086,21 @@ def _symbol_law(diags, n: int):
     F(theta) is one contraction of the phases with the blocks.  An extreme
     eigenvalue of the section approaches its branch's extreme value
     lambda(theta_0) like lambda(theta_0) + lambda''(theta_0) / 2 (pi /
-    (N_b + 1))^2, the lowest mode of the branch's quadratic well.  theta_0 is the best point of a
-    grid of ``_SYMBOL_GRID`` angles in [-pi, pi), which holds -pi but not
-    pi so that no angle counts twice, refined by Newton steps on lambda';
-    lambda' and lambda'' come from first- and second-order perturbation
-    theory of ``eigh``, and a branch that meets another there has none.
+    (N_b + 1))^2, the lowest mode of the branch's quadratic well.  Two
+    batched ``eigvalsh`` calls find both sides' theta_0, with no iteration.
+    The coarse grid has ``_SYMBOL_GRID`` angles in [-pi, pi), which holds
+    -pi but not pi so that no angle counts twice.  The fine grid, one call
+    for both sides, has ``_SYMBOL_GRID`` + 1 angles h = (2 pi /
+    ``_SYMBOL_GRID``) / (``_SYMBOL_GRID`` / 2) apart, one coarse step
+    either side of each side's best coarse angle.  There f_k is the
+    branch, signed so that its extreme is a minimum, at index j + k, j
+    its best index kept 2 from either end.  The parabola through f_-1,
+    f_0, f_1 gives lambda(theta_0) = f_0 - (f_1 - f_-1)^2 / (8 (f_1 -
+    2 f_0 + f_-1)), and the five-point stencil gives lambda'' = (-f_-2 +
+    16 f_-1 - 30 f_0 + 16 f_1 - f_2) / (12 h^2): at the critical shift
+    it gives |S'(pi)| to 3e-11 relative, where the 3-point stencil misses
+    it by 1.5e-6.  A side where either difference has the wrong sign has
+    no well.
 
     The law's error is about C times its move over N_b + 1, with C
     between -2.4 and 2.1 over the frame-ladder patterns, constant shifts
@@ -1111,38 +1121,29 @@ def _symbol_law(diags, n: int):
     # call overhead is several times this small product's cost
     coef = blocks.reshape(len(t), period * period)
 
-    def symbol(theta, order=0):
-        phase = (1j * t) ** order * np.exp(1j * np.outer(np.atleast_1d(theta), t))
-        return (phase @ coef).reshape(-1, period, period)
+    def symbol(theta):
+        return (np.exp(1j * np.outer(theta, t)) @ coef).reshape(-1, period, period)
 
+    # each side's branch, signed so that its extreme is a minimum
+    sense = np.array([1.0, -1.0])
     grid = -np.pi + 2.0 * np.pi * np.arange(_SYMBOL_GRID) / _SYMBOL_GRID
-    branches = np.linalg.eigvalsh(symbol(grid))
+    coarse = np.linalg.eigvalsh(symbol(grid))[:, [0, -1]] * sense
+    h = 2.0 * np.pi / _SYMBOL_GRID / (_SYMBOL_GRID // 2)
+    steps = h * np.arange(-(_SYMBOL_GRID // 2), _SYMBOL_GRID // 2 + 1)
+    fine = (grid[np.argmin(coarse, axis=0)][:, None] + steps).ravel()
+    branches = np.linalg.eigvalsh(symbol(fine)).reshape(2, len(steps), period)
+    f = branches[[0, 1], :, [0, -1]] * sense[:, None]
+    j = np.clip(np.argmin(f, axis=1), 2, _SYMBOL_GRID - 2)
+    fm2, fm1, f0, f1, f2 = (f[[0, 1], j + k] for k in range(-2, 3))
+    second = f1 - 2.0 * f0 + fm1
+    curve = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * f1 - f2) / (12.0 * h * h)
     waves = (np.pi / (n / period + 1.0)) ** 2
-    estimate, spread = np.full(2, np.nan), np.full(2, np.nan)
-    for side, (branch, sense) in enumerate(((0, 1.0), (period - 1, -1.0))):
-        theta, curve = grid[np.argmin(sense * branches[:, branch])], np.nan
-        for _ in range(_SYMBOL_NEWTON):
-            value, vecs = np.linalg.eigh(symbol(theta)[0])
-            gap = value[branch] - value
-            gap[branch] = np.inf
-            if not gap.all():
-                curve = np.nan
-                break
-            v = vecs[:, branch]
-            x = vecs.conj().T @ symbol(theta, 1)[0] @ v
-            slope = x[branch].real
-            curve = (v.conj() @ symbol(theta, 2)[0] @ v).real + 2.0 * np.sum(np.abs(x) ** 2 / gap)
-            if not sense * curve > 0.0:
-                break
-            step = float(np.clip(-slope / curve, -np.pi / _SYMBOL_GRID, np.pi / _SYMBOL_GRID))
-            theta += step
-            if abs(step) <= 1e-13:
-                break
-        law = value[branch] + 0.5 * curve * waves
-        if sense * curve > 0.0 and law > 0.0:
-            estimate[side] = law
-            spread[side] = _LAW_STEP * 0.5 * abs(curve) * waves / (n / period + 1.0)
-    return estimate, spread
+    # nan (no well) where the second difference is not positive, so a flat branch divides by no 0
+    value = f0 - (f1 - fm1) ** 2 / (8.0 * np.where(second > 0.0, second, np.nan))
+    law = sense * (value + 0.5 * curve * waves)
+    well = (curve > 0.0) & (law > 0.0)
+    spread = _LAW_STEP * 0.5 * curve * waves / (n / period + 1.0)
+    return np.where(well, law, np.nan), np.where(well, spread, np.nan)
 
 
 def _next_shift(ends, phis, floor: float, resolution: float, side: int) -> float:

@@ -205,7 +205,8 @@ def build_sequence(spec: dict) -> NodeSequence:
 
     ``period`` is optional and must match ``len(offsets)`` when given;
     ``index_range`` is optional (defaults to starting at 0).  A spec or
-    field of the wrong type or form raises ConfigInvalidError.
+    field of the wrong type or form, or a key its kind does not read,
+    raises ConfigInvalidError.
     """
     if not isinstance(spec, dict):
         raise ConfigInvalidError(f"sequence must be a JSON object, not {type(spec).__name__}")
@@ -214,6 +215,13 @@ def build_sequence(spec: dict) -> NodeSequence:
 
 def _sequence_from_spec(spec: dict) -> NodeSequence:
     kind = spec.get("kind")
+    reads = {"affine": ("alpha", "beta"), "periodic": ("offsets", "period"),
+             "explicit": ("nodes", "index_range")}
+    if not isinstance(kind, str) or kind not in reads:
+        raise BadParameterError(f"unknown sequence kind {kind!r}")
+    for key in spec:
+        if key not in ("kind", *reads[kind]):
+            raise ConfigInvalidError(f"sequence key {key!r} is not read by kind {kind!r}")
     if kind == "affine":
         return AffineGrid(float(spec.get("alpha", 1.0)), float(spec.get("beta", 0.0)))
     if kind == "periodic":
@@ -226,16 +234,14 @@ def _sequence_from_spec(spec: dict) -> NodeSequence:
                 f"period {period} does not match {len(offsets)} offsets"
             )
         return PeriodicPerturbation(tuple(offsets))
-    if kind == "explicit":
-        nodes = spec.get("nodes")
-        if nodes is None:
-            raise BadParameterError("explicit spec needs 'nodes'")
-        rng = spec.get("index_range")
-        lo, hi = (0, len(nodes) - 1) if rng is None else rng
-        if int(hi) - int(lo) + 1 != len(nodes):
-            raise BadParameterError("index_range does not match node count")
-        return ExplicitWindow(tuple(nodes), int(lo))
-    raise BadParameterError(f"unknown sequence kind {kind!r}")
+    nodes = spec.get("nodes")
+    if nodes is None:
+        raise BadParameterError("explicit spec needs 'nodes'")
+    rng = spec.get("index_range")
+    lo, hi = (0, len(nodes) - 1) if rng is None else rng
+    if int(hi) - int(lo) + 1 != len(nodes):
+        raise BadParameterError("index_range does not match node count")
+    return ExplicitWindow(tuple(nodes), int(lo))
 
 
 def check_separation(seq: NodeSequence):

@@ -413,6 +413,14 @@ class TestSignRetrieval:
         with pytest.raises(BadParameterError, match="empty coefficient vector"):
             sign_retrieval_check(1.0, CoefficientVector(0, []), seq)
 
+    @pytest.mark.parametrize("name", ["residual_tol", "match_tol"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_tolerance_rejected(self, name, tol):
+        # once these read passes false with 0 survivors, and no error
+        seq = half_grid(np.zeros(8), start_index=-4)
+        with pytest.raises(BadParameterError, match=f"{name} must be finite and > 0"):
+            sign_retrieval_check(1.0, CoefficientVector(0, [1.0, 0.5]), seq, **{name: tol})
+
     def test_underdetermined_rejected(self):
         seq = half_grid(np.zeros(3), start_index=0)
         coeffs = CoefficientVector(0, np.ones(4))
@@ -504,6 +512,8 @@ OUT_OF_RANGE = [
     ("g0-estimate", {"options": {"bracket": [2.0, 1.0]}}, "option 'bracket'"),
     ("fock-consistency", {"tolerances": {"gap": float("inf")}}, "tolerance 'gap'"),
     ("density-demo", {"sequence": float("nan")}, "sequence must be a JSON object"),
+    ("classify", {"sequence": {"kind": "periodic", "offsets": [0.1], "x": float("nan")}},
+     "sequence key 'x'"),
 ]
 
 

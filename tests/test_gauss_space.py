@@ -779,6 +779,25 @@ class TestSymbolLaw:
             abs(np.sum(k * np.exp(-(k - 0.5) ** 2) * (-1.0) ** k)), rel=1e-9)
         assert np.all(step > 0.0)
 
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.4, 0.45])
+    def test_constant_shift_limit_is_the_jacobi_triple_product(self, delta):
+        # a row's symbol is S(theta) = sum_k e^{-(k - delta)^2} e^{i k theta},
+        # whose extremes at theta = pi and 0 are by Jacobi's triple product
+        # e^{-delta^2} prod (1 - q^{2k}) (1 -+ q^{2k-1-2 delta}) (1 -+ q^{2k-1+2 delta}),
+        # q = e^{-1}; at n = 10^12 the law's move is far below rounding
+        c, seq = A1, PeriodicPerturbation((delta,))
+        _, _, _, band = _one_period_section(c, seq, 200, 1.0, 3.0, "interior_rows")
+        estimate, _ = gauss_space._symbol_law(band[0], 10 ** 12)
+        q, k = np.exp(-1.0), np.arange(1.0, 40.0)
+        for value, sign in zip(np.sqrt(estimate), (-1.0, 1.0)):
+            odd = sign * q ** (2.0 * k - 1.0)
+            product = np.prod((1.0 - q ** (2.0 * k)) * (1.0 + odd * np.exp(2.0 * delta))
+                              * (1.0 + odd * np.exp(-2.0 * delta)))
+            assert value == pytest.approx(np.exp(-delta ** 2) * abs(product), rel=1e-12)
+        # the sigma_min values to six digits
+        assert np.sqrt(estimate[0]) == pytest.approx(
+            {0.1: 0.285912, 0.3: 0.176703, 0.4: 0.0928985, 0.45: 0.0470282}[delta], rel=1e-5)
+
     @pytest.mark.parametrize("b", [0.0, 2.0])
     @pytest.mark.parametrize("offsets", [(0.5,), (0.3,), PATTERN, (0.45, -0.35)], ids=repr)
     def test_starts_bracket_the_extreme_eigenvalues(self, offsets, b):

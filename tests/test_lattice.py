@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gauss_cis.errors import (
     BadParameterError,
+    ConfigInvalidError,
     EmptyWindowError,
     NonIncreasingError,
     WindowTooSmallError,
@@ -41,6 +42,9 @@ _MALFORMED = {
                              BadParameterError, "needs 'offsets'"),
     "spec without nodes": (lambda: build_sequence({"kind": "explicit"}),
                            BadParameterError, "needs 'nodes'"),
+    "spec unknown key": (
+        lambda: build_sequence({"kind": "periodic", "offsets": [0.1], "x": np.nan}),
+        ConfigInvalidError, "sequence key 'x' is not read by kind 'periodic'"),
     "spec index_range mismatch": (
         lambda: build_sequence({"kind": "explicit", "nodes": [0.0, 1.0], "index_range": [0, 5]}),
         BadParameterError, "does not match node count"),
