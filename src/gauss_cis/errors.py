@@ -1,6 +1,10 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the readers of numeric
+arguments and config values that raise them."""
 
+import math
+import numbers
 import reprlib
+import sys
 
 
 class GaussCisError(Exception):
@@ -70,3 +74,61 @@ def coerce(kind, value, what: str):
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalidError(f"{what}: cannot read {reprlib.repr(value)} ({exc})") from exc
+
+
+class _NotANumber(BadParameterError, TypeError):
+    """A library argument of the wrong type.  It is a TypeError too, so that
+    ``coerce`` reads it as a config error, as it reads float("x")."""
+
+
+def real(value, what: str, gt=None, ge=None, lt=None, error=BadParameterError) -> float:
+    """``value`` as a finite float, > ``gt``, >= ``ge`` and < ``lt`` where given.
+
+    An int or a float reads, numpy's too.  Anything else, such as a bool or
+    a numeric string, raises ``error`` naming ``what``, as does a value that
+    is not finite (NaN, +-inf, an int past float range) or out of bounds.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _wrong_type(error)(f"{what} must be a number, got {reprlib.repr(value)}")
+    # an int past float range reads as inf, where float() would raise
+    x = math.inf if isinstance(value, int) and abs(value) > sys.float_info.max else float(value)
+    if not (math.isfinite(x) and (gt is None or x > gt) and (ge is None or x >= ge)
+            and (lt is None or x < lt)):
+        rule = [f"{op} {b}" for op, b in ((">", gt), (">=", ge), ("<", lt)) if b is not None]
+        raise error(f"{what} must be {' and '.join(['finite', *rule])}, got {x}")
+    return x
+
+
+def whole(value, what: str, ge=None, error=BadParameterError) -> int:
+    """``value`` as an int, >= ``ge`` where given: an int, or a float that
+    is a whole number (16.0 reads, 2.5 does not), numpy's too.  Anything
+    else raises ``error`` naming ``what``, as ``real`` does."""
+    if not real(value, what, error=error).is_integer():
+        raise error(f"{what} must be a whole number, got {value}")
+    if ge is not None and value < ge:
+        raise error(f"{what} must be >= {ge}, got {int(value)}")
+    return int(value)  # exact for an int past 2**53
+
+
+def reals(values, what: str, gt=None, ge=None, lt=None, error=BadParameterError) -> list:
+    """``values``, a list, tuple or array, as a list of floats, each read by ``real``."""
+    return [real(v, what, gt, ge, lt, error) for v in _items(values, what, error)]
+
+
+def wholes(values, what: str, ge=None, error=BadParameterError) -> list:
+    """``values``, a list, tuple or array, as a list of ints, each read by ``whole``."""
+    return [whole(v, what, ge, error) for v in _items(values, what, error)]
+
+
+def _items(values, what: str, error) -> list:
+    """``values`` as a list; a scalar raises ``error`` (a string's items are
+    strings, which the readers reject)."""
+    try:
+        return list(values)
+    except TypeError:
+        raise _wrong_type(error)(f"{what} must be a list, got {reprlib.repr(values)}") from None
+
+
+def _wrong_type(error):
+    """The class a reader raises for a value of the wrong type."""
+    return _NotANumber if error is BadParameterError else error

@@ -5,8 +5,8 @@ Usage::
     gauss-cis <scenario> --config path.json [--out DIR] [--seed N]
 
 Exit codes: 0 when every declared threshold is met, 1 when a threshold
-fails (the report is still written), 2 for unknown scenarios or invalid
-configuration.
+fails (the report is still written), 2 for unknown scenarios, invalid
+configuration, or an output directory that cannot be made or written to.
 """
 
 import argparse

@@ -2,6 +2,8 @@
 
 A scenario declares its options and tolerances alike, each as
 ``(default, parser)``; one reader, ``_read_declared``, resolves both.
+Every number a config holds outside its ``sequence`` is read by the
+readers of ``errors``, with ConfigInvalidError naming its key.
 """
 
 import json
@@ -9,7 +11,8 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from ..errors import ConfigInvalidError, coerce
+from ..errors import ConfigInvalidError, coerce, real, whole
+from ..gauss_space import _sizes
 from ..lattice import build_sequence
 from .scenarios import OPTIONS, SCENARIOS, TOLERANCES
 
@@ -26,11 +29,14 @@ class ScenarioConfig:
     ``seed`` is mandatory so that every run is reproducible; scenario
     specific knobs live in ``options``.  After construction ``options`` and
     ``tolerances`` hold every one the scenario declares: a given value read
-    through its declared parser, else the default.  Fields of the wrong
-    type or form, values their parser rejects, and options or tolerances
-    the scenario does not declare raise ConfigInvalidError; a malformed
-    ``sequence`` raises its error from ``build_sequence``, whether or not
-    the scenario reads one.
+    through its declared parser, else the default.  A seed that is not a
+    whole number >= 0, an ``a`` that is not finite and > 0, a ``b`` that
+    is not finite, sizes that are not increasing whole numbers from 1 to
+    ``MAX_SIZE``, fields of the wrong type or form, values their parser
+    rejects, and options or tolerances the scenario does not declare raise
+    ConfigInvalidError naming the field; a malformed ``sequence`` raises
+    its error from ``build_sequence``, whether or not the scenario reads
+    one.
     """
 
     scenario: str
@@ -47,20 +53,10 @@ class ScenarioConfig:
         if self.scenario not in SCENARIO_NAMES:
             names = ", ".join(SCENARIO_NAMES)
             raise ConfigInvalidError(f"unknown scenario {self.scenario!r}; choose from: {names}")
-        if self.seed is None:
-            raise ConfigInvalidError("a seed is required")
-        self.seed = coerce(int, self.seed, "seed")
-        if self.seed < 0:
-            raise ConfigInvalidError("seed must be non-negative")
-        self.a = coerce(float, self.a, "a")
-        self.b = coerce(float, self.b, "b")
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ConfigInvalidError(f"a must be finite and > 0, got {self.a}")
-        if not math.isfinite(self.b):
-            raise ConfigInvalidError(f"b must be finite, got {self.b}")
-        self.sizes = coerce(lambda ms: tuple(int(m) for m in ms), self.sizes, "sizes")
-        if any(y <= x for x, y in zip(self.sizes, self.sizes[1:])):
-            raise ConfigInvalidError("sizes must be increasing")
+        self.seed = whole(self.seed, "seed", ge=0, error=ConfigInvalidError)
+        self.a = real(self.a, "a", gt=0, error=ConfigInvalidError)
+        self.b = real(self.b, "b", error=ConfigInvalidError)
+        self.sizes = _sizes(self.sizes, ConfigInvalidError)
         if any(m > MAX_SIZE for m in self.sizes):
             raise ConfigInvalidError(f"sizes must be at most {MAX_SIZE}, got {max(self.sizes)}")
         self.tolerances = _read_declared(self.tolerances, TOLERANCES, self.scenario, "tolerance")
@@ -82,15 +78,16 @@ class ScenarioConfig:
 
 def _read_declared(given, registry: dict, scenario: str, what: str) -> dict:
     """Every ``what`` (option or tolerance) that ``registry[scenario]``
-    declares as (default, parser): the value in ``given`` read through its
-    parser, else the default.  ``given`` not a mapping, a key it holds that
-    is not declared, and a value the parser rejects raise ConfigInvalidError
-    naming it."""
+    declares as (default, parser): the value in ``given`` read as
+    ``parser(value, name, error=ConfigInvalidError)``, as the readers of
+    ``errors`` read, else the default.  ``given`` not a mapping, a key it
+    holds that is not declared and a value the parser rejects raise
+    ConfigInvalidError naming it."""
     given = coerce(dict, given, f"{what}s")
     declared = registry[scenario]
     _reject_unknown(given, declared, f"{scenario} {what}")
-    return {key: coerce(parse, given[key], f"{what} {key!r}") if key in given else default
-            for key, (default, parse) in declared.items()}
+    return {key: parse(given[key], f"{what} {key!r}", error=ConfigInvalidError)
+            if key in given else default for key, (default, parse) in declared.items()}
 
 
 def _reject_unknown(given, known, what: str) -> None:

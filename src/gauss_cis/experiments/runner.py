@@ -8,7 +8,8 @@ the same strings.  Reports are always written, even when thresholds
 fail; only the exit status reflects the verdict.  CSV bodies are
 byte-stable across runs of the same config: floats print with 17
 significant digits, rows keep the scenario's fixed order, and nothing
-time-dependent enters a CSV (timings live in report.json only).
+time-dependent enters a CSV (timings live in report.json only).  An
+output directory that cannot be made or written to is a config error.
 """
 
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import UnknownScenarioError
+from ..errors import ConfigInvalidError, UnknownScenarioError
 from .config import ScenarioConfig
 from .scenarios import SCENARIOS
 
@@ -69,17 +70,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     elapsed = time.perf_counter() - start
 
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     text = {name: _format_column(values) for name, values in outcome.columns.items()}
     csvs = {out / f"{outcome.table}.csv": tuple(outcome.columns)}  # path -> column names
     if outcome.plot:
-        (out / "plotdata").mkdir(exist_ok=True)
         csvs[out / "plotdata" / f"{outcome.plot[0]}.csv"] = outcome.plot[1]
-    for path, header in csvs.items():
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in zip(*(text[h] for h in header)))
-
     report = {
         "config": config.echo(),
         "passed": outcome.passed,
@@ -87,10 +81,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         "csv_files": [str(p.relative_to(out)) for p in csvs],
         "elapsed_seconds": elapsed,
     }
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n",
-        encoding="utf-8",
-    )
+    report_json = json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n"
+    try:
+        for path, header in csvs.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with path.open("w", encoding="utf-8") as fh:
+                fh.write(",".join(header) + "\n")
+                fh.writelines(",".join(row) + "\n" for row in zip(*(text[h] for h in header)))
+        (out / "report.json").write_text(report_json, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot write the report to {out}: {exc}") from exc
     return ScenarioReport(
         scenario=config.scenario,
         passed=outcome.passed,

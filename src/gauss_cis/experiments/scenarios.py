@@ -5,11 +5,13 @@ runner handles serialization, timing, and exit status.  Grid points are
 evaluated serially in a fixed order, so reports are deterministic.  A
 table is a map from each column name to its values, in table order.
 Each scenario is registered with the options and tolerances it reads,
-each with its default and parser.  Before a scenario runs, ScenarioConfig
-rejects any other key, reads every given value through its parser and
-fills in the defaults of the rest, so a value of the wrong type or form
-raises ConfigInvalidError before any work and a scenario reads
-``config.options[key]`` and ``config.tolerances[key]``.  The four
+each with its default and parser: a reader of ``errors`` for a number, or
+a function that reads as they do, ``parser(value, name, error)``.  Before a
+scenario runs, ScenarioConfig rejects any other key, reads every given
+value through its parser and fills in the defaults of the rest, so a
+value of the wrong type, form or range raises ConfigInvalidError naming
+its key before any work and a scenario reads ``config.options[key]`` and
+``config.tolerances[key]``.  The four
 frame-bound scenarios only declare their legs; ``_frame_legs`` sweeps and
 checks them.
 """
@@ -17,12 +19,13 @@ checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import fock, gauss_space
-from ..errors import ConfigInvalidError
+from ..errors import ConfigInvalidError, real, reals, whole, wholes
 from ..gauss_space import CoefficientVector
 from ..lattice import (
     AffineGrid,
@@ -66,46 +69,20 @@ def _scenario(name: str, tolerances=None, **options):
     return register
 
 
-def _flag(value) -> bool:
-    """``value`` if it is a JSON boolean; a string such as "false" is not."""
-    if not isinstance(value, bool):
-        raise ValueError("must be true or false")
+def _typed(kind, value, what: str, error):
+    """``value`` if it is a ``kind``, such as a JSON boolean for ``bool``
+    (a string such as "false" is not)."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be of type {kind.__name__}, got {value!r}")
     return value
-
-
-def _positive(value) -> float:
-    """``value`` as a finite float > 0, such as a grid step."""
-    x = float(value)
-    if not (np.isfinite(x) and x > 0.0):
-        raise ValueError("must be finite and > 0")
-    return x
-
-
-def _nonnegative(value) -> float:
-    """``value`` as a finite float >= 0, such as an amplitude."""
-    x = float(value)
-    if not (np.isfinite(x) and x >= 0.0):
-        raise ValueError("must be finite and >= 0")
-    return x
-
-
-def _count(value) -> int:
-    """``value`` as an int >= 1, such as a trial count."""
-    n = int(value)
-    if n < 1:
-        raise ValueError("must be >= 1")
-    return n
 
 
 def _log_modulus_grid(lo: float, hi: float, step: float, per_point: int = 1):
     """lo, lo + step, ... up to hi.
 
-    Non-finite ends, an empty grid, and a grid whose points times
-    ``per_point`` (evaluations per grid point) exceed ``_MAX_GRID`` are
-    config errors.
+    An empty grid, and a grid whose points times ``per_point``
+    (evaluations per grid point) exceed ``_MAX_GRID``, are config errors.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigInvalidError(f"log_modulus_lo {lo} and log_modulus_hi {hi} must be finite")
     count = ((hi + 1e-12 - lo) / step + 1.0) * per_point
     if count > _MAX_GRID:
         raise ConfigInvalidError(
@@ -117,34 +94,25 @@ def _log_modulus_grid(lo: float, hi: float, step: float, per_point: int = 1):
     return grid
 
 
-def _floats(values) -> list:
-    return [float(x) for x in values]
-
-
-def _some_floats(values) -> list:
-    """``values`` as a list of at least one float."""
-    out = _floats(values)
+def _some_reals(values, what: str, error) -> list:
+    """``values`` as a list of at least one finite float."""
+    out = reals(values, what, error=error)
     if not out:
-        raise ValueError("needs at least one value")
+        raise error(f"{what} needs at least one value")
     return out
 
 
-def _bracket(values):
+def _pair(read, values, what: str, error) -> tuple:
+    """``[lo, hi]`` with lo <= hi, each end read by ``read``."""
+    pair = tuple(read(values, what, error=error))
+    if len(pair) != 2 or pair[0] > pair[1]:
+        raise error(f"{what} must be [lo, hi] with lo <= hi, got {values}")
+    return pair
+
+
+def _bracket(values, what: str, error):
     """``[lo, hi]`` bounds on a ratio, finite with lo <= hi, or None for no bounds."""
-    if values is None:
-        return None
-    lo, hi = map(float, values)
-    if not -np.inf < lo <= hi < np.inf:
-        raise ValueError("must be [lo, hi] with finite lo <= hi")
-    return lo, hi
-
-
-def _coeff_range(values) -> tuple:
-    """``[lo, hi]`` coefficient indices with 1 <= lo <= hi."""
-    lo, hi = map(int, values)
-    if not 1 <= lo <= hi:
-        raise ValueError("must be [lo, hi] with 1 <= lo <= hi")
-    return lo, hi
+    return None if values is None else _pair(reals, values, what, error)
 
 
 def _ratio_outcome(table: str, columns: dict, ratios, bracket, passed=True, **summary):
@@ -171,7 +139,8 @@ def _require_sequence(config: ScenarioConfig):
     return build_sequence(config.sequence)
 
 
-@_scenario("classify", n_max=(8, _count), margin=(1e-9, _nonnegative), expect_pass=(None, _flag))
+@_scenario("classify", n_max=(8, partial(whole, ge=1)), margin=(1e-9, partial(real, ge=0)),
+           expect_pass=(None, partial(_typed, bool)))
 def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
     options = config.options
     verdict = avdonin_verdict(_require_sequence(config), options["n_max"], options["margin"])
@@ -240,23 +209,23 @@ def _frame_legs(config: ScenarioConfig, table: str, labels: tuple, legs) -> Scen
     )
 
 
-@_scenario("framebound-sweep", interior_fraction=(2.0 / 3.0, float), edge_margin=(0.0, float),
-           orientation=("interior_rows", str), stability_pct=(float("inf"), float))
+@_scenario("framebound-sweep", interior_fraction=(2.0 / 3.0, real), edge_margin=(0.0, real),
+           orientation=("interior_rows", partial(_typed, str)), stability_pct=(float("inf"), real))
 def scenario_framebound_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     leg = ((), _require_sequence(config), config.options["orientation"], False)
     return _frame_legs(config, "frame_bounds", (), [leg])
 
 
-@_scenario("critical-half", interior_fraction=(1.0, float), edge_margin=(3.0, float),
-           orientation=("interior_rows", str), max_ratio=(0.5, float))
+@_scenario("critical-half", interior_fraction=(1.0, real), edge_margin=(3.0, real),
+           orientation=("interior_rows", partial(_typed, str)), max_ratio=(0.5, real))
 def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
     seq = build_sequence(config.sequence) if config.sequence else PeriodicPerturbation((0.5,))
     return _frame_legs(config, "frame_bounds", (), [((), seq, config.options["orientation"], True)])
 
 
-@_scenario("kadets-sweep", deltas=((0.1, 0.3, 0.45), _floats), critical_deltas=((0.5,), _floats),
-           interior_fraction=(1.0, float), edge_margin=(3.0, float),
-           stability_pct=(10.0, float), max_ratio=(0.5, float))
+@_scenario("kadets-sweep", deltas=((0.1, 0.3, 0.45), reals), critical_deltas=((0.5,), reals),
+           interior_fraction=(1.0, real), edge_margin=(3.0, real),
+           stability_pct=(10.0, real), max_ratio=(0.5, real))
 def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     deltas = config.options["deltas"]
     critical = config.options["critical_deltas"]
@@ -269,8 +238,8 @@ def scenario_kadets_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     return _frame_legs(config, "kadets", ("delta",), legs)
 
 
-@_scenario("density-demo", alphas=((0.9, 1.1), _some_floats), interior_fraction=(2.0 / 3.0, float),
-           edge_margin=(0.0, float), stability_pct=(10.0, float))
+@_scenario("density-demo", alphas=((0.9, 1.1), _some_reals), interior_fraction=(2.0 / 3.0, real),
+           edge_margin=(0.0, real), stability_pct=(10.0, real))
 def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
     # oversampled grids measure the sampling-side bound (interior
     # coefficients); undersampled ones the interpolation-side bound
@@ -281,8 +250,9 @@ def scenario_density_demo(config: ScenarioConfig) -> ScenarioOutcome:
     return _frame_legs(config, "density", ("alpha", "orientation"), legs)
 
 
-@_scenario("kernel-asymptotic", log_modulus_lo=(-10.0, float), log_modulus_hi=(10.0, float),
-           step=(0.25, _positive), max_spread=(10.0, _positive), bracket=(None, _bracket))
+@_scenario("kernel-asymptotic", log_modulus_lo=(-10.0, real), log_modulus_hi=(10.0, real),
+           step=(0.25, partial(real, gt=0)), max_spread=(10.0, partial(real, gt=0)),
+           bracket=(None, _bracket))
 def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
     options = config.options
     max_spread, bracket = options["max_spread"], options["bracket"]
@@ -294,9 +264,9 @@ def scenario_kernel_asymptotic(config: ScenarioConfig) -> ScenarioOutcome:
 
 
 # log_modulus_lo and log_modulus_hi default to a and 21a
-@_scenario("g0-estimate", log_modulus_lo=(None, float), log_modulus_hi=(None, float),
-           step=(0.1, _positive), n_angles=(8, _count), exclusion=(0.1, _positive),
-           bracket=(None, _bracket))
+@_scenario("g0-estimate", log_modulus_lo=(None, real), log_modulus_hi=(None, real),
+           step=(0.1, partial(real, gt=0)), n_angles=(8, partial(whole, ge=1)),
+           exclusion=(0.1, partial(real, gt=0)), bracket=(None, _bracket))
 def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     a, options = config.a, config.options
     lo = a if options["log_modulus_lo"] is None else options["log_modulus_lo"]
@@ -319,20 +289,25 @@ def scenario_g0_estimate(config: ScenarioConfig) -> ScenarioOutcome:
     return _ratio_outcome("g0_ratio", columns, ratios, bracket, n_points=len(ratios))
 
 
-@_scenario("fock-consistency", tolerances={"gap": (1e-9, _positive)}, n_seeds=(5, _count),
-           lambdas=(tuple(np.linspace(-5.0, 5.0, 11).tolist()), _some_floats),
-           b_values=((0.0, 2.0), _some_floats), coeff_range=((1, 16), _coeff_range))
+@_scenario("fock-consistency", tolerances={"gap": (1e-9, partial(real, gt=0))},
+           n_seeds=(5, partial(whole, ge=1)), b_values=((0.0, 2.0), _some_reals),
+           lambdas=(tuple(np.linspace(-5.0, 5.0, 11).tolist()), _some_reals),
+           coeff_range=((1, 16), partial(_pair, partial(wholes, ge=1))))
 def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
     n_seeds = config.options["n_seeds"]
     lambdas = config.options["lambdas"]
     b_values = config.options["b_values"]
     n_lo, n_hi = config.options["coeff_range"]
     tol = config.tolerances["gap"]
+    size = n_hi - n_lo + 1
+    # consistency_identity holds a few lambda-by-coefficient arrays
+    if len(lambdas) * size > _MAX_GRID:
+        raise ConfigInvalidError(f"option 'coeff_range': {size} coefficients times "
+                                 f"{len(lambdas)} lambdas exceeds {_MAX_GRID:,}")
 
     rows = []
     for i in range(n_seeds):
         rng = np.random.default_rng([config.seed, i])
-        size = n_hi - n_lo + 1
         vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         coeffs = CoefficientVector(n_lo, vals)
         for b in b_values:
@@ -347,15 +322,15 @@ def scenario_fock_consistency(config: ScenarioConfig) -> ScenarioOutcome:
     )
 
 
-@_scenario("sign-retrieval", tolerances={"residual": (1e-8, _positive), "match": (1e-8, _positive)},
-           trials=(50, _count), window=(12, _count), coeff_start=(0, int), coeff_count=(5, _count),
-           delta_amplitude=(0.2, _nonnegative), node_start=(-1, int))
+# the dilated-node verdict compares neighbouring nodes, so a window needs two
+@_scenario("sign-retrieval", tolerances={"residual": (1e-8, partial(real, gt=0)),
+                                         "match": (1e-8, partial(real, gt=0))},
+           trials=(50, partial(whole, ge=1)), window=(12, partial(whole, ge=2)),
+           coeff_start=(0, whole), coeff_count=(5, partial(whole, ge=1)),
+           delta_amplitude=(0.2, partial(real, ge=0)), node_start=(-1, whole))
 def scenario_sign_retrieval(config: ScenarioConfig) -> ScenarioOutcome:
     options = config.options
     trials, window = options["trials"], options["window"]
-    if window < 2:
-        # the dilated-node verdict compares neighbouring nodes
-        raise ConfigInvalidError(f"option 'window': needs at least two nodes, got {window}")
     coeff_start, coeff_count = options["coeff_start"], options["coeff_count"]
     amplitude, node_start = options["delta_amplitude"], options["node_start"]
 

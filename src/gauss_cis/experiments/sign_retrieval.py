@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BadParameterError, ComplexInputError, WindowTooLargeError
+from ..errors import BadParameterError, ComplexInputError, WindowTooLargeError, real
 from ..gauss_space import CoefficientVector, _entries
 from ..lattice import ExplicitWindow, GaussianParam, NodeSequence, avdonin_verdict
 
@@ -122,9 +122,8 @@ def sign_retrieval_check(
     finite and > 0 (BadParameterError).
     """
     param = GaussianParam(a)
-    for name, tol in (("residual_tol", residual_tol), ("match_tol", match_tol)):
-        if not (np.isfinite(tol) and tol > 0.0):
-            raise BadParameterError(f"{name} must be finite and > 0, got {tol}")
+    real(residual_tol, "residual_tol", gt=0)
+    real(match_tol, "match_tol", gt=0)
     if np.any(coeffs.values.imag != 0.0):
         raise ComplexInputError("sign retrieval needs real coefficients")
     if len(coeffs) == 0:

@@ -29,8 +29,11 @@ from .errors import (
     OnZeroError,
     TooFewTermsError,
     UnsortedInputError,
+    real,
+    reals,
+    whole,
 )
-from .lattice import GaussianParam, _check_threshold, best_window_average
+from .lattice import GaussianParam, best_window_average
 from .logdomain import (
     _out,
     log_abs_diff_exp,
@@ -239,6 +242,10 @@ class RadialGrid:
     t_hi: float
     step: float
 
+    def __post_init__(self):
+        reals((self.t_lo, self.t_hi), "grid ends")
+        real(self.step, "step", gt=0)
+
     def points(self) -> np.ndarray:
         n = int(np.floor((self.t_hi - self.t_lo) / self.step)) + 1
         return self.t_lo + self.step * np.arange(n)
@@ -331,7 +338,7 @@ def kernel_norm(a: float, p: LogPolarPoint, n_terms: Optional[int] = None):
     lm = np.asarray(p.log_modulus, dtype=float)
     peak = np.maximum(0.0, lm / (2.0 * a) - 1.0)
     needed = np.ceil(peak + np.sqrt(40.0 / a) + 4.0).astype(int)
-    n_used = needed if n_terms is None else np.full(lm.shape, int(n_terms))
+    n_used = needed if n_terms is None else np.full(lm.shape, whole(n_terms, "n_terms", ge=0))
 
     def partial_sums(lm, n_used):
         n = np.arange(int(n_used.max()) + 1)
@@ -411,6 +418,7 @@ class GeneratingProduct:
         if np.any(np.diff(z) <= 0.0):
             raise BadParameterError("zero log-moduli must be strictly increasing")
         GaussianParam(self.a)
+        real(self.delta_exponent, "delta_exponent")
         z.setflags(write=False)
         ps = np.concatenate([[0.0], np.cumsum(z)])
         ps.setflags(write=False)
@@ -562,11 +570,12 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     sup of |window averages of delta| below a - margin.  The arguments
     theta_n never enter.  Unlike ``avdonin_verdict``, averages are measured
     from 0: on this one-sided index set, re-indexing drops or adds a point.
-    ``n_max`` below 1, or a ``margin`` that is not finite or is below 0,
-    raises BadParameterError.
+    ``n_max`` not a whole number >= 1, or a ``margin`` that is not finite
+    or is below 0, raises BadParameterError.
     """
     GaussianParam(a)
-    _check_threshold(n_max, margin)
+    n_max = whole(n_max, "n_max", ge=1)
+    real(margin, "margin", ge=0)
     lms = np.ravel(points.log_modulus)
     if len(lms) < 2:
         raise BadParameterError("need at least two points")

@@ -29,6 +29,9 @@ from .errors import (
     EmptyWindowError,
     NoEnumerationError,
     SingularSystemError,
+    real,
+    whole,
+    wholes,
 )
 from .lattice import GaussianParam, NodeSequence, _unit_offsets
 
@@ -116,7 +119,7 @@ class CoefficientVector:
             raise BadParameterError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "start", whole(self.start, "start"))
 
     @classmethod
     def basis(cls, n: int) -> "CoefficientVector":
@@ -164,8 +167,8 @@ def evaluate(c: GaussianParam, coeffs: CoefficientVector, x: float, tol: float =
     coefficient norm.  Returns ``(value, tail_bound)`` where ``tail_bound``
     is the exact bound sum |c_n| e^{-a(x-n)^2} over the neglected indices.
     """
-    if tol <= 0.0:
-        raise BadParameterError("tol must be > 0")
+    real(tol, "tol", gt=0)
+    x = real(x, "x")
     if len(coeffs) == 0:
         return 0.0 + 0.0j, 0.0
     # smallest radius r >= 1 whose two-sided tail sum_{|d| >= r} e^{-2a d^2}
@@ -230,8 +233,7 @@ def _section_frame(c: GaussianParam, seq: NodeSequence, node_range, tol: float):
     """``(positions, buffer, cols, tail_bound)`` of the collocation matrix
     on ``node_range``, without its entries; ``cols`` are its integer
     columns, as floats."""
-    if tol <= 0.0 or tol >= 1.0:
-        raise BadParameterError("tol must be in (0, 1)")
+    real(tol, "tol", gt=0, lt=1)
     try:
         lam = seq.positions(node_range)
     except EmptyWindowError as exc:
@@ -398,7 +400,9 @@ def frame_bounds(
       bound for interior-supported functions).
 
     The trim keeps |position| <= interior_fraction * span - edge_margin,
-    where span is the smaller of |lambda_{-M}|, |lambda_M|.
+    where span is the smaller of |lambda_{-M}|, |lambda_M|.  ``sizes``
+    must be increasing whole numbers >= 1, ``interior_fraction`` finite
+    and > 0 and ``edge_margin`` finite (BadParameterError).
 
     Sections with min(rows, cols) <= 128 take a values-only dense SVD,
     which runs in real arithmetic when b = 0 (the entries are then real);
@@ -427,17 +431,11 @@ def frame_bounds(
     ``radius``: the formation, trim and factoring terms of the rounding
     radius, in sigma^2.
     """
-    sizes = [int(m) for m in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise BadParameterError("sizes must be increasing")
-    if sizes and sizes[0] < 1:
-        raise BadParameterError(f"sizes must be >= 1, got {sizes[0]}")
+    sizes = _sizes(sizes)
     if orientation not in ("interior_rows", "interior_cols"):
         raise BadParameterError(f"unknown orientation {orientation!r}")
-    if not (np.isfinite(interior_fraction) and interior_fraction > 0.0):
-        raise BadParameterError(f"interior_fraction must be finite and > 0, got {interior_fraction}")
-    if not np.isfinite(edge_margin):
-        raise BadParameterError(f"edge_margin must be finite, got {edge_margin}")
+    real(interior_fraction, "interior_fraction", gt=0)
+    real(edge_margin, "edge_margin")
     offsets = _unit_offsets(seq)
     entries = []
     for m in sizes:
@@ -469,6 +467,15 @@ def frame_bounds(
     return FrameBoundReport(
         orientation, interior_fraction, edge_margin, tuple(entries)
     )
+
+
+def _sizes(sizes, error=BadParameterError) -> tuple:
+    """``sizes`` as increasing whole numbers >= 1, the truncation sizes M
+    of ``frame_bounds``; anything else raises ``error``."""
+    sizes = tuple(wholes(sizes, "sizes", ge=1, error=error))
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise error("sizes must be increasing")
+    return sizes
 
 
 def _gamma(k: int) -> float:
@@ -1231,9 +1238,7 @@ def compact_block_hsnorm(c: GaussianParam, seq: NodeSequence, window: int):
     to the squared norm, using the Gaussian tail with the window's
     sup|delta|.
     """
-    w = int(window)
-    if w < 1:
-        raise BadParameterError("window must be >= 1")
+    w = whole(window, "window", ge=1)
     lam = seq.positions((-w, -1))
     n = np.arange(1, w + 1, dtype=float)
     hs_sq = float(np.sum(np.exp(-2.0 * c.a * (lam[:, None] - n[None, :]) ** 2)))

@@ -26,6 +26,10 @@ from .errors import (
     NonIncreasingError,
     WindowTooSmallError,
     coerce,
+    real,
+    reals,
+    whole,
+    wholes,
 )
 
 __all__ = [
@@ -62,10 +66,8 @@ class GaussianParam:
     b: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.a) or self.a <= 0.0:
-            raise BadParameterError(f"decay rate a must be finite and > 0, got {self.a}")
-        if not np.isfinite(self.b):
-            raise BadParameterError(f"parameter b must be finite, got {self.b}")
+        real(self.a, "decay rate a", gt=0)
+        real(self.b, "parameter b")
 
     @property
     def c(self) -> complex:
@@ -99,10 +101,8 @@ class AffineGrid(NodeSequence):
     beta: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise BadParameterError(f"grid slope must be > 0, got {self.alpha}")
-        if not np.isfinite(self.beta):
-            raise BadParameterError("grid shift must be finite")
+        real(self.alpha, "grid slope", gt=0)
+        real(self.beta, "grid shift")
 
     def positions(self, window=None) -> np.ndarray:
         lo, hi = self._window(window)
@@ -119,11 +119,9 @@ class PeriodicPerturbation(NodeSequence):
     offsets: tuple
 
     def __post_init__(self):
-        offs = tuple(float(d) for d in self.offsets)
-        if len(offs) < 1:
+        offs = tuple(reals(self.offsets, "offsets"))
+        if not offs:
             raise BadParameterError("period must be >= 1")
-        if not all(np.isfinite(offs)):
-            raise BadParameterError("offsets must be finite")
         object.__setattr__(self, "offsets", offs)
         # increasing across one period and the period boundary
         lam = np.arange(len(offs) + 1) + np.array(offs + (offs[0],))
@@ -167,7 +165,7 @@ class ExplicitWindow(NodeSequence):
             raise NonIncreasingError("explicit nodes must be strictly increasing")
         arr.setflags(write=False)
         object.__setattr__(self, "nodes", arr)
-        object.__setattr__(self, "start_index", int(self.start_index))
+        object.__setattr__(self, "start_index", whole(self.start_index, "start_index"))
 
     def __eq__(self, other):
         if not isinstance(other, ExplicitWindow):
@@ -223,25 +221,24 @@ def _sequence_from_spec(spec: dict) -> NodeSequence:
         if key not in ("kind", *reads[kind]):
             raise ConfigInvalidError(f"sequence key {key!r} is not read by kind {kind!r}")
     if kind == "affine":
-        return AffineGrid(float(spec.get("alpha", 1.0)), float(spec.get("beta", 0.0)))
+        return AffineGrid(spec.get("alpha", 1.0), spec.get("beta", 0.0))
     if kind == "periodic":
         offsets = spec.get("offsets")
         if offsets is None:
             raise BadParameterError("periodic spec needs 'offsets'")
         period = spec.get("period")
-        if period is not None and int(period) != len(offsets):
-            raise BadParameterError(
-                f"period {period} does not match {len(offsets)} offsets"
-            )
-        return PeriodicPerturbation(tuple(offsets))
+        if period is not None and whole(period, "period", error=ConfigInvalidError) != len(offsets):
+            raise BadParameterError(f"period {period} does not match {len(offsets)} offsets")
+        return PeriodicPerturbation(offsets)
     nodes = spec.get("nodes")
     if nodes is None:
         raise BadParameterError("explicit spec needs 'nodes'")
     rng = spec.get("index_range")
-    lo, hi = (0, len(nodes) - 1) if rng is None else rng
-    if int(hi) - int(lo) + 1 != len(nodes):
+    lo, hi = (0, len(nodes) - 1) if rng is None else wholes(
+        rng, "index_range", error=ConfigInvalidError)
+    if hi - lo + 1 != len(nodes):
         raise BadParameterError("index_range does not match node count")
-    return ExplicitWindow(tuple(nodes), int(lo))
+    return ExplicitWindow(tuple(nodes), lo)
 
 
 def check_separation(seq: NodeSequence):
@@ -320,8 +317,8 @@ def canonical_enumeration(seq: NodeSequence, bound: float, window=None) -> Optio
     span.  Re-running on an already canonical window returns offset 0 and
     identical deltas.
     """
-    if bound <= 0.0:
-        raise BadParameterError("bound must be > 0")
+    if not bound > 0.0:  # NaN fails too; +inf, which the exact models pass, reads
+        raise BadParameterError(f"bound must be > 0, got {bound}")
     offsets = _unit_offsets(seq)
     if offsets is not None:
         offs = np.asarray(offsets)
@@ -417,12 +414,9 @@ def beurling_densities(seq: NodeSequence, r_values) -> DensityEstimate:
     if len(nodes) < 2:
         raise WindowTooSmallError("density sweep needs at least two nodes")
     span = nodes[-1] - nodes[0]
-    try:
-        rs = sorted(float(r) for r in r_values)
-    except (TypeError, ValueError):
-        raise BadParameterError(f"radii must be a list of numbers, got {r_values!r}") from None
-    if not rs or not np.all(np.isfinite(rs)) or rs[0] <= 0.0:
-        raise BadParameterError(f"radii must be finite and positive, got {rs}")
+    rs = sorted(reals(r_values, "radii", gt=0))
+    if not rs:
+        raise BadParameterError("radii must hold at least one radius")
     if rs[-1] > span / 2.0:
         raise WindowTooSmallError(
             f"largest radius {rs[-1]} exceeds half the data span {span / 2.0}"
@@ -510,14 +504,6 @@ def _best_window(deltas: np.ndarray, n_max: int, from_integer: bool):
     return best_n, best
 
 
-def _check_threshold(n_max: int, margin: float) -> None:
-    """BadParameterError unless ``n_max`` >= 1 and ``margin`` is finite and >= 0."""
-    if n_max < 1:
-        raise BadParameterError(f"n_max must be >= 1, got {n_max}")
-    if not (np.isfinite(margin) and margin >= 0.0):
-        raise BadParameterError(f"margin must be finite and >= 0, got {margin}")
-
-
 def best_window_average(deltas: np.ndarray, n_max: int):
     """(N, sup) minimizing window_average_sup over N <= n_max."""
     return _best_window(deltas, n_max, False)
@@ -543,10 +529,11 @@ def avdonin_verdict(seq: NodeSequence, n_max: int = 8, margin: float = 1e-9) -> 
     with delta_star 0.46 in either form.
 
     ``margin`` guards the strict inequality against rounding at the
-    boundary case delta_star = 1/2.  ``n_max`` below 1, or a ``margin``
-    that is not finite or is below 0, raises BadParameterError.
+    boundary case delta_star = 1/2.  ``n_max`` not a whole number >= 1, or
+    a ``margin`` that is not finite or is below 0, raises BadParameterError.
     """
-    _check_threshold(n_max, margin)
+    n_max = whole(n_max, "n_max", ge=1)
+    real(margin, "margin", ge=0)
     min_gap, separated = check_separation(seq)
     exact = not isinstance(seq, ExplicitWindow)
     caveat = "exact" if exact else "finite_window_heuristic"

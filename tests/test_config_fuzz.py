@@ -9,6 +9,14 @@ past the 65,536 limit.  Values are bounded: a valid config never asks for a
 huge grid or frame section.  Every report is read as strict JSON, so a
 NaN or Infinity in it fails.  Misspelled keys and non-boolean
 ``expect_pass`` values are listed cases, each of which must exit 2.
+
+A second search puts one value that is not a number of its field's kind
+into a numeric field (``seed``, ``a``, ``b``, ``sizes`` or a declared
+option or tolerance, or one entry of a list of them): a bool, NaN, an
+infinity, a numeric string, an int past float range or, where a whole
+number is read, a float that is not one.  Each must exit 2 with a config
+error naming the field, before any report is written; a whole number
+written as a float, such as 16.0, reads as that number.
 """
 
 import contextlib
@@ -23,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_cis.experiments.cli import main as cli_main
+from gauss_cis.experiments.scenarios import OPTIONS, TOLERANCES
 
 PERIODIC = {"kind": "periodic", "offsets": [0.2, -0.1]}
 
@@ -196,3 +205,73 @@ def test_expect_pass_takes_only_json_booleans(tmp_path, value):
 def test_expect_pass_is_compared_with_the_verdict(tmp_path, value, code):
     # the critical shift fails the classifier, as an expectation of false says
     assert _run(tmp_path, "classify", {**CRITICAL, "options": {"expect_pass": value}}) == (code, "")
+
+
+# the fields read as whole numbers; every other numeric field is read as a float
+WHOLE = {"seed", "sizes", "n_max", "n_angles", "n_seeds", "coeff_range", "trials", "window",
+         "coeff_start", "coeff_count", "node_start"}
+NOT_A_NUMBER = st.sampled_from(
+    [True, False, float("nan"), float("inf"), float("-inf"), "1.5", "16", "nan", 10**400, -10**400])
+NOT_WHOLE = st.floats(-100.0, 100.0).filter(lambda x: not x.is_integer())
+
+
+def _numeric_fields(scenario):
+    """(section, key, error name, valid value) of every numeric field of
+    ``scenario``: the valid value is the base config's, else the default."""
+    base = BASE[scenario]
+    top = {"seed": 1, "a": base.get("a", 1.0), "b": 0.0, "sizes": base.get("sizes", [8, 16])}
+    fields = [(None, key, key, value) for key, value in top.items()]
+    for section, registry, what in (("options", OPTIONS, "option"),
+                                    ("tolerances", TOLERANCES, "tolerance")):
+        for key, (default, _) in registry[scenario].items():
+            if key not in ("orientation", "expect_pass"):
+                value = base.get(section, {}).get(key, default)
+                fields.append((section, key, f"{what} {key!r}", value))
+    return fields
+
+
+def _with(config, section, key, value):
+    """``config`` with ``key`` of ``section`` (None: the top level) set to ``value``."""
+    config = json.loads(json.dumps(config))
+    (config.setdefault(section, {}) if section else config)[key] = value
+    return config
+
+
+@st.composite
+def misread_fields(draw):
+    scenario = draw(st.sampled_from(sorted(BASE)))
+    section, key, name, valid = draw(st.sampled_from(_numeric_fields(scenario)))
+    bad = draw(st.one_of(NOT_A_NUMBER, NOT_WHOLE) if key in WHOLE else NOT_A_NUMBER)
+    if isinstance(valid, (list, tuple)):
+        i = draw(st.integers(0, len(valid) - 1))
+        bad = [*valid[:i], bad, *valid[i + 1:]]
+    return scenario, _with({**BASE[scenario], "seed": 1}, section, key, bad), name
+
+
+@given(misread_fields())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_numeric_field_that_is_not_its_kind_of_number_exits_2_naming_it(case):
+    scenario, config, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run(tmp, scenario, config)
+        assert code == 2 and err.startswith(f"error: invalid config: {name} ") \
+            and err.count("\n") == 1, (config, err)
+        assert not (Path(tmp) / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", sorted(BASE))
+def test_whole_numbers_written_as_floats_read_as_those_numbers(tmp_path, scenario):
+    config = {**BASE[scenario], "seed": 1}
+    for section, key, _, valid in _numeric_fields(scenario):
+        if key in WHOLE:
+            as_float = ([float(v) for v in valid] if isinstance(valid, (list, tuple))
+                        else float(valid))
+            config = _with(config, section, key, as_float)
+    code, err = _run(tmp_path, scenario, config)
+    assert code in (0, 1) and err == ""
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    for section, key, _, valid in _numeric_fields(scenario):
+        if key in WHOLE:
+            value = (echo[section] if section else echo)[key]
+            assert value == (list(valid) if isinstance(valid, (list, tuple)) else valid), key
+            assert all(type(v) is int for v in (value if isinstance(value, list) else [value]))

@@ -46,7 +46,7 @@ class TestConfig:
 
     def test_bad_tolerance(self):
         with pytest.raises(ConfigInvalidError,
-                           match=r"^tolerance 'gap': cannot read 0\.0 \(must be finite and > 0\)$"):
+                           match=r"^tolerance 'gap' must be finite and > 0, got 0\.0$"):
             ScenarioConfig(scenario="fock-consistency", seed=1, out_dir="out",
                            tolerances={"gap": 0.0})
 
@@ -75,7 +75,7 @@ class TestConfig:
             load_config(path, scenario="classify")
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigInvalidError, match="non-negative"):
+        with pytest.raises(ConfigInvalidError, match="seed must be >= 0, got -1"):
             ScenarioConfig(scenario="classify", seed=-1, out_dir="out")
 
     def test_config_must_hold_an_object(self, tmp_path):
@@ -253,11 +253,22 @@ class TestCli:
         path.write_text(json.dumps({"seed": 1, **config}))
         assert cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         size = config["sizes"][0]
-        assert capsys.readouterr().err == f"error: sizes must be >= 1, got {size}\n"
+        assert capsys.readouterr().err == f"error: invalid config: sizes must be >= 1, got {size}\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli_main(["classify", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_unwritable_out_exit_2_naming_it(self, tmp_path, capsys):
+        # exit 1 is kept for a failed threshold, so an --out under a regular
+        # file is a config error, not a traceback
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        config = Path(__file__).parents[1] / "demos" / "configs" / "classify_periodic.json"
+        assert cli_main(["classify", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: cannot write the report to {out}: ")
+        assert err.count("\n") == 1
 
     def test_threshold_failure_exit_1_report_written(self, tmp_path):
         path = tmp_path / "c.json"
@@ -499,8 +510,9 @@ class TestSignRetrieval:
         assert time.perf_counter() - start < 0.2
 
 
-# values that, if they were read, would pass the critical shift n + 1/2 or
-# write NaN or Infinity into report.json; each with what its error names
+# values that, if they were read, would pass the critical shift n + 1/2,
+# write NaN or Infinity into report.json or ask for gigabytes; each with
+# what its error names
 OUT_OF_RANGE = [
     ("classify", {"sequence": {"kind": "periodic", "offsets": [0.5]}, "options": {"margin": -0.1}},
      "option 'margin'"),
@@ -514,6 +526,26 @@ OUT_OF_RANGE = [
     ("density-demo", {"sequence": float("nan")}, "sequence must be a JSON object"),
     ("classify", {"sequence": {"kind": "periodic", "offsets": [0.1], "x": float("nan")}},
      "sequence key 'x'"),
+    # about 0.6 KB a coefficient with the 11 default lambdas: [1, 10**7] would take 6 GB
+    ("fock-consistency", {"options": {"coeff_range": [1, 100_000]}}, "option 'coeff_range'"),
+]
+
+# values of the wrong type or form that were read as something else (2.5 as
+# 2, true as 1.0) or accepted as NaN; each with the key its error names
+MISREAD = [
+    ("classify", {"seed": 2.5, "sequence": {"kind": "periodic", "offsets": [0.1]}}, "seed must be"),
+    ("classify", {"a": True, "sequence": {"kind": "periodic", "offsets": [0.1]}}, "a must be"),
+    ("framebound-sweep", {"sizes": [16, 32.7], "sequence": {"kind": "periodic", "offsets": [0.1]}},
+     "sizes must be"),
+    ("sign-retrieval", {"options": {"trials": 2.9}}, "option 'trials' must be"),
+    ("sign-retrieval", {"options": {"node_start": 1.5}}, "option 'node_start' must be"),
+    ("sign-retrieval", {"options": {"coeff_start": 0.5}}, "option 'coeff_start' must be"),
+    ("classify", {"sequence": {"kind": "explicit", "nodes": [0.1, 1.0, 2.1, 2.9]},
+                  "options": {"n_max": 3.5}}, "option 'n_max' must be"),
+    ("fock-consistency", {"options": {"n_seeds": True}}, "option 'n_seeds' must be"),
+    ("kernel-asymptotic", {"options": {"bracket": [True, 2]}}, "option 'bracket' must be"),
+    ("kadets-sweep", {"sizes": [8, 16], "options": {"stability_pct": float("nan")}},
+     "option 'stability_pct' must be"),
 ]
 
 
@@ -573,7 +605,7 @@ OUT_OF_RANGE = [
         ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, float("inf")]}}),
         ("classify", {"sequence": {"kind": "explicit"}}),
         ("classify", {"sequence": {"kind": "explicit", "nodes": [0.0, 1.0], "index_range": [0, 5]}}),
-        *[(scenario, config) for scenario, config, _ in OUT_OF_RANGE],
+        *[(scenario, config) for scenario, config, _ in OUT_OF_RANGE + MISREAD],
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, scenario, config):
@@ -613,13 +645,15 @@ def test_malformed_config_file_or_seed_flag_exits_2(tmp_path, capsys, text, argv
         ("kadets-sweep", {"options": {"deltas": [], "critical_deltas": []}}, "'critical_deltas'"),
         ("density-demo", {"options": {"alphas": []}}, "'alphas'"),
         *OUT_OF_RANGE,
+        *MISREAD,
     ],
 )
 def test_input_errors_name_what_is_wrong(tmp_path, capsys, scenario, config, named):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 1, **config}))
     assert cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and named in err, err
 
 
 def test_bad_option_value_fails_before_any_frame_bounds(tmp_path, capsys, monkeypatch):

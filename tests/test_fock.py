@@ -88,6 +88,16 @@ _MALFORMED = {
                            BadParameterError, "margin must be finite and >= 0"),
     "verdict margin inf": (lambda: fock_cis_verdict(1.0, _TWO_POINTS, margin=np.inf),
                            BadParameterError, "margin must be finite and >= 0"),
+    "verdict n_max nan": (lambda: fock_cis_verdict(1.0, _TWO_POINTS, n_max=np.nan),
+                          BadParameterError, "n_max must be finite, got nan"),
+    "delta_exponent nan": (lambda: GeneratingProduct.from_deltas(1.0, [0.1], delta_exponent=np.nan),
+                           BadParameterError, "delta_exponent must be finite, got nan"),
+    "grid step 0": (lambda: fock_norm_quadrature(monomial(2), 1.0, RadialGrid(0.0, 1.0, 0.0)),
+                    BadParameterError, "step must be finite and > 0, got 0.0"),
+    "grid step nan": (lambda: fock_norm_quadrature(monomial(2), 1.0, RadialGrid(0.0, 1.0, np.nan)),
+                      BadParameterError, "step must be finite and > 0, got nan"),
+    "kernel n_terms 40.5": (lambda: kernel_norm(1.0, _TWO_POINTS, n_terms=40.5),
+                            BadParameterError, "n_terms must be a whole number, got 40.5"),
 }
 
 

@@ -40,11 +40,11 @@ _MALFORMED = {
     "2-d coefficients": (lambda: CoefficientVector(0, [[1.0, 2.0]]),
                          BadParameterError, "one-dimensional"),
     "evaluate tol 0": (lambda: evaluate(A1, CoefficientVector.basis(0), 0.0, tol=0.0),
-                       BadParameterError, "tol must be > 0"),
+                       BadParameterError, "tol must be finite and > 0, got 0.0"),
     "collocation tol 0": (lambda: collocation_matrix(A1, AffineGrid(1.0), (-4, 4), tol=0.0),
-                          BadParameterError, r"tol must be in \(0, 1\)"),
+                          BadParameterError, "tol must be finite and > 0 and < 1"),
     "collocation tol 1": (lambda: collocation_matrix(A1, AffineGrid(1.0), (-4, 4), tol=1.0),
-                          BadParameterError, r"tol must be in \(0, 1\)"),
+                          BadParameterError, "tol must be finite and > 0 and < 1"),
     "edge_margin nan": (lambda: frame_bounds(A1, AffineGrid(1.0), (16,), edge_margin=np.nan),
                         BadParameterError, "edge_margin must be finite"),
     "edge_margin inf": (lambda: frame_bounds(A1, AffineGrid(1.0), (16,), edge_margin=np.inf),
@@ -53,6 +53,29 @@ _MALFORMED = {
                                EmptyWindowError, "removed everything"),
     "hsnorm window 0": (lambda: compact_block_hsnorm(A1, AffineGrid(1.0), 0),
                         BadParameterError, "window must be >= 1"),
+    "hsnorm window nan": (lambda: compact_block_hsnorm(A1, AffineGrid(1.0), np.nan),
+                          BadParameterError, "window must be finite, got nan"),
+    "hsnorm window 2.7": (lambda: compact_block_hsnorm(A1, AffineGrid(1.0), 2.7),
+                          BadParameterError, "window must be a whole number, got 2.7"),
+    "evaluate tol nan": (lambda: evaluate(A1, CoefficientVector.basis(0), 0.0, tol=np.nan),
+                         BadParameterError, "tol must be finite and > 0, got nan"),
+    "evaluate x nan": (lambda: evaluate(A1, CoefficientVector.basis(0), np.nan),
+                       BadParameterError, "x must be finite, got nan"),
+    "collocation tol nan": (lambda: collocation_matrix(A1, AffineGrid(1.0), (-4, 4), tol=np.nan),
+                            BadParameterError, "tol must be finite and > 0 and < 1, got nan"),
+    "interpolate tol nan": (
+        lambda: interpolate(A1, AffineGrid(1.0), (-4, 4), np.ones(9), tol=np.nan),
+        BadParameterError, "tol must be finite and > 0 and < 1, got nan"),
+    "start nan": (lambda: CoefficientVector(np.nan, [1.0]),
+                  BadParameterError, "start must be finite, got nan"),
+    "start 1.5": (lambda: CoefficientVector(1.5, [1.0]),
+                  BadParameterError, "start must be a whole number, got 1.5"),
+    "sizes of a string": (lambda: frame_bounds(A1, AffineGrid(1.0), ["a"]),
+                          BadParameterError, "sizes must be a number, got 'a'"),
+    "sizes not a list": (lambda: frame_bounds(A1, AffineGrid(1.0), 5),
+                         BadParameterError, "sizes must be a list, got 5"),
+    "size 2.5": (lambda: frame_bounds(A1, AffineGrid(1.0), [2.5]),
+                 BadParameterError, "sizes must be a whole number, got 2.5"),
 }
 
 

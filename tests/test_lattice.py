@@ -60,6 +60,26 @@ _MALFORMED = {
                            BadParameterError, "margin must be finite and >= 0"),
     "verdict margin inf": (lambda: avdonin_verdict(ExplicitWindow((0.0, 1.0)), margin=np.inf),
                            BadParameterError, "margin must be finite and >= 0"),
+    "verdict n_max nan": (lambda: avdonin_verdict(PeriodicPerturbation((0.1,)), n_max=np.nan),
+                          BadParameterError, "n_max must be finite, got nan"),
+    "verdict n_max 2.5": (lambda: avdonin_verdict(ExplicitWindow((0.0, 1.0, 2.0)), n_max=2.5),
+                          BadParameterError, "n_max must be a whole number, got 2.5"),
+    "enumeration bound nan": (lambda: canonical_enumeration(AffineGrid(1.0), np.nan),
+                              BadParameterError, "bound must be > 0, got nan"),
+    "explicit start 1.5": (lambda: ExplicitWindow((0.0, 1.0), 1.5),
+                           BadParameterError, "start_index must be a whole number, got 1.5"),
+    "periodic string": (lambda: PeriodicPerturbation("ab"),
+                        BadParameterError, "offsets must be a number, got 'a'"),
+    "periodic scalar": (lambda: PeriodicPerturbation(5), BadParameterError, "offsets must be a list"),
+    "decay rate true": (lambda: GaussianParam(True),
+                        BadParameterError, "decay rate a must be a number, got True"),
+    # a value of the wrong type in a spec is a config error, as it was when
+    # the spec read it with float() and int()
+    "spec slope true": (lambda: build_sequence({"kind": "affine", "alpha": True}),
+                        ConfigInvalidError, r"grid slope must be a number, got True"),
+    "spec period 1.5": (
+        lambda: build_sequence({"kind": "periodic", "offsets": [0.1], "period": 1.5}),
+        ConfigInvalidError, "period must be a whole number, got 1.5"),
 }
 
 
