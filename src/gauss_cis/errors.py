@@ -110,6 +110,44 @@ def whole(value, what: str, ge=None, error=BadParameterError) -> int:
     return int(value)  # exact for an int past 2**53
 
 
+def array(values, what: str, dtype=float, ndim=1, neg_inf=False):
+    """``values`` as a read-only copy of ``dtype`` (float or complex) and
+    rank ``ndim`` (None: any rank, a scalar too), every entry finite, or
+    -inf too where ``neg_inf``.
+
+    An array reads by its dtype: ints and floats, and complex numbers where
+    ``dtype`` is complex.  A list, tuple or scalar reads by the types of
+    its entries, scanned once, as ``real`` reads one value: a bool, a
+    numeric string or any other non-number raises BadParameterError naming
+    ``what`` (a TypeError too, so that ``coerce`` reads it as a config
+    error), as do an entry that is not finite (NaN, +-inf, an int past
+    float range), ragged rows and another rank.
+    """
+    # imported here, not with the module: every module imports errors first,
+    # and numpy imported that early raised a CLI run's peak RSS by about 1 MB
+    import numpy as np
+
+    number, kinds = (numbers.Complex, "iufc") if dtype is complex else (numbers.Real, "iuf")
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds):
+        items = np.array(values, dtype=object).ravel()  # ragged rows stay lists
+        wrong = {t for t in set(map(type, items)) if t is bool or not issubclass(t, number)}
+        if wrong:  # name the first entry of a wrong type
+            bad = reprlib.repr(next(v for v in items if type(v) in wrong))
+            raise _NotANumber(f"{what} must be {number.__name__.lower()} numbers, got {bad}")
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:  # an int past float range, which real reads as inf
+        raise BadParameterError(f"{what} must be finite, got inf") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise BadParameterError(f"{what} must be {ndim}-d, got shape {arr.shape}")
+    ok = np.isfinite(arr) | (arr == -np.inf) if neg_inf else np.isfinite(arr)
+    if not ok.all():
+        rule = "finite or -inf" if neg_inf else "finite"
+        raise BadParameterError(f"{what} must be {rule}, got {arr[~ok][0]}")
+    arr.setflags(write=False)
+    return arr
+
+
 def reals(values, what: str, gt=None, ge=None, lt=None, error=BadParameterError) -> list:
     """``values``, a list, tuple or array, as a list of floats, each read by ``real``."""
     return [real(v, what, gt, ge, lt, error) for v in _items(values, what, error)]

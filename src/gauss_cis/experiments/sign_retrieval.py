@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BadParameterError, ComplexInputError, WindowTooLargeError, real
+from ..errors import BadParameterError, ComplexInputError, WindowTooLargeError, array, real
 from ..gauss_space import CoefficientVector, _entries
 from ..lattice import ExplicitWindow, GaussianParam, NodeSequence, avdonin_verdict
 
@@ -31,10 +31,11 @@ _PRUNE_SLACK = 1.0 + 1e-6
 
 
 def half_grid(deltas, start_index: int = 0) -> ExplicitWindow:
-    """Nodes lambda_m = m/2 + delta_m for m starting at ``start_index``."""
-    deltas = np.asarray(deltas, dtype=float)
+    """Nodes lambda_m = m/2 + delta_m for m starting at ``start_index``;
+    ``deltas`` are read by ``errors.array``, as ``ExplicitWindow`` reads nodes."""
+    deltas = array(deltas, "deltas")
     m = np.arange(start_index, start_index + len(deltas))
-    return ExplicitWindow(tuple(m / 2.0 + deltas), start_index)
+    return ExplicitWindow(m / 2.0 + deltas, start_index)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def sign_retrieval_check(
     samples = np.abs(mat @ c)
 
     # the condition at half-integer density, checked on the doubled nodes
-    dilated = ExplicitWindow(tuple(2.0 * lam), seq.default_window()[0])
+    dilated = ExplicitWindow(2.0 * lam, seq.default_window()[0])
     dverdict = avdonin_verdict(dilated)
     dilated_ok = bool(dverdict.passes)
 

@@ -29,6 +29,7 @@ from .errors import (
     OnZeroError,
     TooFewTermsError,
     UnsortedInputError,
+    array,
     real,
     reals,
     whole,
@@ -109,31 +110,30 @@ class LogPolarPoint:
     """Nonzero complex numbers stored as (log|w|, arg w).
 
     Both fields are floats for a single point, or equal-shape read-only
-    float arrays for a grid of points; every entry must be finite.
+    float arrays for a grid of points.  Each is read by ``errors.array``:
+    a bool, a numeric string, NaN or +-inf raises BadParameterError, as do
+    shapes that differ.
     """
 
     log_modulus: float | np.ndarray
     argument: float | np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.log_modulus) or np.ndim(self.argument):
-            lm = np.array(self.log_modulus, dtype=float)
-            arg = np.array(self.argument, dtype=float)
-            if lm.shape != arg.shape:
-                raise BadParameterError("log-modulus and argument shapes differ")
-            lm.setflags(write=False)
-            arg.setflags(write=False)
-            object.__setattr__(self, "log_modulus", lm)
-            object.__setattr__(self, "argument", arg)
-        if not (np.all(np.isfinite(self.log_modulus)) and np.all(np.isfinite(self.argument))):
-            raise BadParameterError("log-polar fields must be finite")
+        lm = array(self.log_modulus, "log-modulus", ndim=None)
+        arg = array(self.argument, "argument", ndim=None)
+        if lm.shape != arg.shape:
+            raise BadParameterError("log-modulus and argument shapes differ")
+        object.__setattr__(self, "log_modulus", _out(lm))
+        object.__setattr__(self, "argument", _out(arg))
 
     @classmethod
     def from_complex(cls, w) -> "LogPolarPoint":
-        w = np.asarray(w, dtype=complex)
+        """The points ``w``, read by ``errors.array`` as complex numbers; a
+        zero raises BadParameterError."""
+        w = array(w, "w", complex, ndim=None)
         if np.any(w == 0):
             raise BadParameterError("log-polar point cannot represent 0")
-        return cls(_out(np.log(modulus(w))), _out(np.angle(w)))
+        return cls(np.log(modulus(w)), np.angle(w))
 
     def to_complex(self):
         """May overflow for large log-modulus; intended for small points."""
@@ -145,30 +145,29 @@ class FockSeries:
     """Power series sum_k b_k w^k with coefficients in log-polar form.
 
     ``log_magnitude[k]`` is log|b_k| (-inf for an exact zero, whose phase is
-    stored as 0).  Degrees run from 0 to len - 1.
+    stored as 0).  Degrees run from 0 to len - 1.  Both fields are read by
+    ``errors.array`` as 1-d arrays of equal length, every entry finite but
+    a log-magnitude of -inf; anything else raises BadParameterError.
     """
 
     log_magnitude: np.ndarray
     phase: np.ndarray
 
     def __post_init__(self):
-        lm = np.asarray(self.log_magnitude, dtype=float).copy()
-        ph = np.asarray(self.phase, dtype=float).copy()
-        if lm.shape != ph.shape or lm.ndim != 1:
-            raise BadParameterError("log-magnitude and phase must be equal-length 1-d")
-        if np.any(np.isnan(lm)) or lm.size and np.any(lm == np.inf):
-            raise BadParameterError("log-magnitudes must be < inf and not NaN")
-        if not np.all(np.isfinite(ph)):
-            raise BadParameterError("phases must be finite")
+        lm = array(self.log_magnitude, "log-magnitudes", neg_inf=True)
+        ph = array(self.phase, "phases")
+        if lm.shape != ph.shape:
+            raise BadParameterError("log-magnitude and phase must be of equal length")
         ph = np.where(np.isneginf(lm), 0.0, wrap_angle(ph))
-        lm.setflags(write=False)
         ph.setflags(write=False)
         object.__setattr__(self, "log_magnitude", lm)
         object.__setattr__(self, "phase", ph)
 
     @classmethod
     def from_coefficients(cls, values) -> "FockSeries":
-        values = np.asarray(values, dtype=complex)
+        """The series of the coefficients ``values``, read by ``errors.array``
+        as a 1-d complex array."""
+        values = array(values, "coefficients", complex)
         with np.errstate(divide="ignore"):
             lm = np.log(modulus(values))
         return cls(lm, np.angle(values))
@@ -362,9 +361,10 @@ def kernel_norm(a: float, p: LogPolarPoint, n_terms: Optional[int] = None):
 
 
 def node_transform(c: GaussianParam, lam) -> LogPolarPoint:
-    """Image of real nodes under w = e^{2cz}: modulus e^{2a lambda}."""
-    lam = np.asarray(lam, dtype=float)
-    return LogPolarPoint(_out(2.0 * c.a * lam), wrap_angle(2.0 * c.b * lam))
+    """Image of real nodes under w = e^{2cz}: modulus e^{2a lambda}.  The
+    nodes are read by ``errors.array``, a scalar or an array of any rank."""
+    lam = array(lam, "lambda", ndim=None)
+    return LogPolarPoint(2.0 * c.a * lam, wrap_angle(2.0 * c.b * lam))
 
 
 def consistency_identity(c: GaussianParam, coeffs: gauss_space.CoefficientVector, lam):
@@ -373,12 +373,13 @@ def consistency_identity(c: GaussianParam, coeffs: gauss_space.CoefficientVector
     Left side: the direct Gaussian sum at lambda.  Right side: the series
     route e^{-phi(w)} e^{-i b lambda^2} w F(w) with w = e^{2c lambda},
     assembled in log-domain.  Returns (lhs, rhs, relative gap), each with
-    one entry per node when ``lam`` is an array.
+    one entry per node when ``lam`` is an array; ``lam`` is read by
+    ``errors.array``, so a bool or a numeric string raises BadParameterError.
     """
     lo, _ = coeffs.index_range
     if len(coeffs) and lo < 1:
         raise BadParameterError("only positive-index coefficients are supported")
-    lam = np.asarray(lam, dtype=float)
+    lam = array(lam, "lambda", ndim=None)
     # full direct sum: truncating relative to ||c|| would swamp the tiny
     # values this identity reaches far from the support
     d = lam[..., None] - coeffs.indices
@@ -403,7 +404,10 @@ class GeneratingProduct:
     Zeros are stored by log-modulus (strictly increasing).  ``prefix_sums``
     caches cumulative log-moduli so the block of zeros far below |w| can be
     folded in one expression.  ``delta_exponent`` is the growth-law exponent
-    used by the lower-estimate ratio of perturbed products.
+    used by the lower-estimate ratio of perturbed products.  The zeros are
+    read by ``errors.array``: a bool, a numeric string, NaN or +-inf, no
+    zero at all, or zeros that do not strictly increase raise
+    BadParameterError.
     """
 
     a: float
@@ -412,14 +416,11 @@ class GeneratingProduct:
     prefix_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        z = np.asarray(self.zero_log_moduli, dtype=float).copy()
-        if z.ndim != 1 or len(z) == 0:
-            raise BadParameterError("need at least one zero")
-        if np.any(np.diff(z) <= 0.0):
-            raise BadParameterError("zero log-moduli must be strictly increasing")
+        z = array(self.zero_log_moduli, "zero log-moduli")
+        if len(z) == 0 or np.any(np.diff(z) <= 0.0):
+            raise BadParameterError("need at least one zero, with strictly increasing log-moduli")
         GaussianParam(self.a)
         real(self.delta_exponent, "delta_exponent")
-        z.setflags(write=False)
         ps = np.concatenate([[0.0], np.cumsum(z)])
         ps.setflags(write=False)
         object.__setattr__(self, "zero_log_moduli", z)
@@ -427,11 +428,13 @@ class GeneratingProduct:
 
     @classmethod
     def unperturbed(cls, a: float, count: int) -> "GeneratingProduct":
-        return cls(a, 2.0 * a * np.arange(1, count + 1))
+        """The zeros e^{2am}, m = 1..``count``, a whole number >= 1."""
+        return cls(a, 2.0 * a * np.arange(1, whole(count, "count", ge=1) + 1))
 
     @classmethod
     def from_deltas(cls, a: float, deltas, delta_exponent: float = 0.0) -> "GeneratingProduct":
-        deltas = np.asarray(deltas, dtype=float)
+        """The zeros e^{2a(m + deltas[m - 1])}, ``deltas`` read by ``errors.array``."""
+        deltas = array(deltas, "deltas")
         m = np.arange(1, len(deltas) + 1)
         return cls(a, 2.0 * a * (m + deltas), delta_exponent)
 
@@ -451,12 +454,11 @@ class GeneratingProduct:
         depend on the others.  Raises OnZeroError when any point is within
         1e-14 relative distance of a zero.
         """
-        lm = np.asarray(p.log_modulus, dtype=float)
-        if np.any(self.tail_count_for(lm) == len(self.zero_log_moduli)):
+        if np.any(self.tail_count_for(p.log_modulus) == len(self.zero_log_moduli)):
             raise BadParameterError(
                 "stored zeros do not certify the product tail at this modulus"
             )
-        log_abs, phase = _blockwise(self._evaluate_block, 2, lm, p.argument)
+        log_abs, phase = _blockwise(self._evaluate_block, 2, p.log_modulus, p.argument)
         return _out(log_abs), _out(phase)
 
     def _evaluate_block(self, lm, arg):
@@ -487,14 +489,12 @@ def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli):
     one of the two either side of Re w, found by bisection on
     log Re w = log|w| + log cos(arg w), or the first zero when Re w <= 0.
     """
-    lm = np.asarray(p.log_modulus, dtype=float)
-    arg = np.asarray(p.argument, dtype=float)
-    z = np.asarray(zero_log_moduli, dtype=float)
-    cos = np.cos(arg)
-    right = np.searchsorted(z, lm + np.log(np.where(cos > 0.0, cos, 1.0)))
+    z = array(zero_log_moduli, "zero log-moduli")
+    cos = np.cos(p.argument)
+    right = np.searchsorted(z, p.log_modulus + np.log(np.where(cos > 0.0, cos, 1.0)))
     i = np.where(cos > 0.0, right, 0)
     near = z[np.stack([np.maximum(i - 1, 0), np.minimum(i, len(z) - 1)])]
-    return _out(np.min(log_abs_diff_exp(lm + 1j * arg, near), axis=0))
+    return _out(np.min(log_abs_diff_exp(p.log_modulus + 1j * p.argument, near), axis=0))
 
 
 def certified_zero_count(a: float, p: LogPolarPoint) -> int:
@@ -606,5 +606,5 @@ def fock_delta_from_lattice(a: float, delta: float) -> float:
 
 def fock_points_from_sequence(c: GaussianParam, seq, count: int):
     """First ``count`` transformed nodes w_m = e^{2c lambda_m}, m = 1..count,
-    as one grid of points."""
-    return node_transform(c, seq.positions((1, count)))
+    as one grid of points; ``count`` is a whole number >= 1."""
+    return node_transform(c, seq.positions((1, whole(count, "count", ge=1))))

@@ -29,6 +29,7 @@ from .errors import (
     EmptyWindowError,
     NoEnumerationError,
     SingularSystemError,
+    array,
     real,
     whole,
     wholes,
@@ -104,21 +105,17 @@ _LEVELS = tuple((np.array(factored), np.array(old),
 class CoefficientVector:
     """Finitely supported coefficient vector over an integer index range.
 
-    ``values[i]`` is the coefficient of index ``start + i``.  Values must be
-    finite; the stored array is read-only.
+    ``values[i]`` is the coefficient of index ``start + i``.  The values are
+    read by ``errors.array`` as a read-only complex array, so a bool, a
+    numeric string, NaN, +-inf or a rank other than 1 raises
+    BadParameterError, as does a ``start`` that is not a whole number.
     """
 
     start: int
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=complex).copy()
-        if arr.ndim != 1:
-            raise BadParameterError("coefficients must be one-dimensional")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise BadParameterError("coefficients must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", array(self.values, "coefficients", complex))
         object.__setattr__(self, "start", whole(self.start, "start"))
 
     @classmethod
@@ -235,7 +232,7 @@ def _section_frame(c: GaussianParam, seq: NodeSequence, node_range, tol: float):
     columns, as floats."""
     real(tol, "tol", gt=0, lt=1)
     try:
-        lam = seq.positions(node_range)
+        lam = seq.positions(wholes(node_range, "node_range"))
     except EmptyWindowError as exc:
         raise NoEnumerationError(str(exc)) from exc
     buffer = int(np.ceil(np.sqrt(2.0 * np.log(1.0 / tol) / c.a)))
@@ -254,7 +251,8 @@ def _section_frame(c: GaussianParam, seq: NodeSequence, node_range, tol: float):
 def collocation_matrix(
     c: GaussianParam, seq: NodeSequence, node_range, tol: float = 1e-12
 ) -> CollocationMatrix:
-    """Build the collocation matrix for nodes in the inclusive index range.
+    """Build the collocation matrix for nodes in the inclusive index range
+    ``node_range``, two whole numbers (0.5 or NaN raises BadParameterError).
 
     The coefficient (column) range is the integer hull of the node span
     widened by a buffer B with e^{-a B^2 / 2} < tol, so every neglected
@@ -284,14 +282,14 @@ def interpolate(
     Returns ``(coeffs, residual)`` with the relative residual
     ||A c - s|| / ||s||.  Raises SingularSystemError when the matrix is
     numerically rank deficient, which signals failure of interpolation at
-    this truncation.
+    this truncation.  Samples are read by ``errors.array``: a bool, a
+    numeric string, NaN or +-inf, or a count other than one per node,
+    raises BadParameterError naming them.
     """
-    samples = np.asarray(samples, dtype=complex)
+    samples = array(samples, "samples", complex)
     mat = collocation_matrix(c, seq, node_range, tol)
-    if samples.shape != (mat.entries.shape[0],):
-        raise BadParameterError(
-            f"expected {mat.entries.shape[0]} samples, got {samples.shape}"
-        )
+    if len(samples) != len(mat.entries):
+        raise BadParameterError(f"expected {len(mat.entries)} samples, got {len(samples)}")
     u, s, vh = np.linalg.svd(mat.entries, full_matrices=False)
     if s[-1] < _RANK_RTOL * s[0]:
         raise SingularSystemError(

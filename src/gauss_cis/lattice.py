@@ -25,6 +25,7 @@ from .errors import (
     EmptyWindowError,
     NonIncreasingError,
     WindowTooSmallError,
+    array,
     coerce,
     real,
     reals,
@@ -78,7 +79,8 @@ class NodeSequence:
     """Base class for node-sequence models.  Instances are immutable."""
 
     def positions(self, window=None) -> np.ndarray:
-        """Node positions lambda_n for integer n in the inclusive window."""
+        """Node positions lambda_n for integer n in the inclusive window
+        (lo, hi) of two whole numbers, or in ``default_window()``."""
         raise NotImplementedError
 
     def default_window(self):
@@ -86,8 +88,13 @@ class NodeSequence:
         raise NotImplementedError
 
     def _window(self, window):
-        lo, hi = self.default_window() if window is None else window
-        lo, hi = int(lo), int(hi)
+        """The ends as ints: two whole numbers, read by ``errors.wholes``
+        (0.5 or NaN raises BadParameterError); hi < lo raises
+        EmptyWindowError."""
+        ends = self.default_window() if window is None else wholes(window, "window")
+        if len(ends) != 2:
+            raise BadParameterError(f"window must be two ends, got {len(ends)}")
+        lo, hi = ends
         if hi < lo:
             raise EmptyWindowError(f"empty index window [{lo}, {hi}]")
         return lo, hi
@@ -150,20 +157,21 @@ class ExplicitWindow(NodeSequence):
     ``nodes[i]`` is the position of index ``start_index + i``.  The nodes
     are kept as a read-only float64 array (8 bytes a node; a tuple of
     Python floats takes 32); windows with equal nodes and start are equal.
+    Nodes that ``errors.array`` rejects (a bool, a numeric string, NaN,
+    +-inf, not 1-d) or no node at all, and a ``start_index`` that is not a
+    whole number, raise BadParameterError; nodes that do not strictly
+    increase raise NonIncreasingError.
     """
 
     nodes: np.ndarray
     start_index: int = 0
 
     def __post_init__(self):
-        arr = np.array(self.nodes, dtype=float)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise BadParameterError("explicit window needs a 1-d list of at least one node")
-        if not np.all(np.isfinite(arr)):
-            raise BadParameterError("nodes must be finite")
+        arr = array(self.nodes, "nodes")
+        if len(arr) == 0:
+            raise BadParameterError("explicit window needs at least one node")
         if np.any(np.diff(arr) <= 0.0):
             raise NonIncreasingError("explicit nodes must be strictly increasing")
-        arr.setflags(write=False)
         object.__setattr__(self, "nodes", arr)
         object.__setattr__(self, "start_index", whole(self.start_index, "start_index"))
 
@@ -238,7 +246,7 @@ def _sequence_from_spec(spec: dict) -> NodeSequence:
         rng, "index_range", error=ConfigInvalidError)
     if hi - lo + 1 != len(nodes):
         raise BadParameterError("index_range does not match node count")
-    return ExplicitWindow(tuple(nodes), lo)
+    return ExplicitWindow(nodes, lo)
 
 
 def check_separation(seq: NodeSequence):
@@ -485,8 +493,9 @@ def _window_means(deltas: np.ndarray, n: int) -> np.ndarray:
 
 
 def window_average_sup(deltas: np.ndarray, n: int) -> float:
-    """sup over full windows of |mean of n consecutive deltas|."""
-    return float(np.max(np.abs(_window_means(deltas, n))))
+    """sup over full windows of |mean of n consecutive deltas|; ``deltas``
+    are read by ``errors.array`` and ``n`` as a whole number."""
+    return float(np.max(np.abs(_window_means(array(deltas, "deltas"), whole(n, "n")))))
 
 
 def _best_window(deltas: np.ndarray, n_max: int, from_integer: bool):
@@ -505,8 +514,9 @@ def _best_window(deltas: np.ndarray, n_max: int, from_integer: bool):
 
 
 def best_window_average(deltas: np.ndarray, n_max: int):
-    """(N, sup) minimizing window_average_sup over N <= n_max."""
-    return _best_window(deltas, n_max, False)
+    """(N, sup) minimizing window_average_sup over N <= n_max, a whole
+    number >= 1; ``deltas`` are read by ``errors.array``."""
+    return _best_window(array(deltas, "deltas"), whole(n_max, "n_max", ge=1), False)
 
 
 def avdonin_verdict(seq: NodeSequence, n_max: int = 8, margin: float = 1e-9) -> AvdoninVerdict:

@@ -11,17 +11,21 @@ NaN or Infinity in it fails.  Misspelled keys and non-boolean
 ``expect_pass`` values are listed cases, each of which must exit 2.
 
 A second search puts one value that is not a number of its field's kind
-into a numeric field (``seed``, ``a``, ``b``, ``sizes`` or a declared
-option or tolerance, or one entry of a list of them): a bool, NaN, an
-infinity, a numeric string, an int past float range or, where a whole
-number is read, a float that is not one.  Each must exit 2 with a config
-error naming the field, before any report is written; a whole number
-written as a float, such as 16.0, reads as that number.
+into a numeric field (``seed``, ``a``, ``b``, ``sizes``, a declared option
+or tolerance, or a ``sequence`` field: ``nodes``, ``index_range``,
+``offsets``, ``alpha`` or ``beta``; or one entry of a list of them): a
+bool, NaN, an infinity, a numeric string, an int past float range or,
+where a whole number is read, a float that is not one.  Each must exit 2
+with one error line naming the field, before any report is written: a
+config error for a config field, the sequence's error for a sequence
+field.  A whole number written as a float, such as 16.0, reads as that
+number.
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -209,7 +213,13 @@ def test_expect_pass_is_compared_with_the_verdict(tmp_path, value, code):
 
 # the fields read as whole numbers; every other numeric field is read as a float
 WHOLE = {"seed", "sizes", "n_max", "n_angles", "n_seeds", "coeff_range", "trials", "window",
-         "coeff_start", "coeff_count", "node_start"}
+         "coeff_start", "coeff_count", "node_start", "index_range"}
+# the numeric fields of a sequence: (key, the name its error gives, a valid spec)
+EXPLICIT = {"kind": "explicit", "nodes": [0.0, 1.2, 2.0, 2.9], "index_range": [-1, 2]}
+AFFINE = {"kind": "affine", "alpha": 1.0, "beta": 0.5}
+SEQUENCE_FIELDS = [("nodes", "nodes", EXPLICIT), ("index_range", "index_range", EXPLICIT),
+                   ("offsets", "offsets", PERIODIC), ("alpha", "grid slope", AFFINE),
+                   ("beta", "grid shift", AFFINE)]
 NOT_A_NUMBER = st.sampled_from(
     [True, False, float("nan"), float("inf"), float("-inf"), "1.5", "16", "nan", 10**400, -10**400])
 NOT_WHOLE = st.floats(-100.0, 100.0).filter(lambda x: not x.is_integer())
@@ -239,23 +249,29 @@ def _with(config, section, key, value):
 
 @st.composite
 def misread_fields(draw):
+    """(scenario, config, the pattern its one error line starts with)."""
     scenario = draw(st.sampled_from(sorted(BASE)))
-    section, key, name, valid = draw(st.sampled_from(_numeric_fields(scenario)))
+    sequence = [("sequence", key, name, spec) for key, name, spec in SEQUENCE_FIELDS]
+    section, key, name, valid = draw(st.sampled_from(_numeric_fields(scenario) + sequence))
+    config = {**BASE[scenario], "seed": 1}
+    expected = f"error: invalid config: {re.escape(name)} "
+    if section == "sequence":  # a spec of the field's kind, checked in every scenario
+        config, valid = {**config, "sequence": valid}, valid[key]
+        expected = f"error: (invalid config: (sequence: .*\\()?)?{re.escape(name)} must be "
     bad = draw(st.one_of(NOT_A_NUMBER, NOT_WHOLE) if key in WHOLE else NOT_A_NUMBER)
     if isinstance(valid, (list, tuple)):
         i = draw(st.integers(0, len(valid) - 1))
         bad = [*valid[:i], bad, *valid[i + 1:]]
-    return scenario, _with({**BASE[scenario], "seed": 1}, section, key, bad), name
+    return scenario, _with(config, section, key, bad), expected
 
 
 @given(misread_fields())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_a_numeric_field_that_is_not_its_kind_of_number_exits_2_naming_it(case):
-    scenario, config, name = case
+    scenario, config, expected = case
     with tempfile.TemporaryDirectory() as tmp:
         code, err = _run(tmp, scenario, config)
-        assert code == 2 and err.startswith(f"error: invalid config: {name} ") \
-            and err.count("\n") == 1, (config, err)
+        assert code == 2 and re.match(expected, err) and err.count("\n") == 1, (config, err)
         assert not (Path(tmp) / "out").exists()
 
 

@@ -256,6 +256,15 @@ class TestCli:
         assert capsys.readouterr().err == f"error: invalid config: sizes must be >= 1, got {size}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_string_and_bool_nodes_exit_2_naming_them(self, tmp_path, capsys):
+        # "0.1" and true are not nodes, though float() reads them as 0.1 and 1.0
+        path = Path(__file__).parent / "data" / "classify_bool_nodes.json"
+        assert cli_main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: sequence: ") and err.count("\n") == 1
+        assert "nodes must be real numbers, got '0.1'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli_main(["classify", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -546,6 +555,8 @@ MISREAD = [
     ("kernel-asymptotic", {"options": {"bracket": [True, 2]}}, "option 'bracket' must be"),
     ("kadets-sweep", {"sizes": [8, 16], "options": {"stability_pct": float("nan")}},
      "option 'stability_pct' must be"),
+    ("classify", {"sequence": {"kind": "explicit", "nodes": ["0.1", True, "2.1", 2.9]}},
+     "nodes must be"),
 ]
 
 

@@ -98,6 +98,35 @@ _MALFORMED = {
                       BadParameterError, "step must be finite and > 0, got nan"),
     "kernel n_terms 40.5": (lambda: kernel_norm(1.0, _TWO_POINTS, n_terms=40.5),
                             BadParameterError, "n_terms must be a whole number, got 40.5"),
+    # arrays are read by errors.array: a bool or a numeric string is not a
+    # number, and every zero of a product is finite
+    "log-polar string and bool": (lambda: LogPolarPoint(["1", True], [0.0, 0.0]),
+                                  BadParameterError, "log-modulus must be real numbers, got '1'"),
+    "from_complex string": (lambda: LogPolarPoint.from_complex(["1", True]),
+                            BadParameterError, "w must be complex numbers, got '1'"),
+    "series bool log-magnitude": (
+        lambda: FockSeries([0.0, True], [0.0, 0.0]),
+        BadParameterError, "log-magnitudes must be real numbers, got True"),
+    "series bool coefficient": (
+        lambda: FockSeries.from_coefficients([1.0, True]),
+        BadParameterError, "coefficients must be complex numbers, got True"),
+    "product nan zero": (lambda: GeneratingProduct(1.0, [1, np.nan, 3]),
+                         BadParameterError, "zero log-moduli must be finite, got nan"),
+    "product inf zero": (lambda: GeneratingProduct(1.0, [1, 2, np.inf]),
+                         BadParameterError, "zero log-moduli must be finite, got inf"),
+    "product bool delta": (lambda: GeneratingProduct.from_deltas(1.0, [0.1, True]),
+                           BadParameterError, "deltas must be real numbers, got True"),
+    "node_transform string lambda": (lambda: node_transform(GaussianParam(1.0), ["1", 2.0]),
+                                     BadParameterError, "lambda must be real numbers, got '1'"),
+    "consistency string and bool lambda": (
+        lambda: consistency_identity(GaussianParam(1.0), CoefficientVector(1, [1.0]), ["1", True]),
+        BadParameterError, "lambda must be real numbers, got '1'"),
+    # counts are read as whole numbers, not truncated by arange or a window
+    "unperturbed count 2.5": (lambda: GeneratingProduct.unperturbed(0.5, 2.5),
+                              BadParameterError, "count must be a whole number, got 2.5"),
+    "points count 2.5": (
+        lambda: fock_points_from_sequence(GaussianParam(1.0), PeriodicPerturbation((0.1,)), 2.5),
+        BadParameterError, "count must be a whole number, got 2.5"),
 }
 
 

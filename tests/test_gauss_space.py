@@ -38,7 +38,7 @@ A1 = GaussianParam(1.0)
 # malformed inputs, each with the error it raises and a part of its message
 _MALFORMED = {
     "2-d coefficients": (lambda: CoefficientVector(0, [[1.0, 2.0]]),
-                         BadParameterError, "one-dimensional"),
+                         BadParameterError, r"coefficients must be 1-d, got shape \(1, 2\)"),
     "evaluate tol 0": (lambda: evaluate(A1, CoefficientVector.basis(0), 0.0, tol=0.0),
                        BadParameterError, "tol must be finite and > 0, got 0.0"),
     "collocation tol 0": (lambda: collocation_matrix(A1, AffineGrid(1.0), (-4, 4), tol=0.0),
@@ -76,6 +76,23 @@ _MALFORMED = {
                          BadParameterError, "sizes must be a list, got 5"),
     "size 2.5": (lambda: frame_bounds(A1, AffineGrid(1.0), [2.5]),
                  BadParameterError, "sizes must be a whole number, got 2.5"),
+    # arrays are read by errors.array: by type, so a bool or a numeric string
+    # is not read as a number, and a NaN sample is named as one
+    "string and bool coefficients": (
+        lambda: CoefficientVector(0, ["1.5", True]),
+        BadParameterError, "coefficients must be complex numbers, got '1.5'"),
+    "interpolate nan sample": (
+        lambda: interpolate(A1, AffineGrid(1.0), np.r_[np.ones(8), np.nan], (-4, 4)),
+        BadParameterError, r"samples must be finite, got \(nan\+0j\)"),
+    "interpolate bool sample": (
+        lambda: interpolate(A1, AffineGrid(1.0), [*np.ones(8), True], (-4, 4)),
+        BadParameterError, "samples must be complex numbers, got True"),
+    # window ends are read as whole numbers, not truncated by int()
+    "collocation node_range 0.5": (lambda: collocation_matrix(A1, AffineGrid(1.0), (0.5, 4)),
+                                   BadParameterError, "node_range must be a whole number, got 0.5"),
+    "interpolate node_range nan": (
+        lambda: interpolate(A1, AffineGrid(1.0), np.ones(9), (-4, np.nan)),
+        BadParameterError, "node_range must be finite, got nan"),
 }
 
 

@@ -18,6 +18,7 @@ from gauss_cis.lattice import (
     GaussianParam,
     PeriodicPerturbation,
     avdonin_verdict,
+    best_window_average,
     beurling_densities,
     build_sequence,
     canonical_enumeration,
@@ -80,6 +81,32 @@ _MALFORMED = {
     "spec period 1.5": (
         lambda: build_sequence({"kind": "periodic", "offsets": [0.1], "period": 1.5}),
         ConfigInvalidError, "period must be a whole number, got 1.5"),
+    # nodes are read by errors.array: a numeric string or a bool is not a node
+    "explicit string and bool nodes": (lambda: ExplicitWindow(["0.1", True, "2.1", 2.9]),
+                                       BadParameterError, "nodes must be real numbers, got '0.1'"),
+    "explicit bool node": (lambda: ExplicitWindow((0.0, True, 2.5)),
+                           BadParameterError, "nodes must be real numbers, got True"),
+    "spec string and bool nodes": (
+        lambda: build_sequence({"kind": "explicit", "nodes": ["0.1", True, "2.1", 2.9]}),
+        ConfigInvalidError, "nodes must be real numbers, got '0.1'"),
+    # window ends are read as whole numbers, not truncated by int()
+    "window end 0.5": (lambda: AffineGrid(1.0).positions((0.5, 2.9)),
+                       BadParameterError, "window must be a whole number, got 0.5"),
+    "window end nan": (lambda: AffineGrid(1.0).positions((0, np.nan)),
+                       BadParameterError, "window must be finite, got nan"),
+    "window of three ends": (lambda: AffineGrid(1.0).positions((0, 1, 2)),
+                             BadParameterError, "window must be two ends, got 3"),
+    "window average bool delta": (lambda: window_average_sup([0.1, True, 0.2], 2),
+                                  BadParameterError, "deltas must be real numbers, got True"),
+    "window average n 1.5": (lambda: window_average_sup(np.zeros(4), 1.5),
+                             BadParameterError, "n must be a whole number, got 1.5"),
+    "best window nan delta": (lambda: best_window_average([0.1, np.nan, 0.2], 2),
+                              BadParameterError, "deltas must be finite, got nan"),
+    "best window n_max 0": (lambda: best_window_average([0.1, 0.2], 0),
+                            BadParameterError, "n_max must be >= 1, got 0"),
+    "enumeration window 1.5": (
+        lambda: canonical_enumeration(PeriodicPerturbation((0.1,)), 1.0, window=(0, 1.5)),
+        BadParameterError, "window must be a whole number, got 1.5"),
 }
 
 
