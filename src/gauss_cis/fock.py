@@ -439,8 +439,10 @@ class GeneratingProduct:
         return cls(a, 2.0 * a * (m + deltas), delta_exponent)
 
     def tail_count_for(self, log_modulus):
-        """Zeros needed so the omitted factors differ from 1 by < 1e-16."""
-        need = np.asarray(log_modulus, dtype=float) + _TAIL_CUTOFF
+        """Zeros needed so the omitted factors differ from 1 by < 1e-16, per
+        log-modulus, read by ``errors.array`` (a string or a bool raises
+        BadParameterError)."""
+        need = array(log_modulus, "log-modulus", ndim=None) + _TAIL_CUTOFF
         return _out(np.searchsorted(self.zero_log_moduli, need, side="right"))
 
     def evaluate(self, p: LogPolarPoint):
@@ -488,8 +490,11 @@ def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli):
     convex in real x with its minimum at x = Re w.  So the nearest zero is
     one of the two either side of Re w, found by bisection on
     log Re w = log|w| + log cos(arg w), or the first zero when Re w <= 0.
+    No zero at all raises BadParameterError.
     """
     z = array(zero_log_moduli, "zero log-moduli")
+    if len(z) == 0:
+        raise BadParameterError("zero log-moduli must hold at least one zero")
     cos = np.cos(p.argument)
     right = np.searchsorted(z, p.log_modulus + np.log(np.where(cos > 0.0, cos, 1.0)))
     i = np.where(cos > 0.0, right, 0)
@@ -570,12 +575,15 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     sup of |window averages of delta| below a - margin.  The arguments
     theta_n never enter.  Unlike ``avdonin_verdict``, averages are measured
     from 0: on this one-sided index set, re-indexing drops or adds a point.
-    ``n_max`` not a whole number >= 1, or a ``margin`` that is not finite
-    or is below 0, raises BadParameterError.
+    ``points`` that are not a ``LogPolarPoint``, ``n_max`` not a whole
+    number >= 1, or a ``margin`` that is not finite or is below 0, raises
+    BadParameterError.
     """
     GaussianParam(a)
     n_max = whole(n_max, "n_max", ge=1)
     real(margin, "margin", ge=0)
+    if not isinstance(points, LogPolarPoint):
+        raise BadParameterError(f"points must be a LogPolarPoint, got {type(points).__name__}")
     lms = np.ravel(points.log_modulus)
     if len(lms) < 2:
         raise BadParameterError("need at least two points")

@@ -127,6 +127,17 @@ _MALFORMED = {
     "points count 2.5": (
         lambda: fock_points_from_sequence(GaussianParam(1.0), PeriodicPerturbation((0.1,)), 2.5),
         BadParameterError, "count must be a whole number, got 2.5"),
+    # an empty zero set, and arguments of the wrong type or not finite
+    "distance to no zeros": (lambda: log_distance_to_zeros(LogPolarPoint(1.0, 0.0), []),
+                             BadParameterError, "zero log-moduli must hold at least one zero"),
+    "tail count string": (lambda: GeneratingProduct(1.0, [1.0, 2.0]).tail_count_for("1"),
+                          BadParameterError, "log-modulus must be real numbers, got '1'"),
+    "tail count bool": (lambda: GeneratingProduct(1.0, [1.0, 2.0]).tail_count_for([1.0, True]),
+                        BadParameterError, "log-modulus must be real numbers, got True"),
+    "tail count nan": (lambda: GeneratingProduct(1.0, [1.0, 2.0]).tail_count_for(np.nan),
+                       BadParameterError, "log-modulus must be finite, got nan"),
+    "verdict of a list": (lambda: fock_cis_verdict(1.0, [[2.0, 4.0], [0.0, 0.0]]),
+                          BadParameterError, "points must be a LogPolarPoint, got list"),
 }
 
 

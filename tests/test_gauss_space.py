@@ -812,7 +812,7 @@ class TestSymbolLaw:
         c, seq = A1, PeriodicPerturbation((0.5,))
         p, _, _, band = _one_period_section(c, seq, 512, 1.0, 3.0, "interior_rows")
         n = len(p)
-        estimate, step = gauss_space._symbol_law(band[0], n)
+        estimate, step = gauss_space._symbol_law(band[-1], n)
         assert np.sqrt(estimate[0]) * (n + 1) / np.pi == pytest.approx(0.4722219, abs=1e-7)
         k = np.arange(-40.0, 41.0)
         assert np.sqrt(estimate[0]) * (n + 1) / np.pi == pytest.approx(
@@ -827,7 +827,7 @@ class TestSymbolLaw:
         # q = e^{-1}; at n = 10^12 the law's move is far below rounding
         c, seq = A1, PeriodicPerturbation((delta,))
         _, _, _, band = _one_period_section(c, seq, 200, 1.0, 3.0, "interior_rows")
-        estimate, _ = gauss_space._symbol_law(band[0], 10 ** 12)
+        estimate, _ = gauss_space._symbol_law(band[-1], 10 ** 12)
         q, k = np.exp(-1.0), np.arange(1.0, 40.0)
         for value, sign in zip(np.sqrt(estimate), (-1.0, 1.0)):
             odd = sign * q ** (2.0 * k - 1.0)
@@ -845,11 +845,80 @@ class TestSymbolLaw:
         # shifts of each side sit _LAW_STEP such units either side
         c, seq = GaussianParam(1.0, b), PeriodicPerturbation(offsets)
         p, _, _, band = _one_period_section(c, seq, 200, 1.0, 3.0, "interior_rows")
-        estimate, step = gauss_space._symbol_law(band[0], len(p))
+        estimate, step = gauss_space._symbol_law(band[-1], len(p))
         period = len(offsets)
         full = [g[np.arange(len(p) - d) % period] for d, g in enumerate(band[0])]
         eig = np.linalg.eigvalsh(_dense_gram(full))[[0, -1]]
         assert np.all(np.abs(estimate - eig) < step)
+
+
+def _ladder(c, seq, sizes, orientation):
+    """``to_json`` of each size's entry, one ``frame_bounds`` call a size, in order."""
+    trim = (1.0, 3.0) if orientation == "interior_rows" else (2.0 / 3.0, 0.0)
+    return {m: frame_bounds(c, seq, (m,), interior_fraction=trim[0], edge_margin=trim[1],
+                            orientation=orientation).entries[0].to_json() for m in sizes}
+
+
+class TestPeriodBandCache:
+    """One period of a periodic band and its symbol extremes, built once per
+    pattern, phase, radius and side and kept across sizes and calls."""
+
+    SIZES = (150, 201, 256, 300)
+
+    def test_warm_cache_gives_the_cold_entries(self):
+        c, seq = GaussianParam(1.0, 2.0), PeriodicPerturbation(PATTERN)
+        gauss_space._period_band.cache_clear()
+        cold = _ladder(c, seq, self.SIZES, "interior_rows")
+        built = gauss_space._period_band.cache_info()
+        warm = _ladder(c, seq, self.SIZES, "interior_rows")
+        again = gauss_space._period_band.cache_info()
+        # every size of the second pass took a kept record, and no field moved by a bit
+        assert all(e["start"] == ("symbol", "symbol") for e in cold.values())
+        assert again.misses == built.misses and again.hits == built.hits + len(self.SIZES)
+        assert json.dumps(warm) == json.dumps(cold)
+
+    def test_entries_do_not_depend_on_call_order(self):
+        c = GaussianParam(1.0, 2.0)
+        legs = [(seq, orientation) for seq in (PeriodicPerturbation(PATTERN),
+                                               PeriodicPerturbation((0.3, -0.2, 0.45)))
+                for orientation in ("interior_rows", "interior_cols")]
+        alone = {}
+        for seq, orientation in legs:
+            gauss_space._period_band.cache_clear()
+            alone[seq, orientation] = _ladder(c, seq, self.SIZES, orientation)
+        # sizes descending, the two patterns interleaved, cols before rows
+        gauss_space._period_band.cache_clear()
+        mixed = {key: {} for key in legs}
+        for m in self.SIZES[::-1]:
+            for seq, orientation in legs[::-1]:
+                mixed[seq, orientation].update(_ladder(c, seq, (m,), orientation))
+        assert any(e["decided_by"] == "reduction" for e in mixed[legs[1]].values())
+        for key in legs:
+            assert json.dumps(mixed[key], sort_keys=True) == json.dumps(alone[key], sort_keys=True)
+
+    def test_phases_get_their_own_records(self):
+        # the P rows of phase 1 are those of phase 0 shifted by one row, so
+        # the diagonals turn by one entry, up to how their sums round
+        one = [gauss_space._period_band(GaussianParam(1.0, 2.0), PATTERN, phase, 8, True)
+               for phase in (0, 1)]
+        assert one[0] is not one[1]
+        assert not np.array_equal(one[0].diags[1], one[1].diags[1])
+        for g, h in zip(one[0].diags, one[1].diags):
+            assert np.allclose(np.roll(g, -1), h, rtol=1e-13, atol=0.0)
+        assert gauss_space._period_band(GaussianParam(1.0, 2.0), PATTERN, 1, 8, True) is one[1]
+
+    def test_kept_arrays_are_read_only(self):
+        one = gauss_space._period_band(GaussianParam(1.0, 2.0), PATTERN, 0, 8, True)
+        for a in (*one.diags, one.x, one.slack, one.coef, one.value, one.curve):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_cache_keeps_its_fixed_size(self):
+        held = gauss_space._PERIOD_BANDS
+        for k in range(held + 5):
+            gauss_space._period_band(A1, (0.01 * k,), 0, 8, True)
+        info = gauss_space._period_band.cache_info()
+        assert info.maxsize == held and info.currsize == held
 
 
 class TestFactor:
@@ -1344,10 +1413,10 @@ class TestShiftSteering:
         law = gauss_space._symbol_law
         if scale is None:
             monkeypatch.setattr(gauss_space, "_symbol_law",
-                                lambda diags, n: (law(diags, n)[0], np.full(2, np.nan)))
+                                lambda one, n: (law(one, n)[0], np.full(2, np.nan)))
         else:
             monkeypatch.setattr(gauss_space, "_symbol_law",
-                                lambda diags, n: (scale * law(diags, n)[0], law(diags, n)[1]))
+                                lambda one, n: (scale * law(one, n)[0], law(one, n)[1]))
         values, lo, hi, diagnostics = gauss_space._extreme_singular_values(c, lam, cols, buffer,
                                                                            period)
         assert diagnostics["start"] == (("symbol",) * 2 if scale else ("diagonal",) * 2)
