@@ -439,10 +439,12 @@ def frame_bounds(
     A periodic section's one-period band, with its Gershgorin and trim
     sums, rounded offsets and symbol extremes, does not depend on M: it is
     built once per pattern, phase of the band's first row, buffer and
-    side, and kept across sizes and calls (``_period_band``).  Per section
-    stay only each residue's count of rows, the position rounding term,
-    the tail of the dropped entries and the symbol law's (pi / (N_b +
-    1))^2 term.  A kept record gives bitwise the entries a new one would.
+    side, and kept across sizes and calls (``_period_band``), so that the
+    larger sizes of one call, and sizes asked for one call at a time, take
+    it again.  Per section stay only each residue's count of rows, the
+    position rounding term, the tail of the dropped entries and the symbol
+    law's (pi / (N_b + 1))^2 term.  A kept record gives bitwise the
+    entries a new one would.
     """
     sizes = _sizes(sizes)
     if orientation not in ("interior_rows", "interior_cols"):
@@ -631,7 +633,6 @@ class _PeriodBand:
     dropped: float
     x: np.ndarray        # i + the rounded offset of residue i
     slack: np.ndarray    # |offset - rounded offset|, by residue
-    coef: np.ndarray     # G_{-T} ... G_T, flattened, one a row (``_symbol_extremes``)
     value: np.ndarray    # each extreme branch's lambda(theta_0), signed as a minimum
     curve: np.ndarray    # and its lambda''(theta_0)
 
@@ -669,7 +670,8 @@ def _period_band(c: GaussianParam, offsets: tuple, phase: int, radius: int, wide
     p, q = ((at, np.arange(np.floor(at[0]) - radius - 1, np.ceil(at[-1]) + radius + 2))
             if wide else (rows.astype(float), at))
     diags, width, norms, top, dropped = _gram_band(c, p, q, radius)
-    diags = tuple(g[reach:reach + size] for g in diags)
+    # copies, so that the small band's whole diagonals are freed
+    diags = tuple(g[reach:reach + size].copy() for g in diags)
     x, slack = np.arange(size) + rounded, np.abs(offs - rounded)
     extremes = _symbol_extremes(diags)
     for a in (*diags, x, slack, *extremes):
@@ -898,10 +900,11 @@ def _extreme_singular_values(c: GaussianParam, lam, cols, buffer: int, period=No
 
     * Start.  One rule per input kind.  A band built from one period
       starts from its block symbol (``_symbol_law``, from the extremes
-      ``_symbol_extremes`` found once per pattern): lambda(theta_0) +
-      lambda''(theta_0) / 2 (pi / (N_b + 1))^2 for each extreme branch of
-      the symbol, N_b = n / P blocks, with the first sweep's two shifts
-      ``_LAW_STEP`` units of the law's error scale either side of it.  Any
+      ``_symbol_extremes`` finds once per one-period band):
+      lambda(theta_0) + lambda''(theta_0) / 2 (pi / (N_b + 1))^2 for each
+      extreme branch of the symbol, N_b = n / P blocks, with the first
+      sweep's two shifts ``_LAW_STEP`` units of the law's error scale
+      either side of it.  Any
       other band starts from its central block (``_edge_model``), whose
       eigenvalues theta_k bound lambda_min from above and lambda_max from
       below by Cauchy interlacing; near a band edge theta_k ~ lambda_inf +
@@ -1165,9 +1168,8 @@ def _symbol_extremes(diags):
     five-point stencil gives lambda'' = (-f_-2 + 16 f_-1 - 30 f_0 + 16 f_1
     - f_2) / (12 h^2): at the critical shift it gives |S'(pi)| to 3e-11
     relative, where the 3-point stencil misses it by 1.5e-6.  Returns
-    ``(coef, value, curve)``: the blocks G_{-T} ... G_T flattened, one a
-    row, and each side's lambda(theta_0) and lambda''(theta_0), signed so
-    that the extreme is a minimum.
+    ``(value, curve)``: each side's lambda(theta_0) and lambda''(theta_0),
+    signed so that the extreme is a minimum.
     """
     period = len(diags[0])
     tmax = -(-(len(diags) - 1) // period)
@@ -1196,7 +1198,7 @@ def _symbol_extremes(diags):
     curve = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * f1 - f2) / (12.0 * h * h)
     # nan (no well) where the second difference is not positive, so a flat branch divides by no 0
     value = f0 - (f1 - fm1) ** 2 / (8.0 * np.where(second > 0.0, second, np.nan))
-    return coef, value, curve
+    return value, curve
 
 
 def _symbol_law(one, n: int):

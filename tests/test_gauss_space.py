@@ -877,6 +877,17 @@ class TestPeriodBandCache:
         assert again.misses == built.misses and again.hits == built.hits + len(self.SIZES)
         assert json.dumps(warm) == json.dumps(cold)
 
+    def test_one_call_takes_its_records_again(self):
+        # the four sizes' Gram sides start at two phases of the pattern
+        c, seq = GaussianParam(1.0, 2.0), PeriodicPerturbation(PATTERN)
+        alone = _ladder(c, seq, self.SIZES, "interior_rows")
+        gauss_space._period_band.cache_clear()
+        report = frame_bounds(c, seq, self.SIZES, interior_fraction=1.0, edge_margin=3.0)
+        info = gauss_space._period_band.cache_info()
+        assert (info.misses, info.hits) == (2, len(self.SIZES) - 2)
+        together = {m: e.to_json() for m, e in zip(self.SIZES, report.entries)}
+        assert json.dumps(together) == json.dumps(alone)
+
     def test_entries_do_not_depend_on_call_order(self):
         c = GaussianParam(1.0, 2.0)
         legs = [(seq, orientation) for seq in (PeriodicPerturbation(PATTERN),
@@ -909,7 +920,7 @@ class TestPeriodBandCache:
 
     def test_kept_arrays_are_read_only(self):
         one = gauss_space._period_band(GaussianParam(1.0, 2.0), PATTERN, 0, 8, True)
-        for a in (*one.diags, one.x, one.slack, one.coef, one.value, one.curve):
+        for a in (*one.diags, one.x, one.slack, one.value, one.curve):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
