@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BadParameterError, ComplexInputError, WindowTooLargeError, array, real
+from ..errors import BadParameterError, ComplexInputError, WindowTooLargeError, array, real, whole
 from ..gauss_space import CoefficientVector, _entries
 from ..lattice import ExplicitWindow, GaussianParam, NodeSequence, avdonin_verdict
 
@@ -31,9 +31,11 @@ _PRUNE_SLACK = 1.0 + 1e-6
 
 
 def half_grid(deltas, start_index: int = 0) -> ExplicitWindow:
-    """Nodes lambda_m = m/2 + delta_m for m starting at ``start_index``;
-    ``deltas`` are read by ``errors.array``, as ``ExplicitWindow`` reads nodes."""
+    """Nodes lambda_m = m/2 + delta_m for m starting at ``start_index``, a
+    whole number; ``deltas`` are read by ``errors.array``, as
+    ``ExplicitWindow`` reads nodes."""
     deltas = array(deltas, "deltas")
+    start_index = whole(start_index, "start_index")
     m = np.arange(start_index, start_index + len(deltas))
     return ExplicitWindow(m / 2.0 + deltas, start_index)
 

@@ -252,10 +252,12 @@ class RadialGrid:
 
 def default_radial_grid(a: float, degree: int) -> RadialGrid:
     """Grid wide enough that the integrand tail is far below 1e-10 of the
-    total for polynomials up to the given degree, in steps of sqrt(a) / 4."""
+    total for polynomials up to the given degree, a whole number, in steps of
+    sqrt(a) / 4."""
     GaussianParam(a)
     pad = 8.0 * np.sqrt(a) + 2.0
-    return RadialGrid(-pad, 2.0 * a * (degree + 1.0) + pad, _RADIAL_STEP * np.sqrt(a))
+    top = 2.0 * a * (whole(degree, "degree") + 1.0) + pad
+    return RadialGrid(-pad, top, _RADIAL_STEP * np.sqrt(a))
 
 
 def _quadrature_log(series: FockSeries, a: float, t: np.ndarray, n_theta: int) -> float:
@@ -606,10 +608,10 @@ def fock_delta_from_lattice(a: float, delta: float) -> float:
 
     The passing threshold 1/2 on the node side corresponds exactly to the
     threshold a on the modulus side.  Kept explicit so the factor 2a never
-    hides inside a formula.
+    hides inside a formula.  ``delta`` must be a finite number.
     """
     GaussianParam(a)
-    return 2.0 * a * delta
+    return 2.0 * a * real(delta, "delta")
 
 
 def fock_points_from_sequence(c: GaussianParam, seq, count: int):

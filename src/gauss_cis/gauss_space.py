@@ -144,6 +144,8 @@ class CoefficientVector:
         return float(np.linalg.norm(self.values))
 
     def value_at(self, n: int) -> complex:
+        """The coefficient of index ``n``, a whole number; 0 off the range."""
+        n = whole(n, "n")
         lo, hi = self.index_range
         if len(self.values) == 0 or n < lo or n > hi:
             return 0.0 + 0.0j

@@ -49,8 +49,6 @@ __all__ = [
     "avdonin_verdict",
 ]
 
-# default index window for conceptually infinite sequences
-_DEFAULT_WINDOW = (-32, 32)
 # an explicit window must enumerate within this sup|delta| to be classified
 _ENUMERATION_BOUND = 5.0
 
@@ -84,8 +82,10 @@ class NodeSequence:
         raise NotImplementedError
 
     def default_window(self):
-        """Index window used when an operation needs concrete data."""
-        raise NotImplementedError
+        """Index window used when an operation needs concrete data: a
+        finite model's stored range; an infinite model has none and raises
+        BadParameterError."""
+        raise BadParameterError(f"window is required: {type(self).__name__} is infinite")
 
     def _window(self, window):
         """The ends as ints: two whole numbers, read by ``errors.wholes``
@@ -115,9 +115,6 @@ class AffineGrid(NodeSequence):
         lo, hi = self._window(window)
         return self.alpha * np.arange(lo, hi + 1, dtype=float) + self.beta
 
-    def default_window(self):
-        return _DEFAULT_WINDOW
-
 
 @dataclass(frozen=True)
 class PeriodicPerturbation(NodeSequence):
@@ -145,9 +142,6 @@ class PeriodicPerturbation(NodeSequence):
         lo, hi = self._window(window)
         n = np.arange(lo, hi + 1)
         return n + np.asarray(self.offsets)[np.mod(n, self.period)]
-
-    def default_window(self):
-        return _DEFAULT_WINDOW
 
 
 @dataclass(frozen=True)
@@ -272,8 +266,8 @@ class Enumeration:
     """Enumeration lambda_n = n + delta_n found for a sequence window.
 
     ``offset`` is the integer re-indexing applied to the stored indices,
-    ``start_index`` the first canonical index, ``deltas`` the window of
-    delta_n values.
+    ``start_index`` the first canonical index, and ``deltas[i]`` the delta
+    of canonical index ``start_index + i``.
     """
 
     offset: int
@@ -285,17 +279,16 @@ class Enumeration:
         return float(np.max(np.abs(self.deltas)))
 
 
-def _best_offset(indices, lam, k_range):
-    """Offset k in ``k_range`` minimizing sup |lam - (indices + k)|.
+def _best_offset(indices, lam):
+    """Integer offset k minimizing sup |lam - (indices + k)|.
 
     The sup is convex in k, smallest at the mid-range of lam - indices, so
-    the floor of the mid-range and the next integer (clipped to the range)
-    are the only candidates; ties prefer small |k| within 1e-15.
+    the floor of the mid-range and the next integer are the only candidates
+    and the better is the global optimum; ties prefer small |k| within 1e-15.
     """
     r = lam - indices
     mid = int(np.floor((np.max(r) + np.min(r)) / 2.0))
-    clipped = np.clip([mid, mid + 1], k_range[0], k_range[-1]).tolist()
-    first, second = sorted(clipped, key=lambda k: (abs(k), k))
+    first, second = sorted((mid, mid + 1), key=lambda k: (abs(k), k))
     sup_first = float(np.max(np.abs(lam - (indices + first))))
     sup_second = float(np.max(np.abs(lam - (indices + second))))
     if sup_second < sup_first - 1e-15:
@@ -317,39 +310,33 @@ def canonical_enumeration(seq: NodeSequence, bound: float, window=None) -> Optio
 
     The only code that knows how each model is enumerated.  The integer
     re-indexing k minimizing sup|delta_n| is returned, or None when it misses
-    the bound.  k is closed form, the rounded mid-range of lambda_n - n, so
-    the cost is O(n).  Periodic models are exact over one period, and give
-    the deltas of ``window`` or, by default, of one period.  A unit-slope
-    grid is the periodic sequence (beta,); any other slope has no bounded
-    enumeration (None).  Explicit windows search |k| up to half the data
-    span.  Re-running on an already canonical window returns offset 0 and
-    identical deltas.
+    the bound (a number > 0, or +inf).  k is closed form, the rounded
+    mid-range of lambda_n - n, so the cost is O(n).  Periodic models read k
+    exactly from one period of offsets; a unit-slope grid is the periodic
+    sequence (beta,), and any other slope has no bounded enumeration (None).
+    Explicit windows read k from the window.  ``window`` (by default one
+    period, or the stored range) and ``deltas`` are in stored indices for
+    every model, with ``start_index`` = lo + k, so the enumeration does not
+    depend on how the window is numbered.  Re-running on an already
+    canonical window returns offset 0 and identical deltas.
     """
-    if not bound > 0.0:  # NaN fails too; +inf, which the exact models pass, reads
-        raise BadParameterError(f"bound must be > 0, got {bound}")
+    if not (isinstance(bound, float) and bound == np.inf):  # the exact models pass +inf
+        real(bound, "bound", gt=0)
     offsets = _unit_offsets(seq)
-    if offsets is not None:
+    if offsets is not None:  # lambda_n - n over base 0, read exactly; k from one period
         offs = np.asarray(offsets)
-        ks = range(int(np.floor(offs.min())) - 1, int(np.ceil(offs.max())) + 2)
-        k, sup = _best_offset(np.zeros_like(offs), offs, ks)
-        if sup > bound:
-            return None
-        lo, hi = seq._window(window) if window is not None else (0, len(offs) - 1)
-        n = np.arange(lo, hi + 1)
-        deltas = offs[np.mod(n - k, len(offs))] - k
-        return Enumeration(offset=k, start_index=lo + k, deltas=deltas)
-    if isinstance(seq, AffineGrid):
+        lo, hi = (0, len(offs) - 1) if window is None else seq._window(window)
+        lam, base = offs[np.mod(np.arange(lo, hi + 1), len(offs))], 0.0
+        k, sup = _best_offset(np.zeros_like(offs), offs)
+    elif isinstance(seq, AffineGrid):
         return None
-
-    lo, hi = seq._window(window)
-    lam = seq.positions((lo, hi))
-    indices = np.arange(lo, hi + 1, dtype=float)
-    span = max(lam[-1] - lam[0], 1.0)
-    half = int(np.ceil(span / 2.0))
-    k, sup = _best_offset(indices, lam, range(-half, half + 1))
+    else:  # lambda_n over base n; the window is its own period
+        lo, hi = seq._window(window)
+        lam, base = seq.positions((lo, hi)), np.arange(lo, hi + 1, dtype=float)
+        k, sup = _best_offset(base, lam)
     if sup > bound:
         return None
-    return Enumeration(offset=k, start_index=lo + k, deltas=lam - (indices + k))
+    return Enumeration(offset=k, start_index=lo + k, deltas=lam - (base + k))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from gauss_cis.experiments import (
     sign_retrieval_check,
 )
 from gauss_cis.experiments.cli import main as cli_main
+from gauss_cis.experiments.runner import _plain
 from gauss_cis.experiments.scenarios import OPTIONS, TOLERANCES
 from gauss_cis.experiments.sign_retrieval import _surviving_signs
 from gauss_cis.gauss_space import CoefficientVector
@@ -92,6 +93,13 @@ class TestConfig:
 
 
 class TestRunner:
+    def test_numpy_values_are_written_as_plain_json(self):
+        # no scenario summary holds a numpy value today; json falls back here
+        text = json.dumps({"x": np.float64(0.5), "n": np.arange(2)}, default=_plain)
+        assert json.loads(text) == {"x": 0.5, "n": [0, 1]}
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            json.dumps({1}, default=_plain)
+
     def test_unknown_scenario_error(self, tmp_path):
         cfg = ScenarioConfig(scenario="classify", seed=1, out_dir=tmp_path)
         cfg.scenario = "mystery"  # bypass constructor validation
@@ -304,7 +312,7 @@ class TestCli:
         ]) == 0
 
 
-@pytest.mark.parametrize("form", ["periodic", "affine", "explicit"])
+@pytest.mark.parametrize("form", ["periodic", "affine", "explicit", "explicit_far"])
 def test_three_forms_of_the_three_quarter_shift_pass_through_the_cli(tmp_path, form):
     # {n + 3/4} re-enumerates as {m - 1/4}, whichever model describes it
     path = Path(__file__).parent / "data" / f"classify_shift_{form}.json"

@@ -138,6 +138,14 @@ _MALFORMED = {
                        BadParameterError, "log-modulus must be finite, got nan"),
     "verdict of a list": (lambda: fock_cis_verdict(1.0, [[2.0, 4.0], [0.0, 0.0]]),
                           BadParameterError, "points must be a LogPolarPoint, got list"),
+    "radial grid degree string": (lambda: default_radial_grid(0.5, "3"),
+                                  BadParameterError, "degree must be a number, got '3'"),
+    "radial grid degree true": (lambda: default_radial_grid(0.5, True),
+                                BadParameterError, "degree must be a number, got True"),
+    "lattice delta nan": (lambda: fock_delta_from_lattice(0.5, np.nan),
+                          BadParameterError, "delta must be finite, got nan"),
+    "lattice delta string": (lambda: fock_delta_from_lattice(0.5, "0.1"),
+                             BadParameterError, "delta must be a number, got '0.1'"),
 }
 
 

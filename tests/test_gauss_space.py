@@ -17,6 +17,7 @@ from gauss_cis.errors import (
 )
 from gauss_cis.gauss_space import (
     CoefficientVector,
+    FrameBoundEntry,
     collocation_matrix,
     compact_block_hsnorm,
     evaluate,
@@ -93,6 +94,13 @@ _MALFORMED = {
     "interpolate node_range nan": (
         lambda: interpolate(A1, AffineGrid(1.0), np.ones(9), (-4, np.nan)),
         BadParameterError, "node_range must be finite, got nan"),
+    "value_at 0.5": (lambda: CoefficientVector(0, [1, 2]).value_at(0.5),
+                     BadParameterError, "n must be a whole number, got 0.5"),
+    "value_at true": (lambda: CoefficientVector(0, [1, 2]).value_at(True),
+                      BadParameterError, "n must be a number, got True"),
+    "frame entry sigma_min > sigma_max": (
+        lambda: FrameBoundEntry(8, 8, 16, 2.0, 1.0, 0.0, "svd", (2.0, 2.0), (1.0, 1.0)),
+        BadParameterError, "sigma_min cannot exceed sigma_max"),
 }
 
 
@@ -124,6 +132,9 @@ class TestEvaluate:
         value, tail = evaluate(A1, CoefficientVector.basis(0), 0.0)
         assert value == 1.0 and tail == 0.0
 
+    def test_empty_coefficients_evaluate_to_zero(self):
+        assert evaluate(A1, CoefficientVector(3, []), 0.5) == (0j, 0.0)
+
     def test_unit_offset(self):
         value, _ = evaluate(A1, CoefficientVector.basis(0), 1.0)
         assert value == pytest.approx(np.exp(-1.0), rel=1e-15)
@@ -147,6 +158,7 @@ class TestEvaluate:
 class TestCollocationMatrix:
     def test_integer_lattice_entries(self):
         mat = collocation_matrix(A1, AffineGrid(1.0), (-4, 4))
+        assert mat.row_range == (-4, 4)
         i = 4  # row of node 0
         j0 = -mat.col_start
         assert mat.entries[i, j0] == pytest.approx(1.0)

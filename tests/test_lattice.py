@@ -12,8 +12,10 @@ from gauss_cis.errors import (
     NonIncreasingError,
     WindowTooSmallError,
 )
+from gauss_cis.experiments import half_grid
 from gauss_cis.lattice import (
     AffineGrid,
+    DensityEstimate,
     ExplicitWindow,
     GaussianParam,
     PeriodicPerturbation,
@@ -66,7 +68,21 @@ _MALFORMED = {
     "verdict n_max 2.5": (lambda: avdonin_verdict(ExplicitWindow((0.0, 1.0, 2.0)), n_max=2.5),
                           BadParameterError, "n_max must be a whole number, got 2.5"),
     "enumeration bound nan": (lambda: canonical_enumeration(AffineGrid(1.0), np.nan),
-                              BadParameterError, "bound must be > 0, got nan"),
+                              BadParameterError, "bound must be finite and > 0, got nan"),
+    "enumeration bound string": (lambda: canonical_enumeration(AffineGrid(1.0), "1"),
+                                 BadParameterError, "bound must be a number, got '1'"),
+    "enumeration bound true": (lambda: canonical_enumeration(AffineGrid(1.0), True),
+                               BadParameterError, "bound must be a number, got True"),
+    "density d_minus > d_plus": (lambda: DensityEstimate(1.0, 1.5, "window_sweep"),
+                                 BadParameterError, "d_minus cannot exceed d_plus"),
+    "half grid start string": (lambda: half_grid([0.1, 0.2], "1"),
+                               BadParameterError, "start_index must be a number, got '1'"),
+    # an infinite model has no default window
+    "affine without window": (lambda: AffineGrid(1.0).positions(),
+                              BadParameterError, "window is required: AffineGrid is infinite"),
+    "periodic without window": (
+        lambda: PeriodicPerturbation((0.1,)).positions(),
+        BadParameterError, "window is required: PeriodicPerturbation is infinite"),
     "explicit start 1.5": (lambda: ExplicitWindow((0.0, 1.0), 1.5),
                            BadParameterError, "start_index must be a whole number, got 1.5"),
     "periodic string": (lambda: PeriodicPerturbation("ab"),
@@ -239,6 +255,26 @@ class TestCanonicalEnumeration:
             assert np.array_equal(grid.deltas, periodic.deltas) and len(grid.deltas) == 1
         # at a half-integer shift the smaller |k| wins
         assert canonical_enumeration(AffineGrid(1.0, 1.5), bound=1.0).offset == 1
+
+    def test_model_and_its_explicit_window_enumerate_alike(self):
+        # deltas are in stored indices for every model: lambda at stored
+        # index lo + i is start_index + i + deltas[i], also where k is not a
+        # multiple of the period, as for (0.9, 0.8) with k = 1
+        rng = np.random.default_rng(34)
+        for _ in range(400):
+            period = int(rng.integers(1, 7))
+            offs = rng.uniform(-3.0, 3.0) + rng.uniform(-0.45, 0.45, period)
+            seq = AffineGrid(1.0, offs[0]) if period == 1 and rng.random() < 0.5 else (
+                PeriodicPerturbation(tuple(offs)))
+            lo = int(rng.integers(-1000, 1001))
+            window = (lo, lo + period * int(rng.integers(1, 4)) + int(rng.integers(0, period)) - 1)
+            model = canonical_enumeration(seq, np.inf, window)
+            data = canonical_enumeration(ExplicitWindow(seq.positions(window), lo), 1.0)
+            assert (model.offset, model.start_index) == (data.offset, data.start_index)
+            assert np.allclose(model.deltas, data.deltas, rtol=0.0, atol=1e-12)
+        enum = canonical_enumeration(PeriodicPerturbation((0.9, 0.8)), 1.0)
+        assert (enum.offset, enum.start_index) == (1, 1)
+        assert np.allclose(enum.deltas, [-0.1, -0.2], rtol=0.0, atol=1e-15)
 
 
 class TestBeurlingDensities:
@@ -487,6 +523,22 @@ class TestAvdoninVerdict:
         assert moved.window_len == base.window_len
         assert moved.delta_star == pytest.approx(base.delta_star, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 64),
+        start=st.integers(-10**6, 10**6),
+    )
+    def test_verdict_does_not_depend_on_the_numbering(self, seed, n, start):
+        # one node set, stored from two start indices, is one set
+        rng = np.random.default_rng(seed)
+        nodes = int(rng.integers(-50, 51)) + np.arange(n) + rng.uniform(-0.45, 0.45, n)
+        moved = ExplicitWindow(nodes, start)
+        assert avdonin_verdict(moved) == avdonin_verdict(ExplicitWindow(nodes, 0))
+        enum = canonical_enumeration(moved, 5.0)
+        rebuilt = enum.start_index + np.arange(n) + enum.deltas
+        assert np.allclose(rebuilt, nodes, rtol=0.0, atol=1e-9)
+
     def test_verdict_json_fields(self):
         v = avdonin_verdict(PeriodicPerturbation((0.45, -0.35)))
         data = v.to_json()
@@ -519,12 +571,19 @@ def _scan_best_offset(indices, lam, k_range):
 
 
 def _random_residuals(rng, n):
-    """lambda_n - n with a shift that is sometimes far outside the searched
-    range, on a dyadic grid half the time so that mid-ranges tie exactly."""
+    """lambda_n - n with a shift of up to 20, on a dyadic grid half the time
+    so that mid-ranges tie exactly."""
     shift = rng.choice([0.0, rng.uniform(-3, 3), rng.integers(-40, 40) / 2.0])
     if rng.random() < 0.5:
         return shift + rng.integers(-3, 4, n) / 8.0
     return shift + rng.uniform(-0.45, 0.45, n)
+
+
+def _around_optimum(residuals, extra=1):
+    """Offsets from ``extra`` below the least residual to ``extra`` above the
+    largest: the sup is convex, smallest at the residuals' mid-range, so the
+    best integer offset lies inside."""
+    return range(int(np.floor(residuals.min())) - extra, int(np.ceil(residuals.max())) + extra + 1)
 
 
 class TestClosedFormOffset:
@@ -537,25 +596,20 @@ class TestClosedFormOffset:
             stretch = 1.0 if rng.random() < 0.7 else 1.1
             lam = stretch * indices + _random_residuals(rng, n)
             seq = ExplicitWindow(tuple(lam), start)
-            span = max(lam[-1] - lam[0], 1.0)
-            half = int(np.ceil(span / 2.0))
-            k, sup = _scan_best_offset(indices, lam, range(-half, half + 1))
+            k, sup = _scan_best_offset(indices, lam, _around_optimum(lam - indices))
             enum = canonical_enumeration(seq, 1e9)
             assert enum.offset == k
             assert enum.sup == sup
             assert np.array_equal(enum.deltas, lam - (indices + k))
 
-    def test_matches_scan_on_ranges_with_ties_and_outside_optima(self):
+    def test_matches_scan_with_ties(self):
         rng = np.random.default_rng(11)
         for _ in range(4000):
             n = int(rng.integers(1, 30))
             indices = np.arange(n, dtype=float) + int(rng.integers(-20, 20))
             lam = indices + _random_residuals(rng, n)
-            lo = int(rng.integers(-25, 25))
-            k_range = range(lo, lo + int(rng.integers(1, 12)))
-            assert _best_offset(indices, lam, k_range) == _scan_best_offset(
-                indices, lam, k_range
-            )
+            k_range = _around_optimum(lam - indices, int(rng.integers(0, 12)))
+            assert _best_offset(indices, lam) == _scan_best_offset(indices, lam, k_range)
 
     def test_matches_scan_on_periodic_offsets(self):
         rng = np.random.default_rng(13)
@@ -563,8 +617,7 @@ class TestClosedFormOffset:
             offs = _random_residuals(rng, int(rng.integers(1, 9)))
             seq = PeriodicPerturbation(tuple(offs))
             offs = np.asarray(seq.offsets)
-            ks = range(int(np.floor(offs.min())) - 1, int(np.ceil(offs.max())) + 2)
-            k, sup = _scan_best_offset(np.zeros_like(offs), offs, ks)
+            k, sup = _scan_best_offset(np.zeros_like(offs), offs, _around_optimum(offs))
             enum = canonical_enumeration(seq, 1e9)
             assert (enum.offset, float(np.max(np.abs(enum.deltas)))) == (k, sup)
 
@@ -575,6 +628,7 @@ class TestClosedFormOffset:
         assert seq != ExplicitWindow((0.0, 1.5, 2.0), 0)
         assert seq != ExplicitWindow((0.0, 1.5, 2.5), -1)
         assert len({seq, ExplicitWindow(np.array([0.0, 1.5, 2.0]), -1)}) == 1
+        assert seq.__eq__((0.0, 1.5, 2.0)) is NotImplemented and seq != (0.0, 1.5, 2.0)
         assert np.array_equal(seq.positions((-1, 0)), [0.0, 1.5])
 
     def test_long_explicit_window_is_classified_in_linear_time(self):
