@@ -76,6 +76,17 @@ def coerce(kind, value, what: str):
         raise ConfigInvalidError(f"{what}: cannot read {reprlib.repr(value)} ({exc})") from exc
 
 
+def typed(kind, value, what: str, error=BadParameterError):
+    """``value`` if it is a ``kind``, such as a ``LogPolarPoint`` or a JSON
+    boolean for ``bool`` (a string such as "false" is not).  Anything else
+    raises ``error`` naming ``what``; a BadParameterError is a TypeError
+    too, as ``real`` raises it."""
+    if not isinstance(value, kind):
+        got = f"{type(value).__name__} {reprlib.repr(value)}"
+        raise _wrong_type(error)(f"{what} must be a {kind.__name__}, got {got}")
+    return value
+
+
 class _NotANumber(BadParameterError, TypeError):
     """A library argument of the wrong type.  It is a TypeError too, so that
     ``coerce`` reads it as a config error, as it reads float("x")."""

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import fock, gauss_space
-from ..errors import ConfigInvalidError, real, reals, whole, wholes
+from ..errors import ConfigInvalidError, real, reals, typed, whole, wholes
 from ..gauss_space import CoefficientVector
 from ..lattice import (
     AffineGrid,
@@ -67,14 +67,6 @@ def _scenario(name: str, tolerances=None, **options):
         TOLERANCES[name] = tolerances or {}
         return fn
     return register
-
-
-def _typed(kind, value, what: str, error):
-    """``value`` if it is a ``kind``, such as a JSON boolean for ``bool``
-    (a string such as "false" is not)."""
-    if not isinstance(value, kind):
-        raise error(f"{what} must be of type {kind.__name__}, got {value!r}")
-    return value
 
 
 def _log_modulus_grid(lo: float, hi: float, step: float, per_point: int = 1):
@@ -140,7 +132,7 @@ def _require_sequence(config: ScenarioConfig):
 
 
 @_scenario("classify", n_max=(8, partial(whole, ge=1)), margin=(1e-9, partial(real, ge=0)),
-           expect_pass=(None, partial(_typed, bool)))
+           expect_pass=(None, partial(typed, bool)))
 def scenario_classify(config: ScenarioConfig) -> ScenarioOutcome:
     options = config.options
     verdict = avdonin_verdict(_require_sequence(config), options["n_max"], options["margin"])
@@ -210,14 +202,14 @@ def _frame_legs(config: ScenarioConfig, table: str, labels: tuple, legs) -> Scen
 
 
 @_scenario("framebound-sweep", interior_fraction=(2.0 / 3.0, real), edge_margin=(0.0, real),
-           orientation=("interior_rows", partial(_typed, str)), stability_pct=(float("inf"), real))
+           orientation=("interior_rows", partial(typed, str)), stability_pct=(float("inf"), real))
 def scenario_framebound_sweep(config: ScenarioConfig) -> ScenarioOutcome:
     leg = ((), _require_sequence(config), config.options["orientation"], False)
     return _frame_legs(config, "frame_bounds", (), [leg])
 
 
 @_scenario("critical-half", interior_fraction=(1.0, real), edge_margin=(3.0, real),
-           orientation=("interior_rows", partial(_typed, str)), max_ratio=(0.5, real))
+           orientation=("interior_rows", partial(typed, str)), max_ratio=(0.5, real))
 def scenario_critical_half(config: ScenarioConfig) -> ScenarioOutcome:
     seq = build_sequence(config.sequence) if config.sequence else PeriodicPerturbation((0.5,))
     return _frame_legs(config, "frame_bounds", (), [((), seq, config.options["orientation"], True)])

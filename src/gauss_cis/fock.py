@@ -31,10 +31,10 @@ from .errors import (
     UnsortedInputError,
     array,
     real,
-    reals,
+    typed,
     whole,
 )
-from .lattice import GaussianParam, best_window_average
+from .lattice import GaussianParam, NodeSequence, best_window_average
 from .logdomain import (
     _out,
     log_abs_diff_exp,
@@ -206,6 +206,8 @@ def to_fock(c: GaussianParam, coeffs: gauss_space.CoefficientVector):
     weights cancel the e^{-a n^2} factors exactly, so each series has the
     plain l2 norm of its coefficients.
     """
+    typed(GaussianParam, c, "c")
+    typed(gauss_space.CoefficientVector, coeffs, "coeffs")
     f_minus, c0, f_plus = gauss_space.split_parts(coeffs)
 
     def series(part, sign):
@@ -226,7 +228,7 @@ def to_fock(c: GaussianParam, coeffs: gauss_space.CoefficientVector):
 def fock_norm(series: FockSeries, a: float) -> float:
     """Log of the squared weighted norm sum_k |b_k|^2 e^{2a(k+1)^2}."""
     GaussianParam(a)
-    if len(series.log_magnitude) == 0:
+    if len(typed(FockSeries, series, "series").log_magnitude) == 0:
         return -np.inf
     k = np.arange(len(series.log_magnitude))
     terms = 2.0 * series.log_magnitude + 2.0 * a * (k + 1.0) ** 2
@@ -235,14 +237,15 @@ def fock_norm(series: FockSeries, a: float) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid in t = log r used by the quadrature norm."""
+    """Uniform grid in t = log r used by the quadrature norm, from ``t_lo``
+    up to ``t_hi`` > ``t_lo`` in steps of ``step`` > 0."""
 
     t_lo: float
     t_hi: float
     step: float
 
     def __post_init__(self):
-        reals((self.t_lo, self.t_hi), "grid ends")
+        real(self.t_hi, "t_hi", gt=real(self.t_lo, "t_lo"))
         real(self.step, "step", gt=0)
 
     def points(self) -> np.ndarray:
@@ -252,11 +255,11 @@ class RadialGrid:
 
 def default_radial_grid(a: float, degree: int) -> RadialGrid:
     """Grid wide enough that the integrand tail is far below 1e-10 of the
-    total for polynomials up to the given degree, a whole number, in steps of
-    sqrt(a) / 4."""
+    total for polynomials up to the given degree, a whole number >= 0, in
+    steps of sqrt(a) / 4."""
     GaussianParam(a)
     pad = 8.0 * np.sqrt(a) + 2.0
-    top = 2.0 * a * (whole(degree, "degree") + 1.0) + pad
+    top = 2.0 * a * (whole(degree, "degree", ge=0) + 1.0) + pad
     return RadialGrid(-pad, top, _RADIAL_STEP * np.sqrt(a))
 
 
@@ -293,11 +296,11 @@ def fock_norm_quadrature(series: FockSeries, a: float, grid: Optional[RadialGrid
     GridTooCoarseError is raised when the two differ by more than 1e-8.
     """
     GaussianParam(a)
-    if len(series.log_magnitude) == 0:
+    if len(typed(FockSeries, series, "series").log_magnitude) == 0:
         return 0.0
     if grid is None:
         grid = default_radial_grid(a, series.degree)
-    t = grid.points()
+    t = typed(RadialGrid, grid, "grid").points()
     if len(t) < 9:
         raise GridTooCoarseError("radial grid needs at least 9 points")
     n_theta = 2 * series.degree + 8
@@ -315,7 +318,7 @@ def fock_norm_quadrature(series: FockSeries, a: float, grid: Optional[RadialGrid
 def phi(a: float, p: LogPolarPoint):
     """Radial growth exponent (log|w|)^2 / (4a)."""
     GaussianParam(a)
-    return p.log_modulus**2 / (4.0 * a)
+    return typed(LogPolarPoint, p, "p").log_modulus**2 / (4.0 * a)
 
 
 def kernel_norm(a: float, p: LogPolarPoint, n_terms: Optional[int] = None):
@@ -336,7 +339,7 @@ def kernel_norm(a: float, p: LogPolarPoint, n_terms: Optional[int] = None):
     own (TooFewTermsError names the first point that fails).
     """
     GaussianParam(a)
-    lm = np.asarray(p.log_modulus, dtype=float)
+    lm = np.asarray(typed(LogPolarPoint, p, "p").log_modulus, dtype=float)
     peak = np.maximum(0.0, lm / (2.0 * a) - 1.0)
     needed = np.ceil(peak + np.sqrt(40.0 / a) + 4.0).astype(int)
     n_used = needed if n_terms is None else np.full(lm.shape, whole(n_terms, "n_terms", ge=0))
@@ -366,6 +369,7 @@ def node_transform(c: GaussianParam, lam) -> LogPolarPoint:
     """Image of real nodes under w = e^{2cz}: modulus e^{2a lambda}.  The
     nodes are read by ``errors.array``, a scalar or an array of any rank."""
     lam = array(lam, "lambda", ndim=None)
+    typed(GaussianParam, c, "c")
     return LogPolarPoint(2.0 * c.a * lam, wrap_angle(2.0 * c.b * lam))
 
 
@@ -378,7 +382,8 @@ def consistency_identity(c: GaussianParam, coeffs: gauss_space.CoefficientVector
     one entry per node when ``lam`` is an array; ``lam`` is read by
     ``errors.array``, so a bool or a numeric string raises BadParameterError.
     """
-    lo, _ = coeffs.index_range
+    typed(GaussianParam, c, "c")
+    lo, _ = typed(gauss_space.CoefficientVector, coeffs, "coeffs").index_range
     if len(coeffs) and lo < 1:
         raise BadParameterError("only positive-index coefficients are supported")
     lam = array(lam, "lambda", ndim=None)
@@ -458,6 +463,7 @@ class GeneratingProduct:
         depend on the others.  Raises OnZeroError when any point is within
         1e-14 relative distance of a zero.
         """
+        typed(LogPolarPoint, p, "p")
         if np.any(self.tail_count_for(p.log_modulus) == len(self.zero_log_moduli)):
             raise BadParameterError(
                 "stored zeros do not certify the product tail at this modulus"
@@ -497,7 +503,7 @@ def log_distance_to_zeros(p: LogPolarPoint, zero_log_moduli):
     z = array(zero_log_moduli, "zero log-moduli")
     if len(z) == 0:
         raise BadParameterError("zero log-moduli must hold at least one zero")
-    cos = np.cos(p.argument)
+    cos = np.cos(typed(LogPolarPoint, p, "p").argument)
     right = np.searchsorted(z, p.log_modulus + np.log(np.where(cos > 0.0, cos, 1.0)))
     i = np.where(cos > 0.0, right, 0)
     near = z[np.stack([np.maximum(i - 1, 0), np.minimum(i, len(z) - 1)])]
@@ -509,7 +515,8 @@ def certified_zero_count(a: float, p: LogPolarPoint) -> int:
     at every point of p, one log-unit and one zero past the tail cut-off;
     they also hold the zero nearest to each point."""
     GaussianParam(a)
-    top = float(np.max(p.log_modulus)) if np.size(p.log_modulus) else 0.0
+    lm = typed(LogPolarPoint, p, "p").log_modulus
+    top = float(np.max(lm)) if np.size(lm) else 0.0
     return max(int(np.ceil((top + (_TAIL_CUTOFF + 1.0)) / (2.0 * a))) + 1, 1)
 
 
@@ -545,7 +552,9 @@ def generating_product_perturbed(prod: GeneratingProduct, p: LogPolarPoint):
     satisfies the averaged-perturbation condition; ``delta`` is
     ``prod.delta_exponent``.
     """
-    growth = (1.5 + prod.delta_exponent) * np.logaddexp(0.0, np.asarray(p.log_modulus))
+    typed(GeneratingProduct, prod, "prod")
+    lm = np.asarray(typed(LogPolarPoint, p, "p").log_modulus)
+    growth = (1.5 + prod.delta_exponent) * np.logaddexp(0.0, lm)
     return _with_estimate_ratio(prod, p, growth)
 
 
@@ -584,9 +593,7 @@ def fock_cis_verdict(a: float, points, n_max: int = 8, margin: float = 1e-9) -> 
     GaussianParam(a)
     n_max = whole(n_max, "n_max", ge=1)
     real(margin, "margin", ge=0)
-    if not isinstance(points, LogPolarPoint):
-        raise BadParameterError(f"points must be a LogPolarPoint, got {type(points).__name__}")
-    lms = np.ravel(points.log_modulus)
+    lms = np.ravel(typed(LogPolarPoint, points, "points").log_modulus)
     if len(lms) < 2:
         raise BadParameterError("need at least two points")
     gaps = np.diff(lms)
@@ -617,4 +624,5 @@ def fock_delta_from_lattice(a: float, delta: float) -> float:
 def fock_points_from_sequence(c: GaussianParam, seq, count: int):
     """First ``count`` transformed nodes w_m = e^{2c lambda_m}, m = 1..count,
     as one grid of points; ``count`` is a whole number >= 1."""
+    typed(NodeSequence, seq, "seq")
     return node_transform(c, seq.positions((1, whole(count, "count", ge=1))))

@@ -8,23 +8,27 @@ Every helper works elementwise on arrays (``logsumexp`` along an axis),
 so a grid of points is one call.  One rule, ``_out``, makes a 0-d result
 a Python scalar, here and in ``fock``: a scalar input gives a scalar, an
 array input (one element too) an array.
+
+``log_abs_one_minus_exp`` takes every factor of a product over zeros.
+Where Re v > 0 it writes 1 - e^v = -e^v (1 - e^{-v}), so it only forms
+1 - e^u with u = x + iy and x <= 0, from real parts that never cancel:
+
+    1 - e^u = -expm1(x) + 2 e^x sin(y/2) (sin(y/2) - i cos(y/2)),
+
+the half-angle form of 2 sin^2(y/2) - expm1(x) cos y - i e^x sin y.  Both
+terms of the real part are >= 0 and the rest are products, so log|1 - e^u|
+keeps full relative precision for every such u, near 0 too.
 """
 
 import numpy as np
 
 __all__ = [
     "wrap_angle",
-    "expm1_complex",
     "log_abs_one_minus_exp",
     "log_abs_diff_exp",
     "logsumexp",
     "modulus",
 ]
-
-# |v| below which the Taylor series of expm1 is used
-_SMALL = 1e-4
-# Re(v) beyond which 1 - e^v is factored through e^v
-_BIG = 50.0
 
 
 def _out(x):
@@ -50,47 +54,19 @@ def modulus(z):
     return _out(np.hypot(z.real, z.imag))
 
 
-def expm1_complex(v):
-    """exp(v) - 1 for complex v, accurate near v = 0."""
-    v = np.asarray(v, dtype=complex)
-    # horner form of v + v^2/2 + v^3/6 + v^4/24
-    series = v * (1.0 + v / 2.0 * (1.0 + v / 3.0 * (1.0 + v / 4.0)))
-    direct = np.exp(v) - 1.0
-    return _out(np.where(np.abs(v) < _SMALL, series, direct))
-
-
 def log_abs_one_minus_exp(v):
-    """(log|1 - e^v|, arg(1 - e^v)) for complex v, stable in all regimes.
-
-    For Re(v) large the identity 1 - e^v = -e^v (1 - e^{-v}) avoids overflow;
-    for Re(v) very negative the result is (≈0, ≈0); near v = 0 the expm1
-    series keeps the cancellation accurate.  Returns -inf log when v = 0.
-    """
+    """(log|1 - e^v|, arg(1 - e^v)) for complex v, by the identity in the
+    module docstring; v = 0 gives a log of -inf."""
     v = np.asarray(v, dtype=complex)
-    re = v.real
-    log_abs = np.zeros(v.shape)
-    phase = np.zeros(v.shape)
-
-    lo = re < -_BIG
-    hi = re > _BIG
-    mid = ~(lo | hi)
-    # -e^v is negligible against 1
-    log_abs[lo] = np.log1p(-np.exp(re[lo]))  # ≈ 0, keeps first-order term
-    phase[lo] = np.angle(1.0 - np.exp(v[lo]))
-
-    if np.any(hi):
-        w = -expm1_complex(-v[hi])  # 1 - e^{-v}, modulus near 1
-        log_abs[hi] = re[hi] + np.log(np.abs(w))
-        phase[hi] = wrap_angle(np.pi + v[hi].imag + np.angle(w))
-
-    if np.any(mid):
-        z = -expm1_complex(v[mid])  # 1 - e^v
-        az = np.abs(z)
-        with np.errstate(divide="ignore"):
-            log_abs[mid] = np.log(az)
-        phase[mid] = np.angle(z)
-
-    return _out(log_abs), _out(phase)
+    flip = v.real > 0.0
+    u = np.where(flip, -v, v)  # 1 - e^v = -e^v (1 - e^u) where flipped
+    x, half = u.real, u.imag / 2.0
+    e, s = np.exp(x), np.sin(half)
+    re, im = 2.0 * e * s * s - np.expm1(x), -2.0 * e * s * np.cos(half)
+    with np.errstate(divide="ignore"):
+        log_abs = np.where(flip, v.real, 0.0) + np.log(np.hypot(re, im))
+    phase = np.arctan2(im, re)
+    return _out(log_abs), _out(np.where(flip, wrap_angle(np.pi + v.imag + phase), phase))
 
 
 def log_abs_diff_exp(u, s):

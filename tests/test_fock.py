@@ -146,6 +146,37 @@ _MALFORMED = {
                           BadParameterError, "delta must be finite, got nan"),
     "lattice delta string": (lambda: fock_delta_from_lattice(0.5, "0.1"),
                              BadParameterError, "delta must be a number, got '0.1'"),
+    # reversed or empty radial grids name their argument
+    "grid ends reversed": (lambda: RadialGrid(0.0, -1.0, 0.1),
+                           BadParameterError, "t_hi must be finite and > 0.0, got -1.0"),
+    "radial grid degree -100": (lambda: default_radial_grid(0.5, -100),
+                                BadParameterError, "degree must be >= 0, got -100"),
+    # an object argument of the wrong type, here a float, is named too
+    "to_fock coeffs": (lambda: to_fock(GaussianParam(1.0), 1.0),
+                       BadParameterError, "coeffs must be a CoefficientVector, got float 1.0"),
+    "consistency coeffs": (lambda: consistency_identity(GaussianParam(1.0), 1.0, [0.5]),
+                           BadParameterError, "coeffs must be a CoefficientVector, got float"),
+    "fock_norm series": (lambda: fock_norm(1.0, 1.0),
+                         BadParameterError, "series must be a FockSeries, got float"),
+    "quadrature series": (lambda: fock_norm_quadrature(1.0, 1.0),
+                          BadParameterError, "series must be a FockSeries, got float"),
+    "phi point": (lambda: phi(1.0, 1.0), BadParameterError, "p must be a LogPolarPoint, got float"),
+    "kernel_norm point": (lambda: kernel_norm(1.0, 1.0),
+                          BadParameterError, "p must be a LogPolarPoint, got float"),
+    "zero count point": (lambda: certified_zero_count(1.0, 1.0),
+                         BadParameterError, "p must be a LogPolarPoint, got float"),
+    "G0 point": (lambda: generating_product_G0(1.0, 1.0),
+                 BadParameterError, "p must be a LogPolarPoint, got float"),
+    "g0 ratio point": (lambda: g0_estimate_ratio(1.0, 1.0),
+                       BadParameterError, "p must be a LogPolarPoint, got float"),
+    "distance point": (lambda: log_distance_to_zeros(1.0, [1.0, 2.0]),
+                       BadParameterError, "p must be a LogPolarPoint, got float"),
+    "node_transform c": (lambda: node_transform(1.0, [0.5]),
+                         BadParameterError, "c must be a GaussianParam, got float"),
+    "perturbed prod": (lambda: generating_product_perturbed(1.0, _TWO_POINTS),
+                       BadParameterError, "prod must be a GeneratingProduct, got float"),
+    "points sequence": (lambda: fock_points_from_sequence(GaussianParam(1.0), 1.0, 2),
+                        BadParameterError, "seq must be a NodeSequence, got float"),
 }
 
 

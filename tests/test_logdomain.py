@@ -11,7 +11,6 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 import gauss_cis
 from gauss_cis.logdomain import (
-    expm1_complex,
     log_abs_diff_exp,
     log_abs_one_minus_exp,
     logsumexp,
@@ -33,18 +32,6 @@ class TestWrapAngle:
     def test_array(self):
         out = wrap_angle(np.array([0.0, 2 * np.pi, -0.1]))
         assert np.allclose(out, [0.0, 0.0, -0.1])
-
-
-class TestExpm1Complex:
-    def test_tiny_argument_keeps_precision(self):
-        v = 1e-9 + 1e-9j
-        got = expm1_complex(v)
-        # leading terms v + v^2/2
-        assert got == pytest.approx(v + v * v / 2, rel=1e-12)
-
-    def test_moderate_argument(self):
-        v = 0.3 - 0.7j
-        assert expm1_complex(v) == pytest.approx(np.exp(v) - 1.0, rel=1e-14)
 
 
 class TestLogOneMinusExp:
