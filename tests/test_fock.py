@@ -173,6 +173,8 @@ _MALFORMED = {
                        BadParameterError, "p must be a LogPolarPoint, got float"),
     "node_transform c": (lambda: node_transform(1.0, [0.5]),
                          BadParameterError, "c must be a GaussianParam, got float"),
+    "product evaluate point": (lambda: GeneratingProduct(1.0, [1.0, 2.0]).evaluate(1.0),
+                               BadParameterError, "p must be a LogPolarPoint, got float"),
     "perturbed prod": (lambda: generating_product_perturbed(1.0, _TWO_POINTS),
                        BadParameterError, "prod must be a GeneratingProduct, got float"),
     "points sequence": (lambda: fock_points_from_sequence(GaussianParam(1.0), 1.0, 2),
