@@ -70,18 +70,19 @@ def log_abs_one_minus_exp(v):
 
 
 def log_abs_diff_exp(u, s):
-    """log|e^u - e^s| for complex u and real s, without overflow.
+    """log|e^u - e^s| for complex u and real s, as big + log|1 - e^v|.
 
-    Factors out e^max(Re u, s) so that both residual exponentials have
-    non-positive real part.  ``u`` and ``s`` broadcast against each other;
-    scalar inputs give a float.
+    big = max(Re u, s) is factored out exactly: v = s - u where Re u > s,
+    else u - s, so Re v <= 0.  The second term is
+    ``log_abs_one_minus_exp``'s, so the difference neither overflows nor
+    cancels near u = s, and far from s it is big to the last bit; u = s
+    gives -inf.  ``u`` and ``s`` broadcast against each other; scalar
+    inputs give a float.
     """
     u = np.asarray(u, dtype=complex)
     s = np.asarray(s, dtype=float)
-    big = np.maximum(u.real, s)
-    d = np.exp(u - big) - np.exp(s - big)
-    with np.errstate(divide="ignore"):
-        return _out(big + np.log(modulus(d)))
+    return _out(np.maximum(u.real, s)
+                + log_abs_one_minus_exp(np.where(u.real > s, s - u, u - s))[0])
 
 
 def logsumexp(x, axis=None):

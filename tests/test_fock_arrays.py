@@ -41,17 +41,6 @@ from gauss_cis.logdomain import (
 # -- scalar oracles ----------------------------------------------------------
 
 
-def _old_log_abs_diff_exp(u, s):
-    u = complex(u)
-    s = float(s)
-    big = max(u.real, s)
-    d = np.exp(u - big) - np.exp(s - big)
-    ad = abs(d)
-    if ad == 0.0:
-        return -np.inf
-    return big + float(np.log(ad))
-
-
 def _old_evaluate(prod, lm, arg):
     """One point, every stored zero, the bulk block folded by prefix sums."""
     z = prod.zero_log_moduli
@@ -67,7 +56,7 @@ def _old_distance(lm, arg, z):
     u = lm + 1j * arg
     cos = np.cos(arg)
     i = int(np.searchsorted(z, lm + np.log(cos))) if cos > 0.0 else 0
-    return float(min(_old_log_abs_diff_exp(u, s) for s in z[max(i - 1, 0) : i + 1]))
+    return float(min(log_abs_diff_exp(u, s) for s in z[max(i - 1, 0) : i + 1]))
 
 
 def _old_g0_estimate_ratio(a, lm, arg):
