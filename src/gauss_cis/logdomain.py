@@ -54,35 +54,40 @@ def modulus(z):
     return _out(np.hypot(z.real, z.imag))
 
 
+def _one_minus_exp(u):
+    """Re, Im and log|.| of 1 - e^u for Re u <= 0, by the identity in the
+    module docstring; u = 0 gives a log of -inf."""
+    e, s, c = np.exp(u.real), np.sin(u.imag / 2.0), np.cos(u.imag / 2.0)
+    re, im = 2.0 * e * s * s - np.expm1(u.real), -2.0 * e * s * c
+    with np.errstate(divide="ignore"):
+        return re, im, np.log(np.hypot(re, im))
+
+
 def log_abs_one_minus_exp(v):
     """(log|1 - e^v|, arg(1 - e^v)) for complex v, by the identity in the
     module docstring; v = 0 gives a log of -inf."""
     v = np.asarray(v, dtype=complex)
     flip = v.real > 0.0
-    u = np.where(flip, -v, v)  # 1 - e^v = -e^v (1 - e^u) where flipped
-    x, half = u.real, u.imag / 2.0
-    e, s = np.exp(x), np.sin(half)
-    re, im = 2.0 * e * s * s - np.expm1(x), -2.0 * e * s * np.cos(half)
-    with np.errstate(divide="ignore"):
-        log_abs = np.where(flip, v.real, 0.0) + np.log(np.hypot(re, im))
+    # 1 - e^v = -e^v (1 - e^{-v}) where flipped
+    re, im, log_abs = _one_minus_exp(np.where(flip, -v, v))
     phase = np.arctan2(im, re)
-    return _out(log_abs), _out(np.where(flip, wrap_angle(np.pi + v.imag + phase), phase))
+    return (_out(np.where(flip, v.real, 0.0) + log_abs),
+            _out(np.where(flip, wrap_angle(np.pi + v.imag + phase), phase)))
 
 
 def log_abs_diff_exp(u, s):
     """log|e^u - e^s| for complex u and real s, as big + log|1 - e^v|.
 
     big = max(Re u, s) is factored out exactly: v = s - u where Re u > s,
-    else u - s, so Re v <= 0.  The second term is
-    ``log_abs_one_minus_exp``'s, so the difference neither overflows nor
-    cancels near u = s, and far from s it is big to the last bit; u = s
-    gives -inf.  ``u`` and ``s`` broadcast against each other; scalar
+    else u - s, so Re v <= 0, and log|1 - e^v| is taken by the module
+    docstring's identity without its phase.  So the difference neither
+    overflows nor cancels near u = s, far from s it is big to the last
+    bit, and u = s gives -inf.  ``u`` and ``s`` broadcast against each other; scalar
     inputs give a float.
     """
     u = np.asarray(u, dtype=complex)
     s = np.asarray(s, dtype=float)
-    return _out(np.maximum(u.real, s)
-                + log_abs_one_minus_exp(np.where(u.real > s, s - u, u - s))[0])
+    return _out(np.maximum(u.real, s) + _one_minus_exp(np.where(u.real > s, s - u, u - s))[2])
 
 
 def logsumexp(x, axis=None):

@@ -556,10 +556,14 @@ class TestOnePeriodBand:
 
 def _kept_record(c, seq, m):
     """The Gram side of a periodic section's rows, trimmed to fraction 1 and
-    margin 3, and the one-period record (``_period_band``) its band takes."""
-    _, lam, cols, buffer = _section(c, seq, m, 1.0, 3.0, "interior_rows")
-    phase = _first_index(seq, m, lam) % len(seq.offsets)
-    return lam, solver._period_band(c, seq.offsets, phase, buffer, True)
+    margin 3, and the one-period record (``_period_band``) that ``_band``
+    built its band from."""
+    p, _, buffer, band = _one_period_section(c, seq, m, 1.0, 3.0, "interior_rows")
+    one = solver._period_band(c, seq.offsets, _first_index(seq, m, p) % len(seq.offsets),
+                              buffer, True)
+    # the kept record, so _band took this phase and side
+    assert band.decided_by == "reduction" and band.gram is one.gram
+    return p, one
 
 
 class TestSymbolLaw:

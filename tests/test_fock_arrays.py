@@ -2,7 +2,10 @@
 
 The oracles below are the one-point implementations the array code
 replaced (per-point products with their own zero count, per-index series
-build, scalar log-domain helpers), kept verbatim as references.
+build, scalar log-domain helpers), kept verbatim as references.  The
+one-point log|e^u - e^s| is the half-angle identity written out on
+scalars, since the difference of exponentials it replaced cancels near
+u = s.
 """
 
 import tracemalloc
@@ -41,6 +44,20 @@ from gauss_cis.logdomain import (
 # -- scalar oracles ----------------------------------------------------------
 
 
+def _scalar_log_abs_diff_exp(u, s):
+    """log|e^u - e^s| at one point as max(Re u, s) + log|1 - e^v|, Re v <= 0,
+    with log|1 - e^v| by the half-angle identity, written out on scalars."""
+    u = complex(u)
+    s = float(s)
+    v = s - u if u.real > s else u - s
+    e, sin, cos = np.exp(v.real), np.sin(v.imag / 2.0), np.cos(v.imag / 2.0)
+    re, im = 2.0 * e * sin * sin - np.expm1(v.real), -2.0 * e * sin * cos
+    ad = np.hypot(re, im)
+    if ad == 0.0:
+        return -np.inf
+    return max(u.real, s) + float(np.log(ad))
+
+
 def _old_evaluate(prod, lm, arg):
     """One point, every stored zero, the bulk block folded by prefix sums."""
     z = prod.zero_log_moduli
@@ -52,11 +69,15 @@ def _old_evaluate(prod, lm, arg):
     return float(log_abs + np.sum(la)), float(wrap_angle(phase + np.sum(ph)))
 
 
-def _old_distance(lm, arg, z):
-    u = lm + 1j * arg
+def _nearest_zeros(lm, arg, z):
     cos = np.cos(arg)
     i = int(np.searchsorted(z, lm + np.log(cos))) if cos > 0.0 else 0
-    return float(min(log_abs_diff_exp(u, s) for s in z[max(i - 1, 0) : i + 1]))
+    return z[max(i - 1, 0) : i + 1]
+
+
+def _old_distance(lm, arg, z):
+    u = lm + 1j * arg
+    return float(min(_scalar_log_abs_diff_exp(u, s) for s in _nearest_zeros(lm, arg, z)))
 
 
 def _old_g0_estimate_ratio(a, lm, arg):
@@ -161,6 +182,13 @@ class TestAgainstScalarOracles:
         got = log_distance_to_zeros(p, zeros)
         want = [_old_distance(lm, ang, zeros) for lm, ang in zip(p.log_modulus, p.argument)]
         assert np.max(np.abs(got - want)) <= 1e-15
+        # and each value against 50 digits
+        with mpmath.workdps(50):
+            exact = np.array([min(float(mpmath.log(abs(mpmath.exp(mpmath.mpc(lm, ang))
+                                                       - mpmath.exp(mpmath.mpf(s)))))
+                                  for s in _nearest_zeros(lm, ang, zeros))
+                              for lm, ang in zip(p.log_modulus, p.argument)])
+        assert np.all(np.abs(got - exact) <= 1e-15 * np.maximum(np.abs(exact), 1.0))
 
     @pytest.mark.parametrize("a", [0.25, 0.5, 2.0])
     def test_kernel_on_a_fine_grid(self, a):
@@ -346,8 +374,10 @@ def test_log_abs_one_minus_exp_against_mpmath(v):
 
 
 def test_log_abs_diff_exp_against_mpmath():
-    u = np.array([1.2 + 0.7j, 1000.0 + 0.0j, -20.0 + 3.0j, 5.0 + 1e-7j, 300.0 - 2.0j])
-    s = np.array([0.9, 999.0, -19.5, 5.0, 0.0])
+    # e^u - e^s cancels near u = s: 5 + 1e-9 and 5 + 1e-6 against 5 too
+    u = np.array([1.2 + 0.7j, 1000.0 + 0.0j, -20.0 + 3.0j, 5.0 + 1e-7j, 300.0 - 2.0j,
+                  5.0 + 1e-9, 5.0 + 1e-6])
+    s = np.array([0.9, 999.0, -19.5, 5.0, 0.0, 5.0, 5.0])
     got = log_abs_diff_exp(u, s)
     for g, uu, ss in zip(got, u, s):
         with mpmath.workdps(50):
